@@ -16,11 +16,11 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
-from .exceptions import DomainError, FitSetupError, QuadratureError
+from .exceptions import DomainError, FitSetupError
 from .hazards import FrailtyFamily
 from .simulate import ClusteredDataset
 from .splines import SplineBasis, basis_derivative, basis_eval, place_knots
-from .quadrature import adaptive_gh_batch, gh_rule
+from .quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace
 
 __all__ = [
     "ModelSpec",
@@ -380,8 +380,7 @@ def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[np.
     return log_h, H
 
 
-def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
-                 diagnostics: dict | None = None) -> float:
+def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> float:
     log_h, H = _log_h_and_H(prep, spec, vec)
     event_log_h = log_h[prep.d]
     if np.isneginf(event_log_h).any() or np.isnan(event_log_h).any():
@@ -403,20 +402,15 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
         const = -0.5 * np.log(2.0 * np.pi * var)
 
         def log_f(eta: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 return eta * D - np.exp(eta) * V - eta * eta / (2.0 * var) + const
 
-        try:
-            cluster_logs = adaptive_gh_batch(log_f, gh_rule(spec.gh_nodes),
-                                             np.zeros(prep.n_clusters))
-        except QuadratureError:
-            if diagnostics is not None:
-                diagnostics["quadrature_failures"] = diagnostics.get("quadrature_failures", 0) + 1
-            return -np.inf
+        cluster_logs = adaptive_gh_batch(log_f, gh_rule(spec.gh_nodes),
+                                         lognormal_laplace(D, V, 0.0, var))
         ll = sum_event_log_h + float(cluster_logs.sum())
-    if np.isnan(ll):
-        return -np.inf
-    return ll
+    # optimizer excursions (an extreme log variance, every H underflowing)
+    # can leave non-finite cluster terms; they are infeasible points
+    return ll if np.isfinite(ll) else -np.inf
 
 
 def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
@@ -457,24 +451,25 @@ def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
     return h, H
 
 
-def gamma_marginal_loglik(spec: ModelSpec, params: ModelParams,
-                          data: ClusteredDataset) -> float:
-    """Closed-form marginal log-likelihood under Gamma frailty."""
-    if spec.frailty is not FrailtyFamily.GAMMA:
-        raise ValueError("spec must have Gamma frailty")
+def _marginal_loglik(family: FrailtyFamily, spec: ModelSpec, params: ModelParams,
+                     data: ClusteredDataset) -> float:
+    if spec.frailty is not family:
+        raise ValueError(f"spec must have {family.value} frailty")
     prep = _prepare(spec, data, basis=params.basis, orthogonalize=False,
                     require_events=False)
     return _loglik_core(prep, spec, pack_params(params))
+
+
+def gamma_marginal_loglik(spec: ModelSpec, params: ModelParams,
+                          data: ClusteredDataset) -> float:
+    """Closed-form marginal log-likelihood under Gamma frailty."""
+    return _marginal_loglik(FrailtyFamily.GAMMA, spec, params, data)
 
 
 def lognormal_marginal_loglik(spec: ModelSpec, params: ModelParams,
                               data: ClusteredDataset) -> float:
     """Adaptive Gauss-Hermite marginal log-likelihood under log-Normal frailty."""
-    if spec.frailty is not FrailtyFamily.LOG_NORMAL:
-        raise ValueError("spec must have log-Normal frailty")
-    prep = _prepare(spec, data, basis=params.basis, orthogonalize=False,
-                    require_events=False)
-    return _loglik_core(prep, spec, pack_params(params))
+    return _marginal_loglik(FrailtyFamily.LOG_NORMAL, spec, params, data)
 
 
 class _Stagnation(Exception):
@@ -484,10 +479,9 @@ class _Stagnation(Exception):
 class _Objective:
     """Negated log-likelihood with penalty mapping and a stagnation guard."""
 
-    def __init__(self, prep: _Prepared, spec: ModelSpec, diagnostics: dict):
+    def __init__(self, prep: _Prepared, spec: ModelSpec):
         self.prep = prep
         self.spec = spec
-        self.diagnostics = diagnostics
         self.n_eval = 0
         self.best_f = np.inf
         self.best_x: np.ndarray | None = None
@@ -500,8 +494,7 @@ class _Objective:
 
     def __call__(self, vec: np.ndarray) -> float:
         self.n_eval += 1
-        ll = _loglik_core(self.prep, self.spec, np.asarray(vec, dtype=float),
-                          self.diagnostics)
+        ll = _loglik_core(self.prep, self.spec, np.asarray(vec, dtype=float))
         f = -ll if np.isfinite(ll) else _PENALTY
         if f < self.best_f:
             self.best_f = f
@@ -607,7 +600,6 @@ class FitResult:
     message: str
     basis_center: np.ndarray | None = None
     basis_transform: np.ndarray | None = None
-    quadrature_failures: int = 0
 
     @property
     def n_params(self) -> int:
@@ -672,9 +664,8 @@ def fit(
     (a FitResult's ``trans_raw``), which is how warm starts such as bootstrap
     refits are done.
     """
-    diagnostics: dict = {}
     prep = _prepare(spec, data)
-    objective = _Objective(prep, spec, diagnostics)
+    objective = _Objective(prep, spec)
     raw_starts = [np.asarray(start, dtype=float)] if start is not None else _starting_points(spec, prep)
     starts = [prep.raw_to_scaled(spec, s) for s in raw_starts]
     n_iterations = 0
@@ -707,7 +698,7 @@ def fit(
     loglik = -best_f if best_f < _PENALTY / 2 else -np.inf
 
     def obj_plain(v: np.ndarray) -> float:
-        ll = _loglik_core(prep, spec, v, diagnostics)
+        ll = _loglik_core(prep, spec, v)
         return -ll if np.isfinite(ll) else _PENALTY
 
     grad = _fd_gradient(obj_plain, best_x, _GRAD_STEP)
@@ -770,7 +761,6 @@ def fit(
         message=message,
         basis_center=prep.center,
         basis_transform=prep.transform,
-        quadrature_failures=diagnostics.get("quadrature_failures", 0),
     )
 
 

@@ -3,10 +3,12 @@
 Three tools live here:
 
 * plain Gauss-Hermite rules (physicists' convention, weight exp(-x^2)),
-* adaptive Gauss-Hermite in log space, for marginalizing cluster-level
-  random effects whose integrands are sharply peaked, and
-* tanh-sinh (double-exponential) quadrature on finite intervals, used both
-  as a high-accuracy oracle and for integrating survival curves.
+* adaptive Gauss-Hermite in log space, for marginalizing log-Normal
+  cluster frailties whose integrands are sharply peaked: each integrand
+  is recentred at its closed-form (Wright omega) mode and scaled by its
+  exact curvature there, and
+* tanh-sinh (double-exponential) quadrature on finite intervals, kept as
+  a high-accuracy oracle.
 """
 from __future__ import annotations
 
@@ -16,15 +18,15 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import logsumexp
+from scipy.special import logsumexp, wrightomega
 
 from .exceptions import DomainError, QuadratureError
 
 __all__ = [
     "GHRule",
     "gh_rule",
-    "adaptive_gh",
     "adaptive_gh_batch",
+    "lognormal_laplace",
     "tanh_sinh",
 ]
 
@@ -53,104 +55,39 @@ def gh_rule(n: int) -> GHRule:
     return GHRule(n=int(n), nodes=nodes, weights=weights)
 
 
-def _log_f_checked(log_f: Callable[[np.ndarray], np.ndarray], eta: np.ndarray) -> np.ndarray:
-    vals = np.asarray(log_f(eta), dtype=float)
-    if vals.shape != eta.shape:
-        vals = np.broadcast_to(vals, eta.shape).astype(float)
-    if np.isnan(vals).any() or np.isposinf(vals).any():
-        bad = eta[~(np.isfinite(vals) | np.isneginf(vals))]
-        raise QuadratureError(
-            f"log-integrand returned NaN or +inf at eta={bad[:3]!r}"
-        )
-    return vals
+def lognormal_laplace(D, V, mean, var) -> tuple[np.ndarray, np.ndarray]:
+    """Mode and curvature of l(eta) = eta*D - e^eta*V - (eta - mean)^2 / (2*var).
 
-
-def _find_modes(
-    log_f: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    max_iter: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Locate the per-component maximum of a batch of concave-ish log-integrands.
-
-    Safeguarded Newton iteration with central finite differences. Returns the
-    modes and the (positive) curvatures -d2/deta2 log_f at the modes.
+    l is the log-integrand of a log-Normal frailty marginal (Poisson-type
+    cluster term times the Normal density of eta), and it is strictly
+    concave. Writing the mode as eta* = mean + var*D - w, the score equation
+    becomes w e^w = var*V*e^(mean + var*D), so w is the Wright omega function
+    of log(var*V) + mean + var*D and the curvature -l''(eta*) is (w + 1)/var.
+    V = 0 gives w = 0, the mode mean + var*D of a Normal integrand.
     """
-    m = np.array(x0, dtype=float, copy=True)
-    f0 = _log_f_checked(log_f, m)
-    if np.isneginf(f0).any():
-        raise QuadratureError("log-integrand is -inf at the starting point")
-    done = np.zeros(m.shape, dtype=bool)
-    g2 = np.full(m.shape, np.nan)
-    for _ in range(max_iter):
-        h = 1e-5 * (1.0 + np.abs(m))
-        fp = _log_f_checked(log_f, m + h)
-        fm = _log_f_checked(log_f, m - h)
-        with np.errstate(invalid="ignore", over="ignore"):
-            g1 = (fp - fm) / (2.0 * h)
-            g2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if not (np.isfinite(g1) | done).all() or not (np.isfinite(g2) | done).all():
-            raise QuadratureError(
-                "finite-difference derivatives of the log-integrand are not finite"
-            )
-        newton = np.where(g2 < -1e-12, -g1 / np.where(g2 < -1e-12, g2, -1.0), np.sign(g1) * (1.0 + np.abs(m)))
-        done |= (np.abs(newton) <= 1e-9 * (1.0 + np.abs(m))) & (g2 < 0)
-        if done.all():
-            break
-        cap = 10.0 * (1.0 + np.abs(m))
-        step = np.where(done, 0.0, np.clip(newton, -cap, cap))
-        # backtrack any step that fails to improve the objective
-        for _ in range(60):
-            fprop = _log_f_checked(log_f, m + step)
-            bad = ~done & ~(fprop >= f0 - 1e-12 * (1.0 + np.abs(f0)))
-            if not bad.any():
-                break
-            step = np.where(bad, 0.5 * step, step)
-        else:
-            raise QuadratureError("mode search could not find an uphill step")
-        m = m + step
-        f0 = _log_f_checked(log_f, m)
-    else:
-        raise QuadratureError("mode search did not converge within 100 iterations")
-    curv = -g2
-    if not (curv > 0).all():
-        raise QuadratureError("log-integrand is not locally concave at its mode")
-    return m, curv
+    shift = mean + var * D
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = wrightomega(np.log(var * V) + shift)
+        return shift - w, (w + 1.0) / var
 
 
 def adaptive_gh_batch(
     log_f: Callable[[np.ndarray], np.ndarray],
     rule: GHRule,
-    x0: np.ndarray,
+    laplace: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Log of integral exp(log_f(eta)) d(eta), for a batch of independent integrands.
 
-    log_f maps an array with one eta per integrand to the array of
-    log-integrand values. Each integrand is recentred at its mode and rescaled
-    by its local curvature before the Gauss-Hermite rule is applied, so a
-    moderate node count handles very concentrated integrands.
+    laplace is the (mode, curvature) pair of each log-integrand. The rule is
+    recentred at the mode and its nodes scaled by sqrt(2 / curvature), so a
+    moderate node count handles very concentrated integrands. log_f gets all
+    nodes in one (rule.n, batch) array and returns the log-integrand there.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    mode, curv = _find_modes(log_f, x0)
+    mode, curv = laplace
     scale = np.sqrt(2.0 / curv)
-    terms = np.empty((rule.n, x0.shape[0]))
-    log_w = np.log(rule.weights)
-    for k in range(rule.n):
-        vals = _log_f_checked(log_f, mode + scale * rule.nodes[k])
-        terms[k] = vals + rule.nodes[k] ** 2 + log_w[k]
+    eta = mode + scale * rule.nodes[:, None]
+    terms = log_f(eta) + (rule.nodes**2 + np.log(rule.weights))[:, None]
     return logsumexp(terms, axis=0) + np.log(scale)
-
-
-def adaptive_gh(
-    log_f: Callable[[np.ndarray], np.ndarray],
-    rule: GHRule,
-    x0: float = 0.0,
-) -> float:
-    """Log of integral exp(log_f(eta)) d(eta) for a single integrand.
-
-    log_f must accept an ndarray of candidate eta values and return the
-    matching array of log-integrand values.
-    """
-    return float(adaptive_gh_batch(log_f, rule, np.array([x0], dtype=float))[0])
 
 
 _T_MAX = 4.0

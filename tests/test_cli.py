@@ -13,7 +13,7 @@ from frailsim.cli import (
     read_config,
     scenario_catalog,
 )
-from frailsim.exceptions import ConfigError, NumericError
+from frailsim.exceptions import ConfigError, NumericError, QuadratureError
 from frailsim.harness import derive_seed
 from frailsim.hazards import Exponential, Weibull
 
@@ -217,6 +217,19 @@ def test_fit_exit_codes(tmp_path, demo_dataset, capsys, monkeypatch):
     monkeypatch.setattr(cli, "read_dataset_csv", explode)
     assert main(["fit", demo_dataset]) == 4
     capsys.readouterr()
+
+
+def test_fit_prints_dash_when_lle_quadrature_fails(demo_dataset, capsys, monkeypatch):
+    def failing_functional(result, horizon):
+        def functional(vec):
+            raise QuadratureError("log-Normal marginal survival is not finite")
+        return functional
+
+    monkeypatch.setattr(cli, "lle_functional", failing_functional)
+    assert main(["fit", demo_dataset, "--model", "exp_gamma"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("exp_gamma"))
+    assert " - " in row
 
 
 MC_CONFIG = CUSTOM_SCENARIO + """\

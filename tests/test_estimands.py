@@ -19,8 +19,9 @@ from frailsim.estimands import (
     marginal_survival,
     true_estimands,
 )
-from frailsim.exceptions import EstimandError
+from frailsim.exceptions import EstimandError, QuadratureError
 from frailsim.fitting import ModelParams, fit, model_from_id
+from frailsim.hazards import FrailtyFamily, FrailtySpec
 from frailsim.simulate import generate_dataset, make_scenario
 
 
@@ -89,6 +90,14 @@ def test_mixture_marginal_survival_against_monte_carlo():
     draws = np.exp(-np.exp(eta) * H)
     mc_se = draws.std(ddof=1) / 1000.0
     assert abs(got - draws.mean()) <= 4.0 * mc_se
+
+
+@pytest.mark.parametrize("family", [FrailtyFamily.LOG_NORMAL, FrailtyFamily.MIXTURE_NORMAL])
+def test_normal_frailty_marginal_survival_rejects_infinite_hazard(family):
+    model = MarginalModel(FrailtySpec(family, 0.5),
+                          lambda t, x: np.where(t > 1.0, np.inf, t))
+    with pytest.raises(QuadratureError):
+        marginal_survival(model, np.array([0.5, 2.0]), 0.0)
 
 
 @pytest.mark.parametrize("theta,x", [(0.25, 0.0), (0.25, 1.0), (0.75, 0.0)])

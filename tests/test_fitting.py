@@ -133,6 +133,23 @@ def test_lognormal_loglik_stable_in_node_count():
     assert abs(lls[0] - lls[1]) <= 1e-6 * abs(lls[1])
 
 
+@pytest.mark.parametrize("log_rate", [0.0, -800.0])
+@pytest.mark.parametrize("log_var", [-700.0, 700.0])
+def test_lognormal_loglik_is_a_float_at_extreme_points(log_var, log_rate):
+    """Optimizer excursions to an extreme log variance, or to a rate at which
+    every cumulative hazard underflows to 0, evaluate to a finite or -inf
+    likelihood instead of raising."""
+    data = generate_dataset(make_scenario("wei", "lognormal", 0.75, 4, 20), 7)
+    spec = model_from_id("wei_lognormal")
+    prep = fitting._prepare(spec, data)
+    vec = np.array([log_rate, 0.0, -0.5, log_var])
+    if log_rate < 0:
+        assert not fitting._log_h_and_H(prep, spec, vec)[1].any()
+    ll = fitting._loglik_core(prep, spec, vec)
+    assert isinstance(ll, float)
+    assert ll == -np.inf or np.isfinite(ll)
+
+
 def test_pack_unpack_round_trip():
     spec = model_from_id("gom_gamma")
     params = ModelParams(spec, np.array([0.45, 0.15]), -0.4, 0.8)

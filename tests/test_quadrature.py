@@ -1,4 +1,5 @@
-"""Tests for Gauss-Hermite rules, adaptive GH, and tanh-sinh integration."""
+"""Tests for Gauss-Hermite rules, the log-Normal Laplace point, adaptive GH,
+and tanh-sinh integration."""
 from __future__ import annotations
 
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from frailsim.exceptions import DomainError, QuadratureError
-from frailsim.quadrature import adaptive_gh, adaptive_gh_batch, gh_rule, tanh_sinh
+from frailsim.quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace, tanh_sinh
 
 
 # A Gauss-Hermite rule with n nodes integrates x^d e^{-x^2} exactly for
@@ -52,49 +53,87 @@ def test_gh_rule_accepts_boundary_counts(n):
     assert rule.nodes.shape == (n,)
 
 
+def _random_clusters(n, seed):
+    """Cluster terms of the log-Normal marginal: event counts D in 0..200,
+    cumulative hazards V spanning e^-12..e^12 with some exact zeros, and
+    random log-frailty means and variances."""
+    rng = np.random.default_rng(seed)
+    D = rng.integers(0, 201, n).astype(float)
+    V = np.exp(rng.uniform(-12.0, 12.0, n))
+    V[rng.random(n) < 0.1] = 0.0
+    mean = rng.normal(0.0, 3.0, n)
+    var = np.exp(rng.uniform(-4.0, 2.0, n))
+    return D, V, mean, var
+
+
+def _hazard(eta, V):
+    """e^eta * V, which is 0 at V = 0 even where e^eta overflows."""
+    with np.errstate(divide="ignore"):
+        return np.exp(eta + np.log(V))
+
+
+def _lognormal_log_f(D, V, mean, var):
+    def log_f(eta):
+        return eta * D - _hazard(eta, V) - (eta - mean) ** 2 / (2.0 * var)
+    return log_f
+
+
+def test_lognormal_laplace_score_vanishes_at_mode():
+    D, V, mean, var = _random_clusters(1000, seed=11)
+    mode, _ = lognormal_laplace(D, V, mean, var)
+    hazard = _hazard(mode, V)
+    shrink = (mode - mean) / var
+    score = D - hazard - shrink
+    scale = D + hazard + np.abs(shrink) + 1.0
+    assert np.all(np.abs(score) <= 1e-10 * scale)
+
+
+def test_lognormal_laplace_curvature_is_exact():
+    D, V, mean, var = _random_clusters(1000, seed=12)
+    mode, curv = lognormal_laplace(D, V, mean, var)
+    np.testing.assert_allclose(curv, _hazard(mode, V) + 1.0 / var, rtol=1e-10)
+
+
+def test_adaptive_gh_matches_tanh_sinh_oracle():
+    D, V, mean, var = _random_clusters(40, seed=13)
+    laplace = lognormal_laplace(D, V, mean, var)
+    got = adaptive_gh_batch(_lognormal_log_f(D, V, mean, var), gh_rule(31), laplace)
+    for k, (m, c) in enumerate(zip(*laplace)):
+        log_f = _lognormal_log_f(D[k], V[k], mean[k], var[k])
+        peak = log_f(m)
+        half = 60.0 / math.sqrt(c)
+        assert log_f(m - half) - peak < -40.0 and log_f(m + half) - peak < -40.0
+        oracle = tanh_sinh(lambda eta: np.exp(log_f(eta) - peak), m - half, m + half,
+                           tol=1e-13)
+        assert abs(got[k] - (math.log(oracle) + peak)) <= 1e-9
+
+
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (3.7, 0.2), (-12.0, 8.0)])
 def test_adaptive_gh_exact_for_gaussian_density(mu, sigma):
-    """A Normal density integrates to 1 (log-integral 0) after recentring,
+    """A Normal density integrates to 1 (log-integral 0) at its Laplace point,
     for any node count, because the rescaled integrand is a polynomial of
     degree 0 against the GH weight."""
 
     def log_f(eta):
         return -0.5 * ((eta - mu) / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
 
-    assert abs(adaptive_gh(log_f, gh_rule(5))) <= 1e-12
+    laplace = lognormal_laplace(0.0, 0.0, mu, sigma**2)
+    assert laplace == (mu, 1.0 / sigma**2)
+    assert abs(adaptive_gh_batch(log_f, gh_rule(5), laplace)) <= 1e-12
 
 
 def test_adaptive_gh_converges_on_skewed_integrand():
-    # integral of exp(eta - e^eta) d eta = 1, mode at 0, skewed right
+    # integral of exp(eta - e^eta) d eta = 1, mode at 0 with curvature 1,
+    # skewed right
     def log_f(eta):
         return eta - np.exp(eta)
 
-    err15 = abs(adaptive_gh(log_f, gh_rule(15)))
-    err31 = abs(adaptive_gh(log_f, gh_rule(31)))
+    laplace = (np.zeros(1), np.ones(1))
+    err15 = abs(adaptive_gh_batch(log_f, gh_rule(15), laplace)[0])
+    err31 = abs(adaptive_gh_batch(log_f, gh_rule(31), laplace)[0])
     assert err15 <= 2e-3
     assert err31 <= 1e-4
     assert err31 < err15
-
-
-def test_adaptive_gh_batch_matches_scalar_calls():
-    def log_f(eta):
-        return -0.5 * (eta - 1.0) ** 2 + 0.1 * np.sin(eta)
-
-    rule = gh_rule(15)
-    starts = np.array([-1.0, 0.0, 2.0])
-    batch = adaptive_gh_batch(log_f, rule, starts)
-    loop = np.array([adaptive_gh(log_f, rule, x0=float(v)) for v in starts])
-    np.testing.assert_array_equal(batch, loop)
-
-
-def test_adaptive_gh_rejects_integrand_without_mode():
-    with pytest.raises(QuadratureError):
-        adaptive_gh(lambda eta: eta, gh_rule(15))
-
-
-def test_adaptive_gh_rejects_degenerate_start():
-    with pytest.raises(QuadratureError):
-        adaptive_gh(lambda eta: np.full_like(eta, -np.inf), gh_rule(15))
 
 
 @pytest.mark.parametrize(
