@@ -133,7 +133,7 @@ def _lognormal_marginal(H: np.ndarray, variance: float, mean: float, nodes: int)
             return -np.exp(eta) * H - (eta - mean) ** 2 / (2.0 * variance) + const
 
     laplace = lognormal_laplace(0.0, H, mean, variance)
-    S = np.exp(adaptive_gh_batch(log_f, gh_rule(nodes), laplace))
+    S = np.exp(adaptive_gh_batch(log_f, gh_rule(nodes), laplace)[0])
     if not np.isfinite(S).all():
         raise QuadratureError("log-Normal marginal survival is not finite "
                               f"at cumulative hazard {H[~np.isfinite(S)][:3]!r}")

@@ -6,7 +6,11 @@ marginal likelihood) or log-Normal (adaptive Gauss-Hermite marginalization).
 
 Optimization happens on a transformed scale where every parameter is free:
 log rate, log shape, log frailty variance; Gompertz slope, spline
-coefficients, and beta unchanged.
+coefficients, and beta unchanged. The likelihood comes with its analytic
+score on that scale: per row d log h and d log H (closed forms, or the
+spline basis B and its derivative Bd), and per cluster the derivatives of
+the Gamma closed form or of the Gauss-Hermite sum in the cluster's
+cumulative hazard V and the log frailty variance.
 """
 from __future__ import annotations
 
@@ -41,9 +45,7 @@ MODEL_BASELINES = ("exp", "wei", "gom", "rp")
 RP_DF = (3, 5, 9)
 
 _PENALTY = 1e10
-_GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
-_STAGNATION_EVALS = 500
 
 
 @dataclass(frozen=True)
@@ -350,26 +352,42 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset,
     )
 
 
-def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise log conditional hazard and conditional cumulative hazard.
+def _dlog_expm1_over(v: np.ndarray) -> np.ndarray:
+    """d/dv log(expm1(v)/v) = 1/(1 - e^-v) - 1/v, with the v -> 0 limit handled."""
+    v = np.asarray(v, dtype=float)
+    small = np.abs(v) < 1e-4
+    safe = np.where(small, 1.0, v)
+    return np.where(small, 0.5 + v / 12.0, -1.0 / np.expm1(-safe) - 1.0 / safe)
+
+
+def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
+    """Row-wise log conditional hazard, conditional cumulative hazard, and
+    the derivatives of log h and log H in vec[:nb + 1] (baseline and beta),
+    one row per subject.
 
     log h may be -inf (flagging a nonpositive RP hazard slope); H may
     overflow to inf. Both are handled by the likelihood wrappers.
     """
     nb = spec.n_baseline_params
     xb = prep.x * vec[nb]
+    ones = np.ones_like(prep.t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.baseline == "exp":
             log_h = vec[0] + xb
             H = np.exp(vec[0] + xb) * prep.t
+            dlog_H = dlog_h = np.column_stack((ones, prep.x))
         elif spec.baseline == "wei":
             shape = np.exp(vec[1])
             log_h = vec[0] + vec[1] + (shape - 1.0) * prep.logt + xb
             H = np.exp(vec[0] + shape * prep.logt + xb)
+            dlog_H = np.column_stack((ones, shape * prep.logt, prep.x))
+            dlog_h = np.column_stack((ones, 1.0 + shape * prep.logt, prep.x))
         elif spec.baseline == "gom":
             gamma = vec[1]
             log_h = vec[0] + gamma * prep.t + xb
             H = np.exp(vec[0] + xb) * prep.t * _expm1_over(gamma * prep.t)
+            dlog_H = np.column_stack((ones, prep.t * _dlog_expm1_over(gamma * prep.t), prep.x))
+            dlog_h = np.column_stack((ones, prep.t, prep.x))
         else:
             coef = vec[1:nb]
             s = vec[0] + prep.B @ coef
@@ -377,40 +395,92 @@ def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[np.
             logH = s + xb
             log_h = np.where(sp > 0, np.log(np.where(sp > 0, sp, 1.0)) - prep.logt + logH, -np.inf)
             H = np.exp(logH)
-    return log_h, H
+            dlog_H = np.column_stack((ones, prep.B, prep.x))
+            dlog_h = dlog_H.copy()
+            dlog_h[:, 1:nb] += prep.Bd / sp[:, None]
+    return log_h, H, dlog_h, dlog_H
 
 
-def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> float:
-    log_h, H = _log_h_and_H(prep, spec, vec)
+def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule):
+    """Log-Normal cluster terms by adaptive Gauss-Hermite, with their exact
+    derivatives in V and in log var.
+
+    The derivatives are those of the quadrature sum itself, not of the
+    integral it approximates: the nodes mode + scale*z move with V and var
+    through the Wright omega w = var*curv - 1 of lognormal_laplace, whose
+    derivative in its argument log(var*V) + var*D is w/(1 + w).
+    """
+    with np.errstate(divide="ignore"):
+        log_V = np.log(V)
+    const = -0.5 * np.log(2.0 * np.pi * var)
+
+    def log_f(eta: np.ndarray) -> np.ndarray:
+        # e^eta * V as one exponential: 0, not inf * 0, where V underflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            return eta * D - np.exp(eta + log_V) - eta * eta / (2.0 * var) + const
+
+    laplace = lognormal_laplace(D, V, 0.0, var)
+    logs, eta, weight = adaptive_gh_batch(log_f, rule, laplace)
+    mode, curv = laplace
+    w = var * curv - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_eta = np.exp(eta)
+        # l'(eta) at each node, and its posterior means without and with
+        # the node offset eta - mode
+        dl = D - np.exp(eta + log_V) - eta / var
+        mean_dl = np.sum(weight * dl, axis=0)
+        mean_dl_off = np.sum(weight * dl * (eta - mode), axis=0)
+        # d w / dV = var e^mode / (1 + w) needs no division by V. At V = 0
+        # with var*D > 709 it overflows and the score is not finite; the
+        # optimizer treats such a point as infeasible.
+        w_V = var * np.exp(mode) / (1.0 + w)
+        w_u = w / (1.0 + w) * (1.0 + var * D)
+        # mode = var*D - w, log scale = (log 2 + log var - log(1 + w)) / 2
+        log_scale_V = -0.5 * w_V / (1.0 + w)
+        log_scale_u = 0.5 - 0.5 * w_u / (1.0 + w)
+        g_V = (-np.sum(weight * e_eta, axis=0) - w_V * mean_dl
+               + log_scale_V * (mean_dl_off + 1.0))
+        g_u = (np.sum(weight * eta * eta, axis=0) / (2.0 * var) - 0.5
+               + (var * D - w_u) * mean_dl + log_scale_u * (mean_dl_off + 1.0))
+    return logs, g_V, g_u
+
+
+def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[float, np.ndarray]:
+    """Marginal log-likelihood and its score (gradient in vec).
+
+    A non-finite log-likelihood reads -inf, with a score of NaNs.
+    """
+    infeasible = -np.inf, np.full(vec.size, np.nan)
+    log_h, H, dlog_h, dlog_H = _log_h_and_H(prep, spec, vec)
     event_log_h = log_h[prep.d]
-    if np.isneginf(event_log_h).any() or np.isnan(event_log_h).any():
-        return -np.inf
-    if not np.isfinite(H).all():
-        return -np.inf
+    if not (np.isfinite(event_log_h).all() and np.isfinite(H).all()):
+        return infeasible
     V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
-    sum_event_log_h = float(event_log_h.sum())
     D = prep.events_per_cluster
     var = np.exp(vec[-1])
+    # g_V and g_u: each cluster term's derivatives in V and in log var
     if spec.frailty is FrailtyFamily.GAMMA:
         # log Gamma(1/v + D) - log Gamma(1/v) + D log v telescopes to
         # sum_{j<D} log(1 + j v), which is stable for every v > 0
-        ratio_terms = np.concatenate(([0.0], np.cumsum(np.log1p(var * prep.d_range[:-1]))))
-        ll = sum_event_log_h + float(
-            np.sum(ratio_terms[D.astype(np.int64)] - (1.0 / var + D) * np.log1p(var * V))
-        )
+        jv = var * prep.d_range[:-1]
+        ratio_terms = np.concatenate(([0.0], np.cumsum(np.log1p(jv))))
+        ratio_slopes = np.concatenate(([0.0], np.cumsum(jv / (1.0 + jv))))
+        Di = D.astype(np.int64)
+        log1p_vV = np.log1p(var * V)
+        cluster_logs = ratio_terms[Di] - (1.0 / var + D) * log1p_vV
+        g_V = -(1.0 + var * D) / (1.0 + var * V)
+        g_u = ratio_slopes[Di] + log1p_vV / var + g_V * V
     else:
-        const = -0.5 * np.log(2.0 * np.pi * var)
-
-        def log_f(eta: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return eta * D - np.exp(eta) * V - eta * eta / (2.0 * var) + const
-
-        cluster_logs = adaptive_gh_batch(log_f, gh_rule(spec.gh_nodes),
-                                         lognormal_laplace(D, V, 0.0, var))
-        ll = sum_event_log_h + float(cluster_logs.sum())
+        cluster_logs, g_V, g_u = _lognormal_clusters(D, V, var, gh_rule(spec.gh_nodes))
+    ll = float(event_log_h.sum()) + float(cluster_logs.sum())
     # optimizer excursions (an extreme log variance, every H underflowing)
     # can leave non-finite cluster terms; they are infeasible points
-    return ll if np.isfinite(ll) else -np.inf
+    if not np.isfinite(ll):
+        return infeasible
+    score = np.empty(vec.size)
+    score[:-1] = dlog_h[prep.d].sum(axis=0) + (g_V[prep.cluster] * H) @ dlog_H
+    score[-1] = g_u.sum()
+    return ll, score
 
 
 def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
@@ -457,7 +527,7 @@ def _marginal_loglik(family: FrailtyFamily, spec: ModelSpec, params: ModelParams
         raise ValueError(f"spec must have {family.value} frailty")
     prep = _prepare(spec, data, basis=params.basis, orthogonalize=False,
                     require_events=False)
-    return _loglik_core(prep, spec, pack_params(params))
+    return _loglik_core(prep, spec, pack_params(params))[0]
 
 
 def gamma_marginal_loglik(spec: ModelSpec, params: ModelParams,
@@ -472,100 +542,17 @@ def lognormal_marginal_loglik(spec: ModelSpec, params: ModelParams,
     return _marginal_loglik(FrailtyFamily.LOG_NORMAL, spec, params, data)
 
 
-class _Stagnation(Exception):
-    pass
-
-
-class _Objective:
-    """Negated log-likelihood with penalty mapping and a stagnation guard."""
-
-    def __init__(self, prep: _Prepared, spec: ModelSpec):
-        self.prep = prep
-        self.spec = spec
-        self.n_eval = 0
-        self.best_f = np.inf
-        self.best_x: np.ndarray | None = None
-        self.start_best = np.inf
-        self.evals_since_improve = 0
-
-    def begin_start(self) -> None:
-        self.start_best = np.inf
-        self.evals_since_improve = 0
-
-    def __call__(self, vec: np.ndarray) -> float:
-        self.n_eval += 1
-        ll = _loglik_core(self.prep, self.spec, np.asarray(vec, dtype=float))
-        f = -ll if np.isfinite(ll) else _PENALTY
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = np.array(vec, dtype=float)
-        if f < self.start_best - 1e-10 * (1.0 + abs(f)):
-            self.start_best = f
-            self.evals_since_improve = 0
-        else:
-            self.evals_since_improve += 1
-            if self.evals_since_improve > _STAGNATION_EVALS:
-                raise _Stagnation
-        return f
-
-    def gradient(self, vec: np.ndarray) -> np.ndarray:
-        return _fd_gradient(self, vec, _GRAD_STEP)
-
-
-def _fd_gradient(func, vec: np.ndarray, rel_step: float) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    grad = np.empty_like(vec)
-    f0 = None
-    for k in range(vec.size):
-        h = rel_step * (1.0 + abs(vec[k]))
-        up = vec.copy()
-        up[k] += h
-        dn = vec.copy()
-        dn[k] -= h
-        fp = func(up)
-        fm = func(dn)
-        usable_p = fp < _PENALTY / 2
-        usable_m = fm < _PENALTY / 2
-        if usable_p and usable_m:
-            grad[k] = (fp - fm) / (2.0 * h)
-        else:
-            if f0 is None:
-                f0 = func(vec)
-            if usable_p:
-                grad[k] = (fp - f0) / h
-            elif usable_m:
-                grad[k] = (f0 - fm) / h
-            else:
-                grad[k] = 0.0
-    return grad
-
-
-def _fd_hessian(func, vec: np.ndarray, rel_step: float = _HESS_STEP) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    k = vec.size
-    steps = rel_step * (1.0 + np.abs(vec))
-    hess = np.empty((k, k))
-    f0 = func(vec)
-
-    def feval(offsets: dict[int, float]) -> float:
-        point = vec.copy()
-        for idx, off in offsets.items():
-            point[idx] += off
-        return func(point)
-
-    for i in range(k):
-        hi = steps[i]
-        fpp = feval({i: hi})
-        fmm = feval({i: -hi})
-        hess[i, i] = (fpp - 2.0 * f0 + fmm) / (hi * hi)
-        for j in range(i + 1, k):
-            hj = steps[j]
-            fa = feval({i: hi, j: hj})
-            fb = feval({i: hi, j: -hj})
-            fc = feval({i: -hi, j: hj})
-            fd_ = feval({i: -hi, j: -hj})
-            hess[i, j] = hess[j, i] = (fa - fb - fc + fd_) / (4.0 * hi * hj)
-    return hess
+def _score_hessian(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> np.ndarray:
+    """Hessian of the negated log-likelihood by central differences of the
+    score: 2k score evaluations. Non-finite where a neighbour is infeasible."""
+    steps = _HESS_STEP * (1.0 + np.abs(vec))
+    hess = np.empty((vec.size, vec.size))
+    for k, h in enumerate(steps):
+        step = np.zeros_like(vec)
+        step[k] = h
+        hess[k] = (_loglik_core(prep, spec, vec - step)[1]
+                   - _loglik_core(prep, spec, vec + step)[1]) / (2.0 * h)
+    return 0.5 * (hess + hess.T)
 
 
 @dataclass
@@ -575,6 +562,10 @@ class FitResult:
     ``trans`` and ``cov_trans`` live on the optimizer scale (orthogonalized
     spline coefficients for rp baselines); ``trans_raw``, ``params``,
     ``se_natural`` and ``cov_natural`` are on the reporting scales.
+    ``n_evaluations`` counts the optimizer's evaluations over all starts,
+    each one of the log-likelihood and its score together; the 2k score
+    evaluations of the Hessian are not counted. ``grad_inf_norm`` is the
+    largest absolute score entry at the optimum.
     """
 
     spec: ModelSpec
@@ -658,54 +649,44 @@ def fit(
 ) -> FitResult:
     """Maximize the marginal log-likelihood; never raises on mere non-convergence.
 
-    BFGS with central-difference gradients from three deterministic starts
-    (one per frailty-variance guess), keeping the best optimum. ``start``
-    replaces the start list with a single vector on the raw transformed scale
-    (a FitResult's ``trans_raw``), which is how warm starts such as bootstrap
-    refits are done.
+    BFGS with the analytic score from three deterministic starts (one per
+    frailty-variance guess), keeping the best optimum. The Hessian is central
+    differences of the score at that optimum. ``start`` replaces the start
+    list with a single vector on the raw transformed scale (a FitResult's
+    ``trans_raw``), which is how warm starts such as bootstrap refits are
+    done.
     """
     prep = _prepare(spec, data)
-    objective = _Objective(prep, spec)
     raw_starts = [np.asarray(start, dtype=float)] if start is not None else _starting_points(spec, prep)
     starts = [prep.raw_to_scaled(spec, s) for s in raw_starts]
-    n_iterations = 0
+
+    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        ll, score = _loglik_core(prep, spec, vec)
+        if np.isfinite(score).all():
+            return -ll, -score
+        # infeasible (NaN score), or a score that overflowed where a V
+        # underflowed: a flat penalty sends the line search back
+        return _PENALTY, np.zeros_like(vec)
+
+    best = None
+    n_evaluations = n_iterations = 0
     messages = []
-    stagnated = False
     for x0 in starts:
         if x0.shape != (spec.n_params,):
             raise ValueError(f"start must have {spec.n_params} entries, got {x0.shape}")
-        objective.begin_start()
-        try:
-            res = minimize(
-                objective,
-                x0,
-                jac=objective.gradient,
-                method="BFGS",
-                options={"gtol": 1e-7, "maxiter": max_iter},
-            )
-            n_iterations += int(res.nit)
-            messages.append(str(res.message))
-        except _Stagnation:
-            stagnated = True
-            messages.append("stagnation guard tripped")
-    if objective.best_x is None:
-        # every evaluation was infeasible; report the first start as-is
-        best_x = starts[0]
-        best_f = _PENALTY
-    else:
-        best_x = objective.best_x
-        best_f = objective.best_f
-    loglik = -best_f if best_f < _PENALTY / 2 else -np.inf
-
-    def obj_plain(v: np.ndarray) -> float:
-        ll = _loglik_core(prep, spec, v)
-        return -ll if np.isfinite(ll) else _PENALTY
-
-    grad = _fd_gradient(obj_plain, best_x, _GRAD_STEP)
-    grad_inf_norm = float(np.max(np.abs(grad)))
+        res = minimize(objective, x0, jac=True, method="BFGS",
+                       options={"gtol": 1e-7, "maxiter": max_iter})
+        n_evaluations += int(res.nfev)
+        n_iterations += int(res.nit)
+        messages.append(str(res.message))
+        if best is None or res.fun < best.fun:
+            best = res
+    best_x = best.x
+    loglik = -best.fun if best.fun < _PENALTY / 2 else -np.inf
+    grad_inf_norm = float(np.max(np.abs(best.jac)))
     grad_ok = np.isfinite(loglik) and grad_inf_norm <= 1e-5 * (1.0 + abs(loglik))
 
-    hessian = _fd_hessian(obj_plain, best_x)
+    hessian = _score_hessian(prep, spec, best_x)
     hessian_pd = False
     cov_trans = None
     cond = np.nan
@@ -733,10 +714,6 @@ def fit(
 
     trans_raw = prep.scaled_to_raw(spec, best_x)
     params = unpack_params(spec, trans_raw, basis=prep.basis)
-    if stagnated:
-        message = "stagnation guard tripped"
-    else:
-        message = "; ".join(dict.fromkeys(messages)) if messages else ""
     return FitResult(
         spec=spec,
         params=params,
@@ -753,12 +730,12 @@ def fit(
         grad_inf_norm=grad_inf_norm,
         hessian_pd=hessian_pd,
         condition_number=cond,
-        n_evaluations=objective.n_eval,
+        n_evaluations=n_evaluations,
         n_iterations=n_iterations,
         n_obs=data.n_subjects,
         n_events=data.n_events,
         basis=prep.basis,
-        message=message,
+        message="; ".join(dict.fromkeys(messages)),
         basis_center=prep.center,
         basis_transform=prep.transform,
     )

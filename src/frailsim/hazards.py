@@ -25,7 +25,6 @@ __all__ = [
     "WeibullMixture",
     "FrailtyFamily",
     "FrailtySpec",
-    "sample_frailty",
     "gamma_marginal_survival",
 ]
 
@@ -331,10 +330,6 @@ class FrailtySpec:
         lo_mean, hi_mean = self.mixture_means
         means = np.where(rng.random(size) < 0.5, lo_mean, hi_mean)
         return np.exp(rng.normal(means, np.sqrt(self.variance)))
-
-
-def sample_frailty(spec: FrailtySpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    return spec.sample(rng, size)
 
 
 def gamma_marginal_survival(cumulative_hazard, variance: float):

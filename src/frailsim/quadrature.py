@@ -75,19 +75,25 @@ def adaptive_gh_batch(
     log_f: Callable[[np.ndarray], np.ndarray],
     rule: GHRule,
     laplace: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log of integral exp(log_f(eta)) d(eta), for a batch of independent integrands.
 
     laplace is the (mode, curvature) pair of each log-integrand. The rule is
     recentred at the mode and its nodes scaled by sqrt(2 / curvature), so a
     moderate node count handles very concentrated integrands. log_f gets all
     nodes in one (rule.n, batch) array and returns the log-integrand there.
+
+    Returns the log-integrals, the nodes eta as a (rule.n, batch) array and
+    each node's normalised weight (its share of its integral), so that a
+    posterior mean over the rule is a weighted sum along axis 0.
     """
     mode, curv = laplace
     scale = np.sqrt(2.0 / curv)
     eta = mode + scale * rule.nodes[:, None]
     terms = log_f(eta) + (rule.nodes**2 + np.log(rule.weights))[:, None]
-    return logsumexp(terms, axis=0) + np.log(scale)
+    log_sum = logsumexp(terms, axis=0)
+    with np.errstate(invalid="ignore"):
+        return log_sum + np.log(scale), eta, np.exp(terms - log_sum)
 
 
 _T_MAX = 4.0

@@ -221,7 +221,7 @@ def generate_dataset(
     m = scenario.cluster_size
     n = scenario.n_subjects
     treat = np.empty(n, dtype=np.int8)
-    targets = np.empty(n)
+    uniforms = np.empty(n)
     cluster = np.repeat(np.arange(scenario.n_clusters, dtype=np.int64), m)
     frailties = np.empty(scenario.n_clusters)
     for c in range(scenario.n_clusters):
@@ -233,14 +233,13 @@ def generate_dataset(
         while (u == 0.0).any():
             zero = u == 0.0
             u[zero] = rng.random(int(zero.sum()))
-        if (u >= 1.0).any() or alpha <= 0.0:
-            raise DomainError("invalid uniform or frailty draw")
         sl = slice(c * m, (c + 1) * m)
         treat[sl] = x
-        targets[sl] = -np.log(u) / (alpha * np.exp(x * scenario.beta))
+        uniforms[sl] = u
     # one batched inversion for the whole dataset (root finding dominates
     # generation cost for the mixture baselines)
-    latent = scenario.baseline.inverse_cumulative_hazard(targets)
+    latent = simulate_time(scenario.baseline, np.repeat(frailties, m), treat,
+                           scenario.beta, uniforms)
     time = np.minimum(latent, scenario.censor_time)
     event = (latent < scenario.censor_time).astype(np.int8)
     dataset = ClusteredDataset(

@@ -15,7 +15,6 @@ from frailsim.hazards import (
     Weibull,
     WeibullMixture,
     gamma_marginal_survival,
-    sample_frailty,
 )
 
 # The five study baselines.
@@ -133,7 +132,7 @@ def test_negative_gompertz_gamma_allowed():
 def test_gamma_frailty_moments():
     spec = FrailtySpec(FrailtyFamily.GAMMA, 0.75)
     rng = np.random.default_rng(20240917)
-    draws = sample_frailty(spec, rng, 1_000_000)
+    draws = spec.sample(rng, 1_000_000)
     assert np.all(draws > 0)
     assert abs(draws.mean() - 1.0) <= 0.005
     assert abs(draws.var() - 0.75) <= 0.01
@@ -143,7 +142,7 @@ def test_lognormal_frailty_log_scale_moments():
     # alpha = exp(eta) with eta ~ N(0, theta)
     spec = FrailtySpec(FrailtyFamily.LOG_NORMAL, 0.75)
     rng = np.random.default_rng(20240917)
-    eta = np.log(sample_frailty(spec, rng, 1_000_000))
+    eta = np.log(spec.sample(rng, 1_000_000))
     assert abs(eta.mean()) <= 0.005
     assert abs(eta.var() - 0.75) <= 0.01
 
@@ -154,7 +153,7 @@ def test_mixture_normal_frailty_log_scale_moments():
     log-scale variance is 9 theta + theta = 10 theta."""
     spec = FrailtySpec(FrailtyFamily.MIXTURE_NORMAL, 0.25)
     rng = np.random.default_rng(20240917)
-    eta = np.log(sample_frailty(spec, rng, 1_000_000))
+    eta = np.log(spec.sample(rng, 1_000_000))
     assert abs(eta.mean()) <= 0.01
     assert abs(eta.var() - 2.5) <= 0.05
 
@@ -180,8 +179,8 @@ def test_frailty_spec_rejects_nonpositive_variance():
 
 def test_sample_frailty_is_deterministic_per_seed():
     spec = FrailtySpec(FrailtyFamily.MIXTURE_NORMAL, 0.75)
-    a = sample_frailty(spec, np.random.default_rng(7), 100)
-    b = sample_frailty(spec, np.random.default_rng(7), 100)
+    a = spec.sample(np.random.default_rng(7), 100)
+    b = spec.sample(np.random.default_rng(7), 100)
     np.testing.assert_array_equal(a, b)
 
 

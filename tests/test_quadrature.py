@@ -97,7 +97,7 @@ def test_lognormal_laplace_curvature_is_exact():
 def test_adaptive_gh_matches_tanh_sinh_oracle():
     D, V, mean, var = _random_clusters(40, seed=13)
     laplace = lognormal_laplace(D, V, mean, var)
-    got = adaptive_gh_batch(_lognormal_log_f(D, V, mean, var), gh_rule(31), laplace)
+    got, _, _ = adaptive_gh_batch(_lognormal_log_f(D, V, mean, var), gh_rule(31), laplace)
     for k, (m, c) in enumerate(zip(*laplace)):
         log_f = _lognormal_log_f(D[k], V[k], mean[k], var[k])
         peak = log_f(m)
@@ -119,7 +119,7 @@ def test_adaptive_gh_exact_for_gaussian_density(mu, sigma):
 
     laplace = lognormal_laplace(0.0, 0.0, mu, sigma**2)
     assert laplace == (mu, 1.0 / sigma**2)
-    assert abs(adaptive_gh_batch(log_f, gh_rule(5), laplace)) <= 1e-12
+    assert abs(adaptive_gh_batch(log_f, gh_rule(5), laplace)[0]) <= 1e-12
 
 
 def test_adaptive_gh_converges_on_skewed_integrand():
@@ -129,8 +129,8 @@ def test_adaptive_gh_converges_on_skewed_integrand():
         return eta - np.exp(eta)
 
     laplace = (np.zeros(1), np.ones(1))
-    err15 = abs(adaptive_gh_batch(log_f, gh_rule(15), laplace)[0])
-    err31 = abs(adaptive_gh_batch(log_f, gh_rule(31), laplace)[0])
+    err15 = abs(adaptive_gh_batch(log_f, gh_rule(15), laplace)[0][0])
+    err31 = abs(adaptive_gh_batch(log_f, gh_rule(31), laplace)[0][0])
     assert err15 <= 2e-3
     assert err31 <= 1e-4
     assert err31 < err15
