@@ -377,10 +377,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     out = _out_dir(out_text)
 
-    records = []
-    for scenario in scenarios:
-        for spec in models:
-            records.extend(run_cell(scenario, spec, n_sim, seed, workers=workers))
+    records = run_cell(scenarios, models, n_sim, seed, workers=workers)
     records = filter_convergence(records)
     id_map = {s.id: s for s in scenarios}
     with warnings.catch_warnings(record=True) as caught:

@@ -1,10 +1,11 @@
 """Monte Carlo replication engine and performance summaries.
 
-run_cell fits one model to n_sim simulated datasets from one scenario and
-emits per-replication records for the log hazard ratio, the loss in life
-expectancy, and the frailty variance. filter_convergence applies the
-median/IQR outlier rule, and summarize turns filtered records into bias,
-coverage and MSE with Monte Carlo standard errors.
+run_cell fits every requested model to n_sim simulated datasets from each
+requested scenario, simulating each (scenario, rep) dataset once for all
+models, and emits per-replication records for the log hazard ratio, the
+loss in life expectancy, and the frailty variance. filter_convergence
+applies the median/IQR outlier rule, and summarize turns filtered records
+into bias, coverage and MSE with Monte Carlo standard errors.
 """
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ class ReplicationRecord:
     se: float
     converged: bool
     filtered: bool = False
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # seconds of this model's fit and estimands
 
 
 @dataclass(frozen=True)
@@ -109,20 +110,18 @@ def _nan_records(scenario_id: str, model_id: str, rep: int,
     ]
 
 
-def _replicate(args) -> list[ReplicationRecord]:
-    """Run one replication: simulate, fit, extract the three estimands."""
-    scenario, spec, rep, master_seed, horizon = args
+def _fit_records(scenario_id: str, spec: ModelSpec, rep: int, data,
+                 horizon: float) -> list[ReplicationRecord]:
+    """Fit one model to one dataset and extract the three estimands."""
     model_id = spec.id
-    seed = derive_seed(master_seed, scenario.id, rep)
     started = time.perf_counter()
     try:
-        data = generate_dataset(scenario, seed)
         result = fit(spec, data)
     except Exception:
-        return _nan_records(scenario.id, model_id, rep,
+        return _nan_records(scenario_id, model_id, rep,
                             time.perf_counter() - started)
     if not result.converged:
-        return _nan_records(scenario.id, model_id, rep,
+        return _nan_records(scenario_id, model_id, rep,
                             time.perf_counter() - started)
     values: dict[EstimandName, tuple[float, float, bool]] = {}
     values[EstimandName.LOG_HR] = (result.beta_hat, result.beta_se, True)
@@ -137,37 +136,58 @@ def _replicate(args) -> list[ReplicationRecord]:
         values[EstimandName.LLE] = (float("nan"), float("nan"), False)
     elapsed = time.perf_counter() - started
     return [
-        ReplicationRecord(scenario.id, model_id, rep, name,
+        ReplicationRecord(scenario_id, model_id, rep, name,
                           float(values[name][0]), float(values[name][1]),
                           values[name][2], wall_time=elapsed)
         for name in ESTIMAND_ORDER
     ]
 
 
+def _replicate(task) -> list[list[ReplicationRecord]]:
+    """Run one (scenario, rep): simulate one dataset, then fit every model
+    to it. Returns one record list per model, in model order."""
+    scenario, specs, rep, master_seed, horizon = task
+    try:
+        data = generate_dataset(scenario, derive_seed(master_seed, scenario.id, rep))
+    except Exception:
+        return [_nan_records(scenario.id, spec.id, rep, 0.0) for spec in specs]
+    return [_fit_records(scenario.id, spec, rep, data, horizon) for spec in specs]
+
+
 def run_cell(
-    scenario: Scenario,
-    spec: ModelSpec,
+    scenarios: Sequence[Scenario],
+    specs: Sequence[ModelSpec],
     n_sim: int,
     master_seed: int,
     workers: int = 1,
     horizon: float | None = None,
 ) -> list[ReplicationRecord]:
-    """Fit one model to n_sim datasets from one scenario.
+    """Fit every model to n_sim datasets from each scenario.
 
+    One task per (scenario, rep) simulates its dataset once and fits all
+    specs to it; with workers > 1 the tasks share one process pool.
     Deterministic given master_seed for any worker count: each replication
-    derives its own seed and the records are assembled in rep order. Fit
-    failures become converged=false records, never exceptions.
+    derives its own seed, and the records come back ordered by scenario,
+    then model, then rep. A horizon of None means each scenario's own
+    censor_time. Fit failures become converged=false records, never
+    exceptions; a failed simulation does so for every model of its rep.
     """
     if not n_sim >= 1:
         raise ValueError(f"n_sim must be at least 1, got {n_sim}")
-    h = scenario.censor_time if horizon is None else horizon
-    tasks = [(scenario, spec, rep, master_seed, h) for rep in range(n_sim)]
+    tasks = [(scenario, specs, rep, master_seed,
+              scenario.censor_time if horizon is None else horizon)
+             for scenario in scenarios for rep in range(n_sim)]
     if workers > 1:
         with Pool(processes=workers) as pool:
-            batches = pool.map(_replicate, tasks)
+            # tasks are long (a dataset and every fit), so hand them out one at
+            # a time rather than in runs that may all be slow
+            batches = pool.map(_replicate, tasks, chunksize=1)
     else:
         batches = [_replicate(task) for task in tasks]
-    return [record for batch in batches for record in batch]
+    # tasks run scenario by rep; records go out scenario by model by rep
+    return [record for start in range(0, len(batches), n_sim)
+            for j in range(len(specs))
+            for batch in batches[start:start + n_sim] for record in batch[j]]
 
 
 def _robust_z(values: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 def _log_hr_performance(scenario, model_id, n_sim, master_seed):
     spec = model_from_id(model_id)
     records = filter_convergence(
-        run_cell(scenario, spec, n_sim, master_seed, workers=1))
+        run_cell([scenario], [spec], n_sim, master_seed, workers=1))
     log_hr = [r for r in records if r.estimand is EstimandName.LOG_HR]
     return performance(log_hr, scenario.beta)
 

@@ -142,22 +142,41 @@ def test_filter_convergence_ignores_nonconverged_and_small_groups():
     assert out[0].converged is False
 
 
-def test_run_cell_worker_count_invariance():
-    sc = make_scenario("exp", "gamma", 0.25, 30, 4)
-    spec = model_from_id("exp_gamma")
-    seq = run_cell(sc, spec, 6, 4242, workers=1)
-    par = run_cell(sc, spec, 6, 4242, workers=2)
-    strip = lambda recs: [
+def _strip(recs):
+    return [
         (r.scenario_id, r.model_id, r.rep, r.estimand, r.estimate, r.se,
          r.converged, r.filtered)
         for r in recs
     ]
-    assert strip(seq) == strip(par)
+
+
+def _grid():
+    scenarios = [make_scenario("exp", "gamma", 0.25, 30, 4),
+                 make_scenario("wei", "lognormal", 0.5, 30, 4)]
+    specs = [model_from_id("exp_gamma"), model_from_id("wei_gamma")]
+    return scenarios, specs
+
+
+def test_run_cell_worker_count_invariance():
+    sc = make_scenario("exp", "gamma", 0.25, 30, 4)
+    spec = model_from_id("exp_gamma")
+    seq = run_cell([sc], [spec], 6, 4242, workers=1)
+    par = run_cell([sc], [spec], 6, 4242, workers=2)
+    assert _strip(seq) == _strip(par)
+
+    # a scenario x model grid: the same records at any worker count, and
+    # the same as running each (scenario, model) on its own, in that order
+    scenarios, specs = _grid()
+    grid_seq = run_cell(scenarios, specs, 3, 4242, workers=1)
+    grid_par = run_cell(scenarios, specs, 3, 4242, workers=2)
+    separate = [r for s in scenarios for m in specs
+                for r in run_cell([s], [m], 3, 4242, workers=1)]
+    assert _strip(grid_seq) == _strip(grid_par) == _strip(separate)
 
 
 def test_run_cell_emits_three_estimands_per_rep():
     sc = make_scenario("exp", "gamma", 0.25, 30, 4)
-    recs = run_cell(sc, model_from_id("exp_gamma"), 3, 7, workers=1)
+    recs = run_cell([sc], [model_from_id("exp_gamma")], 3, 7, workers=1)
     assert len(recs) == 9
     per_rep = {}
     for r in recs:
@@ -167,22 +186,69 @@ def test_run_cell_emits_three_estimands_per_rep():
                          EstimandName.FRAILTY_VAR]
 
 
+def test_run_cell_simulates_each_dataset_once(monkeypatch):
+    scenarios, specs = _grid()
+    calls = []
+    original = harness.generate_dataset
+
+    def counted(scenario, seed):
+        calls.append((scenario.id, seed))
+        return original(scenario, seed)
+
+    monkeypatch.setattr(harness, "generate_dataset", counted)
+    recs = run_cell(scenarios, specs, 3, 7, workers=1)
+    # one dataset per (scenario, rep), shared by both models
+    assert len(calls) == 2 * 3
+    assert len(set(calls)) == len(calls)
+    assert len(recs) == 2 * 2 * 3 * 3
+
+    def broken(scenario, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "generate_dataset", broken)
+    recs = run_cell(scenarios, specs, 3, 7, workers=1)
+    # every model of every failed replication: 2 models x 3 reps x 3
+    # estimands per scenario
+    for sc in scenarios:
+        mine = [r for r in recs if r.scenario_id == sc.id]
+        assert len(mine) == 2 * 3 * 3
+        assert all(not r.converged and math.isnan(r.estimate)
+                   and math.isnan(r.se) for r in mine)
+    assert len(recs) == 2 * 2 * 3 * 3
+
+
 def test_run_cell_converts_failures_to_nan_records(monkeypatch):
     def broken_fit(spec, data):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(harness, "fit", broken_fit)
     sc = make_scenario("exp", "gamma", 0.25, 5, 2)
-    recs = run_cell(sc, model_from_id("exp_gamma"), 2, 7, workers=1)
+    recs = run_cell([sc], [model_from_id("exp_gamma")], 2, 7, workers=1)
     assert len(recs) == 6
     assert all(not r.converged for r in recs)
     assert all(math.isnan(r.estimate) for r in recs)
 
 
+def test_run_cell_fit_failure_spoils_only_that_model(monkeypatch):
+    original = harness.fit
+
+    def fit_all_but_weibull(spec, data):
+        if spec.id == "wei_gamma":
+            raise RuntimeError("boom")
+        return original(spec, data)
+
+    monkeypatch.setattr(harness, "fit", fit_all_but_weibull)
+    scenarios, specs = _grid()
+    recs = run_cell(scenarios[:1], specs, 2, 7, workers=1)
+    assert [r.model_id for r in recs] == ["exp_gamma"] * 6 + ["wei_gamma"] * 6
+    assert all(r.converged for r in recs[:6])
+    assert all(not r.converged and math.isnan(r.estimate) for r in recs[6:])
+
+
 def test_run_cell_rejects_empty_run():
     sc = make_scenario("exp", "gamma", 0.25, 5, 2)
     with pytest.raises(ValueError):
-        run_cell(sc, model_from_id("exp_gamma"), 0, 7)
+        run_cell([sc], [model_from_id("exp_gamma")], 0, 7)
 
 
 def _summary_fixture():
