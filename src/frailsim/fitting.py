@@ -46,6 +46,10 @@ RP_DF = (3, 5, 9)
 
 _PENALTY = 1e10
 _HESS_STEP = 1e-4
+# relative, because an absolute score tolerance of 1e-7 is below what the
+# objective resolves at |loglik| of 500-2,000
+_GTOL_REL = 1e-7
+_SCORE_STOP = f"score below {_GTOL_REL:g}*(1+|loglik|)"
 
 
 @dataclass(frozen=True)
@@ -565,7 +569,9 @@ class FitResult:
     ``n_evaluations`` counts the optimizer's evaluations over all starts,
     each one of the log-likelihood and its score together; the 2k score
     evaluations of the Hessian are not counted. ``grad_inf_norm`` is the
-    largest absolute score entry at the optimum.
+    largest absolute score entry at the optimum. ``message`` joins the
+    distinct reasons the starts stopped: the relative score rule of ``fit``
+    ("score below 1e-07*(1+|loglik|)") or scipy's own message.
     """
 
     spec: ModelSpec
@@ -650,23 +656,35 @@ def fit(
     """Maximize the marginal log-likelihood; never raises on mere non-convergence.
 
     BFGS with the analytic score from three deterministic starts (one per
-    frailty-variance guess), keeping the best optimum. The Hessian is central
-    differences of the score at that optimum. ``start`` replaces the start
-    list with a single vector on the raw transformed scale (a FitResult's
-    ``trans_raw``), which is how warm starts such as bootstrap refits are
-    done.
+    frailty-variance guess), keeping the best optimum. A start ends at the
+    first iterate whose score inf-norm is at most 1e-7 (1 + |loglik|), unless
+    scipy's own tests (absolute gtol 1e-7, a failed line search, max_iter)
+    end it first. The Hessian is central differences of the score at that
+    optimum. ``start`` replaces the start list with a single vector on the
+    raw transformed scale (a FitResult's ``trans_raw``), which is how warm
+    starts such as bootstrap refits are done.
     """
     prep = _prepare(spec, data)
     raw_starts = [np.asarray(start, dtype=float)] if start is not None else _starting_points(spec, prep)
     starts = [prep.raw_to_scaled(spec, s) for s in raw_starts]
 
+    # x.tobytes() -> score inf-norm of each feasible point evaluated, so a
+    # penalized iterate never ends a start
+    score_norms = {}
+
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
         ll, score = _loglik_core(prep, spec, vec)
         if np.isfinite(score).all():
+            score_norms[vec.tobytes()] = float(np.max(np.abs(score)))
             return -ll, -score
         # infeasible (NaN score), or a score that overflowed where a V
         # underflowed: a flat penalty sends the line search back
         return _PENALTY, np.zeros_like(vec)
+
+    def stop_at_small_score(intermediate_result):
+        norm = score_norms.get(intermediate_result.x.tobytes(), np.inf)
+        if norm <= _GTOL_REL * (1.0 + abs(intermediate_result.fun)):
+            raise StopIteration
 
     best = None
     n_evaluations = n_iterations = 0
@@ -675,10 +693,12 @@ def fit(
         if x0.shape != (spec.n_params,):
             raise ValueError(f"start must have {spec.n_params} entries, got {x0.shape}")
         res = minimize(objective, x0, jac=True, method="BFGS",
+                       callback=stop_at_small_score,
                        options={"gtol": 1e-7, "maxiter": max_iter})
         n_evaluations += int(res.nfev)
         n_iterations += int(res.nit)
-        messages.append(str(res.message))
+        # status 99: stop_at_small_score raised StopIteration
+        messages.append(_SCORE_STOP if res.status == 99 else str(res.message))
         if best is None or res.fun < best.fun:
             best = res
     best_x = best.x

@@ -92,7 +92,9 @@ def adaptive_gh_batch(
     eta = mode + scale * rule.nodes[:, None]
     terms = log_f(eta) + (rule.nodes**2 + np.log(rule.weights))[:, None]
     log_sum = logsumexp(terms, axis=0)
-    with np.errstate(invalid="ignore"):
+    # an infinite cumulative hazard gives scale 0; the non-finite
+    # log-integral that follows is the caller's to report
+    with np.errstate(divide="ignore", invalid="ignore"):
         return log_sum + np.log(scale), eta, np.exp(terms - log_sum)
 
 

@@ -93,6 +93,7 @@ def test_mixture_marginal_survival_against_monte_carlo():
 
 
 @pytest.mark.parametrize("family", [FrailtyFamily.LOG_NORMAL, FrailtyFamily.MIXTURE_NORMAL])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_normal_frailty_marginal_survival_rejects_infinite_hazard(family):
     model = MarginalModel(FrailtySpec(family, 0.5),
                           lambda t, x: np.where(t > 1.0, np.inf, t))

@@ -214,6 +214,53 @@ def test_misspecified_lognormal_fit_converges_at_a_stationary_point(model_id):
     assert np.max(np.abs(cd)) <= 1e-5 * (1.0 + abs(res.loglik))
 
 
+@pytest.mark.parametrize("size,bound", [((20, 150), 1070), ((750, 2), 1270)],
+                         ids=["20x150", "750x2"])
+def test_study_fits_stop_at_the_relative_score_tolerance(size, bound):
+    """The 12 fits take about 10% fewer evaluations than the bound (970 at
+    20x150, 1,156 at 750x2); running each start on to scipy's absolute gtol
+    took 1,878 and 2,129."""
+    assert sum(_study_fit(m, size)[2].n_evaluations for m in all_model_ids()) <= bound
+
+
+@pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_newton_steps_from_the_fit_gain_nothing(model_id, size):
+    """Independent of BFGS: Newton steps on the central-difference Hessian
+    of the score barely raise the log-likelihood or move the estimates."""
+    prep, spec, res = _study_fit(model_id, size)
+    vec = res.trans.copy()
+    for _ in range(3):
+        _, score = fitting._loglik_core(prep, spec, vec)
+        vec = vec + np.linalg.solve(fitting._score_hessian(prep, spec, vec), score)
+    ll, _ = fitting._loglik_core(prep, spec, vec)
+    assert ll - res.loglik <= 1e-9 * (1.0 + abs(res.loglik))
+    assert np.max(np.abs(vec - res.trans) / res.se_trans) <= 1e-3
+
+
+def test_fit_message_names_each_start_stop_reason(monkeypatch):
+    """Every start's reason to stop reaches FitResult.message, and the
+    relative score rule replaces scipy's StopIteration text."""
+    sc = make_scenario("ww2", "mixturenormal", 0.75, 20, 150)
+    data = generate_dataset(sc, derive_seed(20240901, sc.id, 0))
+    runs = []
+    minimize = fitting.minimize
+
+    def recording_minimize(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(fitting, "minimize", recording_minimize)
+    for model_id in ("rp5_gamma", "wei_lognormal"):
+        runs.clear()
+        res = fit(model_from_id(model_id), data)
+        reasons = [fitting._SCORE_STOP if r.status == 99 else r.message for r in runs]
+        assert len(runs) == 3
+        assert set(res.message.split("; ")) == set(reasons)
+        assert "StopIteration" not in res.message
+        assert fitting._SCORE_STOP in reasons
+
+
 def test_pack_unpack_round_trip():
     spec = model_from_id("gom_gamma")
     params = ModelParams(spec, np.array([0.45, 0.15]), -0.4, 0.8)
