@@ -296,6 +296,10 @@ def _fit_one(model_id: str, dataset, horizon: float,
         "aic": aic,
         "bic": bic,
         "message": result.message,
+        "n_evaluations": result.n_evaluations,
+        "n_iterations": result.n_iterations,
+        "grad_inf_norm": result.grad_inf_norm,
+        "condition_number": result.condition_number,
         "params": {name: float(val) for name, val in
                    zip(result.natural_names, result.params.natural_vector())},
         "se": {name: float(val) for name, val in

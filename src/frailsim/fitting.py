@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .exceptions import DomainError, FitSetupError
 from .hazards import FrailtyFamily
@@ -50,6 +50,14 @@ _HESS_STEP = 1e-4
 # objective resolves at |loglik| of 500-2,000
 _GTOL_REL = 1e-7
 _SCORE_STOP = f"score below {_GTOL_REL:g}*(1+|loglik|)"
+# logliks closer than this, relative, are equal up to the rounding of a sum
+# over thousands of rows; near an optimum they differ by about 2e-15
+_ROUNDING = 1e-12
+_FALLBACK = "first start not converged, fallback starts ran"
+
+
+class _ScoreStop(Exception):
+    """Raised by a start's objective to end it; args[0] is its OptimizeResult."""
 
 
 @dataclass(frozen=True)
@@ -566,12 +574,15 @@ class FitResult:
     ``trans`` and ``cov_trans`` live on the optimizer scale (orthogonalized
     spline coefficients for rp baselines); ``trans_raw``, ``params``,
     ``se_natural`` and ``cov_natural`` are on the reporting scales.
-    ``n_evaluations`` counts the optimizer's evaluations over all starts,
-    each one of the log-likelihood and its score together; the 2k score
-    evaluations of the Hessian are not counted. ``grad_inf_norm`` is the
-    largest absolute score entry at the optimum. ``message`` joins the
-    distinct reasons the starts stopped: the relative score rule of ``fit``
-    ("score below 1e-07*(1+|loglik|)") or scipy's own message.
+    ``n_evaluations`` counts the optimizer's evaluations over the starts
+    that ran (one, or all three after a fallback), each one of the
+    log-likelihood and its score together; the 2k score evaluations of the
+    Hessian are not counted; ``n_iterations`` counts the BFGS iterations
+    completed. ``grad_inf_norm`` is the largest absolute score entry at the
+    optimum. ``message`` joins the distinct reasons the starts that ran
+    stopped: the relative score rule of ``fit`` ("score below
+    1e-07*(1+|loglik|)") or scipy's own message; after a fallback it also
+    says "first start not converged, fallback starts ran".
     """
 
     spec: ModelSpec
@@ -655,75 +666,97 @@ def fit(
 ) -> FitResult:
     """Maximize the marginal log-likelihood; never raises on mere non-convergence.
 
-    BFGS with the analytic score from three deterministic starts (one per
-    frailty-variance guess), keeping the best optimum. A start ends at the
-    first iterate whose score inf-norm is at most 1e-7 (1 + |loglik|), unless
-    scipy's own tests (absolute gtol 1e-7, a failed line search, max_iter)
-    end it first. The Hessian is central differences of the score at that
-    optimum. ``start`` replaces the start list with a single vector on the
+    BFGS with the analytic score from the first of three deterministic
+    starts (one per frailty-variance guess). A start ends at the first point
+    it evaluates, iterate or line-search trial, whose score inf-norm is at
+    most 1e-7 (1 + |loglik|) and whose loglik is no lower than the best so
+    far beyond rounding, unless scipy's own tests (absolute gtol 1e-7, a
+    failed line search, max_iter) end it first. The Hessian is central
+    differences of the score at that optimum. Only when that optimum fails
+    the convergence test (score inf-norm at most 1e-5 (1 + |loglik|) and a
+    positive-definite Hessian) do the other two starts run, and the best of
+    all three by loglik is kept. ``start`` replaces the start list with a single vector on the
     raw transformed scale (a FitResult's ``trans_raw``), which is how warm
     starts such as bootstrap refits are done.
     """
     prep = _prepare(spec, data)
-    raw_starts = [np.asarray(start, dtype=float)] if start is not None else _starting_points(spec, prep)
+    if start is None:
+        raw_starts = _starting_points(spec, prep)
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (spec.n_params,):
+            raise ValueError(f"start must have {spec.n_params} entries, got {start.shape}")
+        raw_starts = [start]
     starts = [prep.raw_to_scaled(spec, s) for s in raw_starts]
 
-    # x.tobytes() -> score inf-norm of each feasible point evaluated, so a
-    # penalized iterate never ends a start
-    score_norms = {}
+    def run(x0: np.ndarray) -> OptimizeResult:
+        """One BFGS start, ended from inside the objective by the score
+        rule: near such a point the loglik is flat to rounding, so a line
+        search through it can only fail, after dozens of evaluations."""
+        counts = {"nfev": 0, "nit": 0}
+        best_f = np.inf
 
-    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        ll, score = _loglik_core(prep, spec, vec)
-        if np.isfinite(score).all():
-            score_norms[vec.tobytes()] = float(np.max(np.abs(score)))
+        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+            nonlocal best_f
+            counts["nfev"] += 1
+            ll, score = _loglik_core(prep, spec, vec)
+            # infeasible (NaN score), or a score that overflowed where a V
+            # underflowed: a flat penalty sends the line search back
+            if not np.isfinite(score).all():
+                return _PENALTY, np.zeros_like(vec)
+            if (np.max(np.abs(score)) <= _GTOL_REL * (1.0 + abs(ll))
+                    and -ll <= best_f + _ROUNDING * (1.0 + abs(ll))):
+                raise _ScoreStop(OptimizeResult(
+                    x=vec.copy(), fun=-ll, jac=-score, status=0, success=True,
+                    message=_SCORE_STOP, **counts))
+            best_f = min(best_f, -ll)
             return -ll, -score
-        # infeasible (NaN score), or a score that overflowed where a V
-        # underflowed: a flat penalty sends the line search back
-        return _PENALTY, np.zeros_like(vec)
 
-    def stop_at_small_score(intermediate_result):
-        norm = score_norms.get(intermediate_result.x.tobytes(), np.inf)
-        if norm <= _GTOL_REL * (1.0 + abs(intermediate_result.fun)):
-            raise StopIteration
+        def count_iteration(intermediate_result):
+            counts["nit"] += 1
 
-    best = None
-    n_evaluations = n_iterations = 0
-    messages = []
-    for x0 in starts:
-        if x0.shape != (spec.n_params,):
-            raise ValueError(f"start must have {spec.n_params} entries, got {x0.shape}")
-        res = minimize(objective, x0, jac=True, method="BFGS",
-                       callback=stop_at_small_score,
-                       options={"gtol": 1e-7, "maxiter": max_iter})
-        n_evaluations += int(res.nfev)
-        n_iterations += int(res.nit)
-        # status 99: stop_at_small_score raised StopIteration
-        messages.append(_SCORE_STOP if res.status == 99 else str(res.message))
-        if best is None or res.fun < best.fun:
-            best = res
-    best_x = best.x
-    loglik = -best.fun if best.fun < _PENALTY / 2 else -np.inf
-    grad_inf_norm = float(np.max(np.abs(best.jac)))
-    grad_ok = np.isfinite(loglik) and grad_inf_norm <= 1e-5 * (1.0 + abs(loglik))
-
-    hessian = _score_hessian(prep, spec, best_x)
-    hessian_pd = False
-    cov_trans = None
-    cond = np.nan
-    if np.isfinite(hessian).all():
         try:
-            chol = np.linalg.cholesky(hessian)
-            hessian_pd = True
-            inv_chol = np.linalg.inv(chol)
-            cov_trans = inv_chol.T @ inv_chol
-            cond = float(np.linalg.cond(hessian))
-        except np.linalg.LinAlgError:
-            hessian_pd = False
-    converged = bool(grad_ok and hessian_pd)
+            return minimize(objective, x0, jac=True, method="BFGS",
+                            callback=count_iteration,
+                            options={"gtol": 1e-7, "maxiter": max_iter})
+        except _ScoreStop as stop:
+            return stop.args[0]
+
+    def assess(res):
+        """(loglik, score inf-norm, covariance or None, condition number,
+        converged) at the optimum of one start."""
+        loglik = -res.fun if res.fun < _PENALTY / 2 else -np.inf
+        grad_inf_norm = float(np.max(np.abs(res.jac)))
+        grad_ok = np.isfinite(loglik) and grad_inf_norm <= 1e-5 * (1.0 + abs(loglik))
+        hessian = _score_hessian(prep, spec, res.x)
+        cov, cond = None, np.nan
+        if np.isfinite(hessian).all():
+            try:
+                inv_chol = np.linalg.inv(np.linalg.cholesky(hessian))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                cov = inv_chol.T @ inv_chol
+                cov, cond = 0.5 * (cov + cov.T), float(np.linalg.cond(hessian))
+        return loglik, grad_inf_norm, cov, cond, bool(grad_ok and cov is not None)
+
+    runs = [run(starts[0])]
+    best = runs[0]
+    loglik, grad_inf_norm, cov_trans, cond, converged = assess(best)
+    if not converged and len(starts) > 1:
+        runs += [run(x0) for x0 in starts[1:]]
+        # the best by loglik, the first start on a tie
+        best = min(runs, key=lambda res: res.fun)
+        if best is not runs[0]:
+            loglik, grad_inf_norm, cov_trans, cond, converged = assess(best)
+    messages = [str(res.message) for res in runs]
+    if len(runs) > 1:
+        messages.append(_FALLBACK)
+    best_x = best.x
+    hessian_pd = cov_trans is not None
 
     jac = _natural_jacobian(spec, best_x, prep.center, prep.transform)
-    if cov_trans is not None:
-        cov_trans = 0.5 * (cov_trans + cov_trans.T)
+    if hessian_pd:
         se_trans = np.sqrt(np.diag(cov_trans))
         cov_natural = jac @ cov_trans @ jac.T
         se_natural = np.sqrt(np.diag(cov_natural))
@@ -750,8 +783,8 @@ def fit(
         grad_inf_norm=grad_inf_norm,
         hessian_pd=hessian_pd,
         condition_number=cond,
-        n_evaluations=n_evaluations,
-        n_iterations=n_iterations,
+        n_evaluations=sum(int(res.nfev) for res in runs),
+        n_iterations=sum(int(res.nit) for res in runs),
         n_obs=data.n_subjects,
         n_events=data.n_events,
         basis=prep.basis,

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import logsumexp, wrightomega
+from scipy.special import wrightomega
 
 from .exceptions import DomainError, QuadratureError
 
@@ -91,11 +91,17 @@ def adaptive_gh_batch(
     scale = np.sqrt(2.0 / curv)
     eta = mode + scale * rule.nodes[:, None]
     terms = log_f(eta) + (rule.nodes**2 + np.log(rule.weights))[:, None]
-    log_sum = logsumexp(terms, axis=0)
-    # an infinite cumulative hazard gives scale 0; the non-finite
-    # log-integral that follows is the caller's to report
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return log_sum + np.log(scale), eta, np.exp(terms - log_sum)
+    # log-sum-exp over the nodes, each column shifted by its max or, where
+    # that is not finite, by 0: an all -inf column sums to -inf, not NaN.
+    # An infinite cumulative hazard gives scale 0; the non-finite
+    # log-integral that follows is the caller's to report.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = terms.max(axis=0)
+        top = np.where(np.isfinite(top), top, 0.0)
+        shifted = np.exp(terms - top)
+        total = shifted.sum(axis=0)
+        log_sum = top + np.log(total)
+        return log_sum + np.log(scale), eta, shifted / total
 
 
 _T_MAX = 4.0

@@ -14,8 +14,10 @@ from frailsim.cli import (
     scenario_catalog,
 )
 from frailsim.exceptions import ConfigError, NumericError, QuadratureError
+from frailsim.fitting import fit, model_from_id
 from frailsim.harness import derive_seed
 from frailsim.hazards import Exponential, Weibull
+from frailsim.simulate import read_dataset_csv
 
 
 CUSTOM_SCENARIO = """\
@@ -194,6 +196,11 @@ def test_fit_prints_table_and_writes_json(tmp_path, demo_dataset, capsys):
     assert hr["ci"][0] < hr["estimate"] < hr["ci"][1]
     assert set(rec["params"]) == set(rec["se"])
     assert rec["aic"] == pytest.approx(2 * 3 - 2 * rec["loglik"])
+    res = fit(model_from_id("exp_gamma"), read_dataset_csv(demo_dataset))
+    assert rec["n_evaluations"] == res.n_evaluations > 0
+    assert rec["n_iterations"] == res.n_iterations > 0
+    assert rec["grad_inf_norm"] == res.grad_inf_norm
+    assert rec["condition_number"] == res.condition_number >= 1
 
 
 def test_fit_two_models_two_rows(demo_dataset, capsys):

@@ -172,11 +172,17 @@ def test_lognormal_loglik_when_every_cumulative_hazard_underflows():
 
 
 @functools.lru_cache(maxsize=None)
-def _study_fit(model_id, size):
-    """Model fitted to rep 0 of the misspecified ww2_mixturenormal_t075 cell."""
+def _study_data(size):
+    """Rep 0 of the misspecified ww2_mixturenormal_t075 cell."""
     sc = make_scenario("ww2", "mixturenormal", 0.75, *size)
-    data = generate_dataset(sc, derive_seed(20240901, sc.id, 0))
+    return generate_dataset(sc, derive_seed(20240901, sc.id, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _study_fit(model_id, size):
+    """Model fitted to _study_data(size)."""
     spec = model_from_id(model_id)
+    data = _study_data(size)
     return fitting._prepare(spec, data), spec, fit(spec, data)
 
 
@@ -238,24 +244,109 @@ def test_newton_steps_from_the_fit_gain_nothing(model_id, size):
     assert np.max(np.abs(vec - res.trans) / res.se_trans) <= 1e-3
 
 
-def test_fit_message_names_each_start_stop_reason(monkeypatch):
-    """Every start's reason to stop reaches FitResult.message, and the
-    relative score rule replaces scipy's StopIteration text."""
-    sc = make_scenario("ww2", "mixturenormal", 0.75, 20, 150)
-    data = generate_dataset(sc, derive_seed(20240901, sc.id, 0))
+@pytest.mark.parametrize("size,bound", [((20, 150), 375), ((750, 2), 490)],
+                         ids=["20x150", "750x2"])
+def test_study_fits_run_one_start(size, bound):
+    """The 12 fits take about 10% fewer evaluations than the bound (339 at
+    20x150, 442 at 750x2); running all three starts took 970 and 1,156."""
+    assert sum(_study_fit(m, size)[2].n_evaluations for m in all_model_ids()) <= bound
+    assert not any(fitting._FALLBACK in _study_fit(m, size)[2].message
+                   for m in all_model_ids())
+
+
+def _assert_same_optimum(res, ref):
+    assert abs(res.loglik - ref.loglik) <= 1e-9 * (1.0 + abs(ref.loglik))
+    est = np.abs(res.params.natural_vector() - ref.params.natural_vector())
+    assert np.max(est / ref.se_natural) <= 1e-3
+    assert np.max(np.abs(res.se_natural - ref.se_natural) / ref.se_natural) <= 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def _best_of_three_starts(model_id, size):
+    """The best by loglik of single-start fits from each of _starting_points."""
+    prep, spec, res = _study_fit(model_id, size)
+    fits = [fit(spec, _study_data(size), start=x0)
+            for x0 in fitting._starting_points(spec, prep)]
+    return max(fits, key=lambda r: r.loglik)
+
+
+@pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_one_start_fit_matches_the_best_of_three_starts(model_id, size):
+    _assert_same_optimum(_study_fit(model_id, size)[2], _best_of_three_starts(model_id, size))
+
+
+def _record_minimize(monkeypatch, first_options=None):
+    """Record the OptimizeResult of each start, also of one that the score
+    rule ends from inside fitting.minimize; the first call's options are
+    updated with first_options."""
     runs = []
     minimize = fitting.minimize
 
     def recording_minimize(*args, **kwargs):
-        runs.append(minimize(*args, **kwargs))
+        if not runs and first_options:
+            kwargs["options"] = {**kwargs["options"], **first_options}
+        try:
+            runs.append(minimize(*args, **kwargs))
+        except fitting._ScoreStop as stop:
+            runs.append(stop.args[0])
+            raise
         return runs[-1]
 
     monkeypatch.setattr(fitting, "minimize", recording_minimize)
+    return runs
+
+
+def test_fallback_that_fails_runs_every_start(monkeypatch):
+    runs = _record_minimize(monkeypatch)
+    res = fit(model_from_id("wei_lognormal"), _study_data((20, 150)),
+              max_iter=1)
+    assert len(runs) == 3
+    assert not res.converged
+    assert fitting._FALLBACK in res.message.split("; ")
+    assert res.n_evaluations == sum(r.nfev for r in runs)
+    assert res.n_iterations == sum(r.nit for r in runs)
+
+
+@pytest.mark.parametrize("model_id", ["wei_lognormal", "rp5_gamma"])
+def test_fallback_recovers_from_a_failed_first_start(monkeypatch, model_id):
+    """The first start gets no iteration, so it fails the convergence test;
+    the other two starts run and reach the three-start optimum."""
+    runs = _record_minimize(monkeypatch, first_options={"maxiter": 0})
+    size = (20, 150)
+    res = fit(model_from_id(model_id), _study_data(size))
+    assert len(runs) == 3 and runs[0].nit == 0
+    assert res.converged
+    assert fitting._FALLBACK in res.message.split("; ")
+    _assert_same_optimum(res, _best_of_three_starts(model_id, size))
+
+
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_warm_start_at_the_optimum_stops_at_once(model_id):
+    """A start whose first point meets the score rule ends there; a line
+    search from a point that flat could only end by failing."""
+    _, spec, res = _study_fit(model_id, (20, 150))
+    warm = fit(spec, _study_data((20, 150)), start=res.trans_raw)
+    assert (warm.n_evaluations, warm.n_iterations) == (1, 0)
+    assert warm.message == fitting._SCORE_STOP
+    _assert_same_optimum(warm, res)
+
+
+def test_fit_checks_start_shape_first():
+    with pytest.raises(ValueError, match="start must have 8 entries"):
+        fit(model_from_id("rp5_gamma"), _study_data((20, 150)), start=np.zeros(4))
+
+
+def test_fit_message_names_each_start_stop_reason(monkeypatch):
+    """Every start's reason to stop reaches FitResult.message, and the
+    relative score rule replaces scipy's StopIteration text."""
+    data = _study_data((20, 150))
+    runs = _record_minimize(monkeypatch)
     for model_id in ("rp5_gamma", "wei_lognormal"):
         runs.clear()
         res = fit(model_from_id(model_id), data)
         reasons = [fitting._SCORE_STOP if r.status == 99 else r.message for r in runs]
-        assert len(runs) == 3
+        assert len(runs) == 1
         assert set(res.message.split("; ")) == set(reasons)
         assert "StopIteration" not in res.message
         assert fitting._SCORE_STOP in reasons

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from frailsim.exceptions import DomainError, QuadratureError
 from frailsim.quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace, tanh_sinh
@@ -106,6 +107,28 @@ def test_adaptive_gh_matches_tanh_sinh_oracle():
         oracle = tanh_sinh(lambda eta: np.exp(log_f(eta) - peak), m - half, m + half,
                            tol=1e-13)
         assert abs(got[k] - (math.log(oracle) + peak)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_adaptive_gh_log_sum_matches_scipy_logsumexp():
+    """At scale 1, the log-integral is the log-sum-exp over the nodes of
+    log_f + nodes^2 + log weights; -inf entries and whole -inf columns
+    included."""
+    rule = gh_rule(15)
+    offset = (rule.nodes**2 + np.log(rule.weights))[:, None]
+    rng = np.random.default_rng(29)
+    terms = rng.uniform(-50.0, 50.0, (15, 200))
+    terms[rng.random(terms.shape) < 0.2] = -np.inf
+    terms[:, [3, 77, 150]] = -np.inf
+    n = terms.shape[1]
+    got, _, weight = adaptive_gh_batch(lambda eta: terms - offset, rule,
+                                       (np.zeros(n), np.full(n, 2.0)))
+    want = logsumexp(terms, axis=0)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    assert (~finite).sum() >= 3 and np.isfinite(got[finite]).all()
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * (1.0 + np.abs(want[finite])))
+    assert np.allclose(weight[:, finite].sum(axis=0), 1.0, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (3.7, 0.2), (-12.0, 8.0)])
