@@ -9,6 +9,7 @@ from .estimands import (
     life_expectancy,
     lle,
     lle_functional,
+    lle_gradient,
     true_estimands,
 )
 from .fitting import (
@@ -68,6 +69,7 @@ __all__ = [
     "life_expectancy",
     "lle",
     "lle_functional",
+    "lle_gradient",
     "make_scenario",
     "model_from_id",
     "performance",

@@ -24,6 +24,7 @@ from .estimands import (
     EstimandResult,
     delta_method_se,
     lle_functional,
+    lle_gradient,
 )
 from .exceptions import (
     ConfigError,
@@ -319,7 +320,7 @@ def _fit_one(model_id: str, dataset, horizon: float,
     try:
         functional = lle_functional(result, horizon)
         est = functional(result.trans)
-        se = delta_method_se(result, functional)
+        se = delta_method_se(result, lle_gradient(result, horizon))
         record["estimands"]["LLE"] = _estimand_payload(
             EstimandResult(EstimandName.LLE, est, se))
     except NumericError:

@@ -5,6 +5,13 @@ distribution; integrating the frailty out gives marginal survival, and
 integrating that over time gives restricted life expectancy. The loss in
 life expectancy (LLE) is LE(treated) minus LE(untreated): the years the
 untreated arm loses over the horizon, positive when beta < 0.
+
+The time integral is that of the natural cubic spline through marginal
+survival on a fixed grid, which is a linear functional of the grid values:
+one weight vector per grid size. For a fitted model, lle_functional and
+lle_gradient evaluate the LLE and its gradient on the optimizer scale in
+one pass over that grid with the likelihood's own cluster kernels, and
+delta_method_se turns such a gradient into a standard error.
 """
 from __future__ import annotations
 
@@ -14,13 +21,20 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .exceptions import DomainError, EstimandError, QuadratureError
-from .fitting import FitResult, ModelParams, conditional_pieces
+from .fitting import (
+    FitResult,
+    ModelParams,
+    _cluster_terms,
+    _grid_prepared,
+    _log_h_and_H,
+    conditional_pieces,
+)
 from .hazards import FrailtyFamily, FrailtySpec, gamma_marginal_survival
 from .quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace
 from .simulate import Scenario
-from .splines import interp_integrate
 
 __all__ = [
     "Z95",
@@ -32,6 +46,7 @@ __all__ = [
     "lle",
     "delta_method_se",
     "lle_functional",
+    "lle_gradient",
     "true_estimands",
 ]
 
@@ -163,6 +178,33 @@ def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
     return float(S[0]) if scalar else S
 
 
+@functools.lru_cache(maxsize=None)
+def _spline_weights(n_grid: int) -> np.ndarray:
+    """Weights w such that the integral over [0, 1] of the natural cubic
+    spline through (u_i^2, S_i), u uniform on [0, 1] with n_grid points,
+    is w @ S. On the grid horizon * u^2 the weights are horizon * w.
+
+    On each interval the spline integrates to h (S_i + S_i+1) / 2 minus
+    h^3 (M_i + M_i+1) / 24, with M its second derivatives, zero at both
+    ends and A M = R S inside (A tridiagonal and symmetric, R the second
+    divided differences). So w is the trapezoid weights minus R' z, where
+    A z = c and c_i = (h_i-1^3 + h_i^3) / 24: one banded solve.
+    """
+    if n_grid < 4:
+        raise DomainError(f"need at least 4 grid points, got {n_grid}")
+    h = np.diff(np.linspace(0.0, 1.0, n_grid) ** 2)
+    bands = np.zeros((3, n_grid - 2))
+    bands[0, 1:] = bands[2, :-1] = h[1:-1] / 6.0
+    bands[1] = (h[:-1] + h[1:]) / 3.0
+    z = np.zeros(n_grid)
+    z[1:-1] = solve_banded((1, 1), bands, (h[:-1] ** 3 + h[1:] ** 3) / 24.0)
+    slope = np.concatenate(([0.0], np.diff(z) / h, [0.0]))
+    trapezoid = 0.5 * (np.concatenate(([0.0], h)) + np.concatenate((h, [0.0])))
+    w = trapezoid - np.diff(slope)
+    w.setflags(write=False)
+    return w
+
+
 def life_expectancy(
     model: MarginalModel,
     x,
@@ -173,16 +215,20 @@ def life_expectancy(
 
     Marginal survival is evaluated on an n_grid-point grid including both
     endpoints, interpolated with a natural spline, and the spline is
-    integrated exactly. The grid is quadratically graded toward zero
+    integrated exactly (as horizon times a fixed weight vector applied to
+    the grid values). The grid is quadratically graded toward zero
     (t_i proportional to i^2) because high-variance frailty mixtures put
     non-trivial mass on near-immediate events; a uniform grid cannot
     resolve that initial drop at any practical size.
     """
     if not horizon > 0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    grid = horizon * np.linspace(0.0, 1.0, n_grid) ** 2
-    S = marginal_survival(model, grid, x)
-    return interp_integrate(grid, S, 0.0, horizon)
+    w = _spline_weights(n_grid)
+    S = marginal_survival(model, horizon * np.linspace(0.0, 1.0, n_grid) ** 2, x)
+    if not np.isfinite(S).all():
+        raise QuadratureError(f"marginal survival is not finite on the grid: "
+                              f"{S[~np.isfinite(S)][:3]!r}")
+    return horizon * float(w @ S)
 
 
 def lle(
@@ -201,24 +247,63 @@ def lle(
 
 def delta_method_se(
     result: FitResult,
-    functional: Callable[[np.ndarray], float],
-    rel_step: float = 1e-5,
+    gradient: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    """Numerical delta-method SE of functional(transformed parameters)."""
+    """Delta-method SE sqrt(g' cov g) of a functional of the optimizer-scale
+    parameters, where g = gradient(result.trans) is the functional's gradient
+    there and cov is the fit's covariance on that scale."""
     if result.cov_trans is None or not result.hessian_pd:
         raise EstimandError("fit has no positive-definite covariance")
-    point = np.asarray(result.trans, dtype=float)
-    grad = np.empty_like(point)
-    for k in range(point.size):
-        h = rel_step * (1.0 + abs(point[k]))
-        up = point.copy()
-        up[k] += h
-        dn = point.copy()
-        dn[k] -= h
-        # Divide by the realized step so linear maps differentiate exactly.
-        grad[k] = (functional(up) - functional(dn)) / (up[k] - dn[k])
+    grad = np.asarray(gradient(np.asarray(result.trans, dtype=float)), dtype=float)
     var = float(grad @ result.cov_trans @ grad)
     return float(np.sqrt(max(var, 0.0)))
+
+
+def _lle_pass(result: FitResult, horizon: float, n_grid: int):
+    """vec -> (LLE, its gradient) for the fitted model at optimizer-scale vec.
+
+    Every positive grid time in each arm is a censored cluster of the
+    likelihood: no events and cumulative hazard V = H(t, x). The cluster
+    kernels give log S and its derivatives g_V in V and g_u in log variance,
+    and _log_h_and_H gives d log H / d vec, so with a = signed weight * S,
+    dLLE/dvec is (a g_V H) @ d log H for the baseline and beta, and a @ g_u
+    for the log variance. The point t = 0 has S = 1 in both arms and drops
+    out. Where H overflows, S and its derivatives take their limit 0.
+    """
+    spec = result.spec
+
+    @functools.cache
+    def grid():
+        # built on first evaluation, so that its cost counts with it
+        if not horizon > 0:
+            raise DomainError(f"horizon must be positive, got {horizon}")
+        w = horizon * _spline_weights(n_grid)[1:]
+        t = horizon * np.linspace(0.0, 1.0, n_grid)[1:] ** 2
+        arm = np.repeat([0.0, 1.0], t.size)
+        return _grid_prepared(result, np.concatenate((t, t)), arm), np.concatenate((-w, w))
+
+    def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        vec = np.asarray(vec, dtype=float)
+        prep, signed = grid()
+        _, H, _, dlog_H = _log_h_and_H(prep, spec, vec)
+        live = ~np.isposinf(H)
+        log_S = np.full(H.size, -np.inf)
+        g_V = np.zeros(H.size)
+        g_u = np.zeros(H.size)
+        log_S[live], g_V[live], g_u[live] = _cluster_terms(
+            spec, prep.events_per_cluster[live], H[live], np.exp(vec[-1]), prep.d_range)
+        a = signed * np.exp(log_S)
+        grad = np.empty(vec.size)
+        with np.errstate(invalid="ignore"):
+            # 0, not 0 * inf, where S underflowed
+            grad[:-1] = np.where(a != 0.0, a * g_V * H, 0.0) @ dlog_H
+            grad[-1] = np.where(a != 0.0, a * g_u, 0.0).sum()
+        value = float(a.sum())
+        if not (np.isfinite(value) and np.isfinite(grad).all()):
+            raise QuadratureError(f"LLE or its gradient is not finite at {vec!r}")
+        return value, grad
+
+    return evaluate
 
 
 def lle_functional(
@@ -227,12 +312,19 @@ def lle_functional(
     n_grid: int = DEFAULT_GRID,
 ) -> Callable[[np.ndarray], float]:
     """LLE as a function of the optimizer-scale parameter vector."""
+    evaluate = _lle_pass(result, horizon, n_grid)
+    return lambda vec: evaluate(vec)[0]
 
-    def functional(vec: np.ndarray) -> float:
-        params = result.params_from_trans(vec)
-        return lle(MarginalModel.from_params(params), horizon, n_grid)
 
-    return functional
+def lle_gradient(
+    result: FitResult,
+    horizon: float,
+    n_grid: int = DEFAULT_GRID,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Gradient of lle_functional in the optimizer-scale parameter vector,
+    for delta_method_se."""
+    evaluate = _lle_pass(result, horizon, n_grid)
+    return lambda vec: evaluate(vec)[1]
 
 
 @functools.lru_cache(maxsize=None)

@@ -364,6 +364,22 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset,
     )
 
 
+def _grid_prepared(result: FitResult, t: np.ndarray, x: np.ndarray) -> _Prepared:
+    """Rows at positive times t and arms x, each a censored cluster of its
+    own, on the optimizer scale of a fit: _log_h_and_H on it at result.trans
+    gives H(t, x) and d log H / d trans."""
+    n = t.size
+    rows = ClusteredDataset(cluster=np.arange(n), time=t, event=np.zeros(n, dtype=bool), treat=x)
+    prep = _prepare(result.spec, rows, basis=result.basis, orthogonalize=False,
+                    require_events=False)
+    if prep.B is not None:
+        # the fit's orthogonalization: (B - center) T^-1 and Bd T^-1
+        prep.center, prep.transform = result.basis_center, result.basis_transform
+        prep.B, prep.Bd = (solve_triangular(prep.transform, cols.T, lower=False, trans="T").T
+                           for cols in (prep.B - prep.center, prep.Bd))
+    return prep
+
+
 def _dlog_expm1_over(v: np.ndarray) -> np.ndarray:
     """d/dv log(expm1(v)/v) = 1/(1 - e^-v) - 1/v, with the v -> 0 limit handled."""
     v = np.asarray(v, dtype=float)
@@ -457,6 +473,31 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule):
     return logs, g_V, g_u
 
 
+def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarray):
+    """Gamma cluster terms in closed form, with their derivatives in V and in
+    log var. d_range is 0, 1, ..., max(D)."""
+    # log Gamma(1/v + D) - log Gamma(1/v) + D log v telescopes to
+    # sum_{j<D} log(1 + j v), which is stable for every v > 0
+    jv = var * d_range[:-1]
+    ratio_terms = np.concatenate(([0.0], np.cumsum(np.log1p(jv))))
+    ratio_slopes = np.concatenate(([0.0], np.cumsum(jv / (1.0 + jv))))
+    Di = D.astype(np.int64)
+    log1p_vV = np.log1p(var * V)
+    cluster_logs = ratio_terms[Di] - (1.0 / var + D) * log1p_vV
+    g_V = -(1.0 + var * D) / (1.0 + var * V)
+    g_u = ratio_slopes[Di] + log1p_vV / var + g_V * V
+    return cluster_logs, g_V, g_u
+
+
+def _cluster_terms(spec: ModelSpec, D: np.ndarray, V: np.ndarray, var: float,
+                   d_range: np.ndarray):
+    """Each cluster's log marginal term given its event count D and
+    cumulative hazard V, with its derivatives g_V in V and g_u in log var."""
+    if spec.frailty is FrailtyFamily.GAMMA:
+        return _gamma_clusters(D, V, var, d_range)
+    return _lognormal_clusters(D, V, var, gh_rule(spec.gh_nodes))
+
+
 def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[float, np.ndarray]:
     """Marginal log-likelihood and its score (gradient in vec).
 
@@ -468,22 +509,8 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[flo
     if not (np.isfinite(event_log_h).all() and np.isfinite(H).all()):
         return infeasible
     V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
-    D = prep.events_per_cluster
-    var = np.exp(vec[-1])
-    # g_V and g_u: each cluster term's derivatives in V and in log var
-    if spec.frailty is FrailtyFamily.GAMMA:
-        # log Gamma(1/v + D) - log Gamma(1/v) + D log v telescopes to
-        # sum_{j<D} log(1 + j v), which is stable for every v > 0
-        jv = var * prep.d_range[:-1]
-        ratio_terms = np.concatenate(([0.0], np.cumsum(np.log1p(jv))))
-        ratio_slopes = np.concatenate(([0.0], np.cumsum(jv / (1.0 + jv))))
-        Di = D.astype(np.int64)
-        log1p_vV = np.log1p(var * V)
-        cluster_logs = ratio_terms[Di] - (1.0 / var + D) * log1p_vV
-        g_V = -(1.0 + var * D) / (1.0 + var * V)
-        g_u = ratio_slopes[Di] + log1p_vV / var + g_V * V
-    else:
-        cluster_logs, g_V, g_u = _lognormal_clusters(D, V, var, gh_rule(spec.gh_nodes))
+    cluster_logs, g_V, g_u = _cluster_terms(spec, prep.events_per_cluster, V,
+                                            np.exp(vec[-1]), prep.d_range)
     ll = float(event_log_h.sum()) + float(cluster_logs.sum())
     # optimizer excursions (an extreme log variance, every H underflowing)
     # can leave non-finite cluster terms; they are infeasible points
@@ -674,10 +701,12 @@ def fit(
     failed line search, max_iter) end it first. The Hessian is central
     differences of the score at that optimum. Only when that optimum fails
     the convergence test (score inf-norm at most 1e-5 (1 + |loglik|) and a
-    positive-definite Hessian) do the other two starts run, and the best of
-    all three by loglik is kept. ``start`` replaces the start list with a single vector on the
-    raw transformed scale (a FitResult's ``trans_raw``), which is how warm
-    starts such as bootstrap refits are done.
+    positive-definite Hessian) do the other two starts run; each is assessed,
+    and the converged start with the highest loglik is kept, or the highest
+    loglik of all three when none converged. ``start`` replaces the start
+    list with a single vector on the raw transformed scale (a FitResult's
+    ``trans_raw``), which is how warm starts such as bootstrap refits are
+    done.
     """
     prep = _prepare(spec, data)
     if start is None:
@@ -741,14 +770,15 @@ def fit(
         return loglik, grad_inf_norm, cov, cond, bool(grad_ok and cov is not None)
 
     runs = [run(starts[0])]
-    best = runs[0]
-    loglik, grad_inf_norm, cov_trans, cond, converged = assess(best)
-    if not converged and len(starts) > 1:
+    assessed = [assess(runs[0])]
+    if not assessed[0][-1] and len(starts) > 1:
         runs += [run(x0) for x0 in starts[1:]]
-        # the best by loglik, the first start on a tie
-        best = min(runs, key=lambda res: res.fun)
-        if best is not runs[0]:
-            loglik, grad_inf_norm, cov_trans, cond, converged = assess(best)
+        assessed += [assess(res) for res in runs[1:]]
+    # the best converged start by loglik, else the best by loglik; the
+    # earlier start on a tie
+    pick = max(range(len(runs)), key=lambda i: (assessed[i][-1], -runs[i].fun))
+    best = runs[pick]
+    loglik, grad_inf_norm, cov_trans, cond, converged = assessed[pick]
     messages = [str(res.message) for res in runs]
     if len(runs) > 1:
         messages.append(_FALLBACK)

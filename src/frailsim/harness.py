@@ -23,9 +23,10 @@ from .estimands import (
     EstimandName,
     delta_method_se,
     lle_functional,
+    lle_gradient,
     true_estimands,
 )
-from .exceptions import DataError
+from .exceptions import DataError, NumericError
 from .fitting import ModelSpec, fit
 from .simulate import Scenario, generate_dataset
 
@@ -130,9 +131,9 @@ def _fit_records(scenario_id: str, spec: ModelSpec, rep: int, data,
     try:
         functional = lle_functional(result, horizon)
         est = functional(result.trans)
-        se = delta_method_se(result, functional)
+        se = delta_method_se(result, lle_gradient(result, horizon))
         values[EstimandName.LLE] = (est, se, True)
-    except Exception:
+    except NumericError:
         values[EstimandName.LLE] = (float("nan"), float("nan"), False)
     elapsed = time.perf_counter() - started
     return [
@@ -170,7 +171,10 @@ def run_cell(
     derives its own seed, and the records come back ordered by scenario,
     then model, then rep. A horizon of None means each scenario's own
     censor_time. Fit failures become converged=false records, never
-    exceptions; a failed simulation does so for every model of its rep.
+    exceptions; a failed simulation does so for every model of its rep. An
+    LLE that fails numerically (a NumericError) becomes a converged=false
+    LLE record beside the fit's other estimands; any other error in the
+    estimand code propagates.
     """
     if not n_sim >= 1:
         raise ValueError(f"n_sim must be at least 1, got {n_sim}")

@@ -2,8 +2,10 @@
 
 Two unrelated spline jobs share this module. The restricted (natural) cubic
 basis parameterizes a flexible log cumulative hazard; the interpolating
-natural spline turns a dense grid of survival values into a piecewise cubic,
-integrated exactly for life-expectancy estimands.
+natural spline turns a dense grid of values into a piecewise cubic,
+integrated exactly. Life expectancy integrates that same spline through a
+cached weight vector (estimands); bench/probes.py still times
+interp_integrate.
 """
 from __future__ import annotations
 

@@ -24,6 +24,7 @@ from frailsim.estimands import (
     life_expectancy,
     lle,
     lle_functional,
+    lle_gradient,
 )
 from frailsim.fitting import ModelParams, ModelSpec, conditional_pieces, model_from_id
 from frailsim.harness import (
@@ -299,8 +300,7 @@ def test_criterion_09_delta_method_se_validation():
     hr = log_hr.hazard_ratio()
     hr_identity = abs(hr.se - math.exp(res.beta_hat) * res.beta_se)
 
-    functional = lle_functional(res, 5.0)
-    delta_se = delta_method_se(res, functional)
+    delta_se = delta_method_se(res, lle_gradient(res, 5.0))
     boot_sc = Scenario(
         baseline=Exponential(float(res.params.natural_vector()[0])),
         frailty=FrailtySpec(FrailtyFamily.GAMMA, res.frailty_var_hat),

@@ -6,20 +6,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from frailsim import estimands
 from frailsim.estimands import (
     Z95,
     EstimandName,
     EstimandResult,
     MarginalModel,
+    _spline_weights,
     delta_method_se,
     life_expectancy,
     lle,
     lle_functional,
+    lle_gradient,
     marginal_survival,
     true_estimands,
 )
-from frailsim.exceptions import EstimandError, QuadratureError
+from frailsim.exceptions import DomainError, EstimandError, QuadratureError
 from frailsim.fitting import ModelParams, fit, model_from_id
 from frailsim.hazards import FrailtyFamily, FrailtySpec
 from frailsim.simulate import generate_dataset, make_scenario
@@ -125,6 +129,27 @@ def test_life_expectancy_unit_variance_log_form():
     assert abs(life_expectancy(model, 0.0, 5.0) - want) <= 1e-6
 
 
+@pytest.mark.parametrize("n_grid", [1000, 4000])
+@pytest.mark.parametrize("horizon", [1.0, 5.0, 7.3])
+def test_spline_weights_integrate_the_natural_spline(n_grid, horizon):
+    grid = horizon * np.linspace(0.0, 1.0, n_grid) ** 2
+    rng = np.random.default_rng(n_grid)
+    for values in (np.exp(-0.4 * grid) / (1.0 + grid), rng.uniform(size=n_grid)):
+        want = CubicSpline(grid, values, bc_type="natural").integrate(0.0, horizon)
+        got = horizon * (_spline_weights(n_grid) @ values)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_life_expectancy_rejects_small_grids_and_non_finite_survival(monkeypatch):
+    model = MarginalModel.from_scenario(make_scenario("exp", "gamma", 0.25, 20, 150))
+    with pytest.raises(DomainError):
+        life_expectancy(model, 0.0, 5.0, n_grid=3)
+    monkeypatch.setattr(estimands, "marginal_survival",
+                        lambda model, t, x: np.where(t > 1.0, np.nan, 1.0))
+    with pytest.raises(QuadratureError):
+        life_expectancy(model, 0.0, 5.0)
+
+
 def test_lle_is_exactly_zero_without_treatment_effect():
     sc = make_scenario("wei", "gamma", 0.75, 20, 150, beta=0.0)
     model = MarginalModel.from_scenario(sc)
@@ -160,15 +185,34 @@ def fitted():
     return fit(model_from_id("exp_gamma"), data)
 
 
+def central_gradient(functional, rel_step=1e-5):
+    """Oracle: the gradient of functional by central differences, step
+    rel_step (1 + |x|), divided by the realized step so that a linear map
+    differentiates exactly."""
+
+    def gradient(point):
+        grad = np.empty_like(point)
+        for k in range(point.size):
+            h = rel_step * (1.0 + abs(point[k]))
+            up = point.copy()
+            up[k] += h
+            dn = point.copy()
+            dn[k] -= h
+            grad[k] = (functional(up) - functional(dn)) / (up[k] - dn[k])
+        return grad
+
+    return gradient
+
+
 def test_delta_method_linear_functional_is_exact(fitted):
     idx = fitted.beta_index
-    se = delta_method_se(fitted, lambda trans: trans[idx])
+    se = delta_method_se(fitted, central_gradient(lambda trans: trans[idx]))
     assert se == fitted.se_trans[idx]
 
 
 def test_delta_method_exp_functional(fitted):
     idx = fitted.beta_index
-    se = delta_method_se(fitted, lambda trans: math.exp(trans[idx]))
+    se = delta_method_se(fitted, central_gradient(lambda trans: math.exp(trans[idx])))
     want = math.exp(fitted.beta_hat) * fitted.beta_se
     assert abs(se - want) <= 1e-6 * want
 
@@ -187,8 +231,15 @@ def test_lle_functional_evaluates_at_the_optimum(fitted):
     val = functional(fitted.trans)
     direct = lle(MarginalModel.from_fit(fitted), 5.0)
     assert abs(val - direct) <= 1e-10
-    se = delta_method_se(fitted, functional)
+    se = delta_method_se(fitted, lle_gradient(fitted, 5.0))
     assert 0.0 < se < 1.0
+
+
+def test_lle_functional_and_gradient_need_four_grid_points(fitted):
+    with pytest.raises(DomainError):
+        lle_functional(fitted, 5.0, n_grid=3)(fitted.trans)
+    with pytest.raises(DomainError):
+        lle_gradient(fitted, 5.0, n_grid=3)(fitted.trans)
 
 
 def test_marginal_model_from_fit_matches_fitted_survival(fitted):
@@ -198,3 +249,26 @@ def test_marginal_model_from_fit_matches_fitted_survival(fitted):
     t = 2.5
     want = (1.0 + theta * rate * t) ** (-1.0 / theta)
     assert abs(marginal_survival(model, t, 0.0) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("model_id", ["exp_gamma", "exp_lognormal"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lle_takes_the_zero_survival_limit_where_the_hazard_overflows(model_id):
+    """exp(log rate + beta) overflows, so the treated arm's H is inf at every
+    t > 0 and its survival is 0 with zero derivatives: the LLE is the t = 0
+    term of LE(treated) minus LE(untreated), and its gradient is that of
+    -LE(untreated) by central differences."""
+    data = generate_dataset(make_scenario("exp", "gamma", 0.25, 100, 20), 314)
+    fitted = fit(model_from_id(model_id), data)
+    vec = np.array([0.0, 710.0, math.log(2.0)])
+
+    def reference(v):
+        untreated = MarginalModel.from_params(fitted.params_from_trans(v))
+        return 5.0 * _spline_weights(1000)[0] - life_expectancy(untreated, 0, 5.0)
+
+    want = reference(vec)
+    assert abs(lle_functional(fitted, 5.0)(vec) - want) <= 1e-12 * abs(want)
+    cd = central_gradient(reference)(vec)
+    assert cd[1] == 0.0
+    grad = lle_gradient(fitted, 5.0)(vec)
+    assert np.max(np.abs(grad - cd)) <= 1e-6 * np.max(np.abs(cd))

@@ -8,7 +8,7 @@ import pytest
 
 from frailsim import harness
 from frailsim.estimands import EstimandName
-from frailsim.exceptions import DataError
+from frailsim.exceptions import DataError, QuadratureError
 from frailsim.fitting import model_from_id
 from frailsim.harness import (
     PLOT_HEADER,
@@ -243,6 +243,34 @@ def test_run_cell_fit_failure_spoils_only_that_model(monkeypatch):
     assert [r.model_id for r in recs] == ["exp_gamma"] * 6 + ["wei_gamma"] * 6
     assert all(r.converged for r in recs[:6])
     assert all(not r.converged and math.isnan(r.estimate) for r in recs[6:])
+
+
+def _failing_lle_gradient(error):
+    def lle_gradient(result, horizon):
+        def gradient(vec):
+            raise error
+        return gradient
+    return lle_gradient
+
+
+def test_run_cell_lle_numeric_failure_keeps_the_other_estimands(monkeypatch):
+    monkeypatch.setattr(harness, "lle_gradient",
+                        _failing_lle_gradient(QuadratureError("not finite")))
+    sc = make_scenario("exp", "gamma", 0.25, 30, 4)
+    recs = run_cell([sc], [model_from_id("exp_gamma")], 2, 7, workers=1)
+    assert len(recs) == 6
+    for r in recs:
+        if r.estimand is EstimandName.LLE:
+            assert not r.converged and math.isnan(r.estimate) and math.isnan(r.se)
+        else:
+            assert r.converged and math.isfinite(r.estimate) and r.se > 0
+
+
+def test_run_cell_lle_programming_error_propagates(monkeypatch):
+    monkeypatch.setattr(harness, "lle_gradient", _failing_lle_gradient(TypeError("bug")))
+    sc = make_scenario("exp", "gamma", 0.25, 30, 4)
+    with pytest.raises(TypeError, match="bug"):
+        run_cell([sc], [model_from_id("exp_gamma")], 2, 7, workers=1)
 
 
 def test_run_cell_rejects_empty_run():
