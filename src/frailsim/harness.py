@@ -26,7 +26,7 @@ from .estimands import (
     lle_gradient,
     true_estimands,
 )
-from .exceptions import DataError, NumericError
+from .exceptions import DataError, DomainError, NumericError
 from .fitting import ModelSpec, fit
 from .simulate import Scenario, generate_dataset
 
@@ -150,9 +150,17 @@ def _replicate(task) -> list[list[ReplicationRecord]]:
     scenario, specs, rep, master_seed, horizon = task
     try:
         data = generate_dataset(scenario, derive_seed(master_seed, scenario.id, rep))
-    except Exception:
+    except (NumericError, DomainError):
+        # the simulation's own failures: an inversion that misses its
+        # residual or bracket, or an invalid uniform or frailty
         return [_nan_records(scenario.id, spec.id, rep, 0.0) for spec in specs]
     return [_fit_records(scenario.id, spec, rep, data, horizon) for spec in specs]
+
+
+def _warm_truths(scenarios: Sequence[Scenario]) -> None:
+    # the call _truth_for makes, so that summarize finds each in the cache
+    for scenario in scenarios:
+        true_estimands(scenario)
 
 
 def run_cell(
@@ -171,10 +179,16 @@ def run_cell(
     derives its own seed, and the records come back ordered by scenario,
     then model, then rep. A horizon of None means each scenario's own
     censor_time. Fit failures become converged=false records, never
-    exceptions; a failed simulation does so for every model of its rep. An
-    LLE that fails numerically (a NumericError) becomes a converged=false
-    LLE record beside the fit's other estimands; any other error in the
-    estimand code propagates.
+    exceptions. A simulation that fails numerically (a NumericError or
+    DomainError) does so for every model of its rep; any other error in
+    the simulation propagates. An LLE that fails numerically (a
+    NumericError) becomes a converged=false LLE record beside the fit's
+    other estimands; any other error in the estimand code propagates.
+
+    The scenarios' true estimands, which summarize needs, are computed
+    into true_estimands' cache in the main process: while the pool runs
+    the tasks, or after the tasks at one worker, so that a failing truth
+    raises here at every worker count.
     """
     if not n_sim >= 1:
         raise ValueError(f"n_sim must be at least 1, got {n_sim}")
@@ -185,9 +199,12 @@ def run_cell(
         with Pool(processes=workers) as pool:
             # tasks are long (a dataset and every fit), so hand them out one at
             # a time rather than in runs that may all be slow
-            batches = pool.map(_replicate, tasks, chunksize=1)
+            pending = pool.map_async(_replicate, tasks, chunksize=1)
+            _warm_truths(scenarios)
+            batches = pending.get()
     else:
         batches = [_replicate(task) for task in tasks]
+        _warm_truths(scenarios)
     # tasks run scenario by rep; records go out scenario by model by rep
     return [record for start in range(0, len(batches), n_sim)
             for j in range(len(specs))

@@ -321,15 +321,40 @@ class FrailtySpec:
             raise ValueError("mixture parameters are defined only for the mixture family")
         return (0.5, 0.5)
 
+    def standard_variates(self, rng: np.random.Generator, size: int | None = None) -> tuple:
+        """The standard draws behind ``size`` frailties, in stream order.
+
+        Gamma: standard gamma variates of shape 1/variance. Log-normal:
+        standard normals. Mixture: uniforms picking the component, then
+        standard normals. ``from_standard`` maps them to frailties.
+        """
+        if self.family is FrailtyFamily.GAMMA:
+            return (rng.standard_gamma(1.0 / self.variance, size),)
+        if self.family is FrailtyFamily.LOG_NORMAL:
+            return (rng.standard_normal(size),)
+        return (rng.random(size), rng.standard_normal(size))
+
+    def from_standard(self, *variates) -> np.ndarray:
+        """Multiplicative frailties alpha from ``standard_variates`` draws.
+
+        The arithmetic is the one numpy's Generator.gamma and
+        Generator.normal apply to their standard draws (scale * g and
+        loc + scale * z), so the frailties equal those samplers' output.
+        """
+        if self.family is FrailtyFamily.GAMMA:
+            (g,) = variates
+            return self.variance * g
+        sd = np.sqrt(self.variance)
+        if self.family is FrailtyFamily.LOG_NORMAL:
+            (z,) = variates
+            return np.exp(sd * z)
+        v, z = variates
+        lo_mean, hi_mean = self.mixture_means
+        return np.exp(np.where(v < 0.5, lo_mean, hi_mean) + sd * z)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw multiplicative frailties alpha (one per cluster)."""
-        if self.family is FrailtyFamily.GAMMA:
-            return rng.gamma(shape=1.0 / self.variance, scale=self.variance, size=size)
-        if self.family is FrailtyFamily.LOG_NORMAL:
-            return np.exp(rng.normal(0.0, np.sqrt(self.variance), size=size))
-        lo_mean, hi_mean = self.mixture_means
-        means = np.where(rng.random(size) < 0.5, lo_mean, hi_mean)
-        return np.exp(rng.normal(means, np.sqrt(self.variance)))
+        return self.from_standard(*self.standard_variates(rng, size))
 
 
 def gamma_marginal_survival(cumulative_hazard, variance: float):

@@ -1,9 +1,13 @@
 """Clustered survival data generation and the factorial scenario grid.
 
 Datasets are reproducible regardless of execution order: every cluster gets
-its own counter-based random stream keyed by (seed, scenario id, cluster
+its own counter-based Philox stream keyed by (seed, scenario id, cluster
 index), so generating clusters in any order, or in parallel, yields the same
-rows.
+rows. A cluster's key equals numpy's
+``SeedSequence((seed, scenario key, cluster)).generate_state(2, np.uint64)``;
+``_cluster_keys`` derives the keys of every cluster of a dataset in one
+vectorised pass of that hash, and ``generate_dataset`` draws all clusters
+from one Philox generator, re-keyed and rewound per cluster.
 """
 from __future__ import annotations
 
@@ -199,10 +203,91 @@ def _scenario_key(scenario_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+# numpy's SeedSequence hash (bit_generator.pyx), in uint32 arithmetic
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of a nonnegative integer; 0 is [0]."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"seed entropy must be nonnegative, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(2, np.uint64) for each row of a
+    (rows, words) uint32 entropy array, all rows at once."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    n_words = entropy.shape[1]
+    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n_words else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        word = word * np.uint32(hash_const)
+        state.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
+    # consecutive 32-bit words pair up little-endian into 64-bit key words
+    high = np.uint64(32)
+    return np.stack([state[0] | (state[1] << high),
+                     state[2] | (state[3] << high)], axis=1)
+
+
+def _cluster_keys(seed: int, scenario_id: str, clusters) -> np.ndarray:
+    """The (n, 2) uint64 Philox keys of the given clusters of one dataset.
+
+    Row i equals ``SeedSequence((seed, _scenario_key(scenario_id),
+    clusters[i])).generate_state(2, np.uint64)``.
+    """
+    index = np.asarray(clusters, dtype=np.int64).reshape(-1)
+    if ((index < 0) | (index > _MASK32)).any():
+        raise ValueError("cluster indices must lie in [0, 2**32)")
+    prefix = _uint32_words(seed) + _uint32_words(_scenario_key(scenario_id))
+    entropy = np.empty((index.size, len(prefix) + 1), dtype=np.uint32)
+    entropy[:, :-1] = prefix
+    entropy[:, -1] = index
+    return _seed_sequence_keys(entropy)
+
+
 def cluster_rng(seed: int, scenario_id: str, cluster_index: int) -> np.random.Generator:
     """The dedicated random stream of one cluster of one dataset."""
-    ss = np.random.SeedSequence((seed, _scenario_key(scenario_id), cluster_index))
-    return np.random.Generator(np.random.Philox(ss))
+    key = _cluster_keys(seed, scenario_id, [cluster_index])[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def generate_dataset(
@@ -219,23 +304,37 @@ def generate_dataset(
     censoring time counts as censored.
     """
     m = scenario.cluster_size
-    n = scenario.n_subjects
-    treat = np.empty(n, dtype=np.int8)
-    uniforms = np.empty(n)
-    cluster = np.repeat(np.arange(scenario.n_clusters, dtype=np.int64), m)
-    frailties = np.empty(scenario.n_clusters)
-    for c in range(scenario.n_clusters):
-        rng = cluster_rng(seed, scenario.id, c)
-        alpha = scenario.frailty.sample(rng, 1)[0]
-        frailties[c] = alpha
-        x = (rng.random(m) < scenario.treat_prob).astype(np.int8)
-        u = rng.random(m)
-        while (u == 0.0).any():
+    n_clusters = scenario.n_clusters
+    frailty = scenario.frailty
+    keys = _cluster_keys(seed, scenario.id, np.arange(n_clusters))
+    bit_generator = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bit_generator)
+    # a fresh Philox: counter 0 and an empty output buffer
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": keys[0]},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    variates = []
+    # per cluster, m uniforms for the treatment indicators, then m for the
+    # inversion
+    draws = np.empty((n_clusters, 2 * m))
+    for c in range(n_clusters):
+        fresh["state"]["key"] = keys[c]
+        bit_generator.state = fresh
+        variates.append(frailty.standard_variates(rng))
+        rng.random(out=draws[c])
+        u = draws[c, m:]
+        while not u.all():
             zero = u == 0.0
             u[zero] = rng.random(int(zero.sum()))
-        sl = slice(c * m, (c + 1) * m)
-        treat[sl] = x
-        uniforms[sl] = u
+    frailties = frailty.from_standard(*np.array(variates).T)
+    treat = (draws[:, :m] < scenario.treat_prob).astype(np.int8).reshape(-1)
+    uniforms = draws[:, m:].reshape(-1)
+    cluster = np.repeat(np.arange(n_clusters, dtype=np.int64), m)
     # one batched inversion for the whole dataset (root finding dominates
     # generation cost for the mixture baselines)
     latent = simulate_time(scenario.baseline, np.repeat(frailties, m), treat,

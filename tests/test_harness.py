@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from frailsim import harness
-from frailsim.estimands import EstimandName
-from frailsim.exceptions import DataError, QuadratureError
+from frailsim.estimands import EstimandName, true_estimands
+from frailsim.exceptions import DataError, NumericError, QuadratureError
 from frailsim.fitting import model_from_id
 from frailsim.harness import (
     PLOT_HEADER,
@@ -203,7 +203,7 @@ def test_run_cell_simulates_each_dataset_once(monkeypatch):
     assert len(recs) == 2 * 2 * 3 * 3
 
     def broken(scenario, seed):
-        raise RuntimeError("boom")
+        raise NumericError("boom")
 
     monkeypatch.setattr(harness, "generate_dataset", broken)
     recs = run_cell(scenarios, specs, 3, 7, workers=1)
@@ -215,6 +215,39 @@ def test_run_cell_simulates_each_dataset_once(monkeypatch):
         assert all(not r.converged and math.isnan(r.estimate)
                    and math.isnan(r.se) for r in mine)
     assert len(recs) == 2 * 2 * 3 * 3
+
+
+def test_run_cell_simulation_programming_error_propagates(monkeypatch):
+    def broken(scenario, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "generate_dataset", broken)
+    scenarios, specs = _grid()
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cell(scenarios, specs, 2, 7, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_cell_leaves_summarize_no_truth_to_compute(workers):
+    scenarios, specs = _grid()
+    true_estimands.cache_clear()
+    recs = run_cell(scenarios, specs, 2, 7, workers=workers)
+    misses = true_estimands.cache_info().misses
+    assert misses == len(scenarios)
+    summaries = summarize(recs, {sc.id: sc for sc in scenarios})
+    assert summaries
+    assert true_estimands.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_cell_raises_a_failing_truth(monkeypatch, workers):
+    def failing(scenario):
+        raise QuadratureError("truth did not converge")
+
+    monkeypatch.setattr(harness, "true_estimands", failing)
+    scenarios, specs = _grid()
+    with pytest.raises(QuadratureError, match="truth"):
+        run_cell(scenarios, specs, 2, 7, workers=workers)
 
 
 def test_run_cell_converts_failures_to_nan_records(monkeypatch):

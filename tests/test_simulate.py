@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from frailsim.exceptions import DataError, DomainError
-from frailsim.hazards import Exponential, FrailtyFamily, WeibullMixture
+from frailsim.harness import derive_seed
+from frailsim.hazards import Exponential, FrailtyFamily, FrailtySpec, WeibullMixture
 from frailsim.simulate import (
     DATASET_HEADER,
     ClusteredDataset,
     Scenario,
+    _cluster_keys,
+    _scenario_key,
     cluster_rng,
     generate_dataset,
     make_scenario,
@@ -180,6 +183,91 @@ def test_cluster_rng_streams_are_stable_and_distinct():
     assert not np.array_equal(a, c)
     d = cluster_rng(5, "other_scenario", 3).random(4)
     assert not np.array_equal(a, d)
+    ss = np.random.SeedSequence((5, _scenario_key("some_scenario"), 3))
+    np.testing.assert_array_equal(a, np.random.Generator(np.random.Philox(ss)).random(4))
+
+
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1, 2**64,
+             2**96 - 1, 2**96, 12345678901234)
+KEY_CLUSTERS = [*range(64), *range(64, 20_000, 997), 20_000, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+@pytest.mark.parametrize("scenario_id", ["exp_gamma_t025_750x2", "ww2_mixturenormal_t125_20x150"])
+def test_cluster_keys_equal_numpy_seed_sequence(seed, scenario_id):
+    keys = _cluster_keys(seed, scenario_id, KEY_CLUSTERS)
+    oracle = np.array([
+        np.random.SeedSequence((seed, _scenario_key(scenario_id), c)).generate_state(2, np.uint64)
+        for c in KEY_CLUSTERS
+    ])
+    assert keys.dtype == np.uint64
+    np.testing.assert_array_equal(keys, oracle)
+
+
+def test_cluster_keys_reject_negative_seeds_and_out_of_range_indices():
+    for seed, clusters in ((-9, [0]), (9, [-1]), (9, [2**32])):
+        with pytest.raises(ValueError):
+            _cluster_keys(seed, "s", clusters)
+
+
+def _oracle_sample(frailty, rng, size):
+    # FrailtySpec.sample as it was before the shared standard-variate transform
+    if frailty.family is FrailtyFamily.GAMMA:
+        return rng.gamma(shape=1.0 / frailty.variance, scale=frailty.variance, size=size)
+    if frailty.family is FrailtyFamily.LOG_NORMAL:
+        return np.exp(rng.normal(0.0, np.sqrt(frailty.variance), size=size))
+    lo_mean, hi_mean = frailty.mixture_means
+    means = np.where(rng.random(size) < 0.5, lo_mean, hi_mean)
+    return np.exp(rng.normal(means, np.sqrt(frailty.variance)))
+
+
+def _oracle_dataset(scenario, seed):
+    """generate_dataset as one Generator per cluster from its SeedSequence."""
+    m = scenario.cluster_size
+    n = scenario.n_subjects
+    treat = np.empty(n, dtype=np.int8)
+    uniforms = np.empty(n)
+    frailties = np.empty(scenario.n_clusters)
+    for c in range(scenario.n_clusters):
+        ss = np.random.SeedSequence((seed, _scenario_key(scenario.id), c))
+        rng = np.random.Generator(np.random.Philox(ss))
+        frailties[c] = _oracle_sample(scenario.frailty, rng, 1)[0]
+        x = (rng.random(m) < scenario.treat_prob).astype(np.int8)
+        u = rng.random(m)
+        while (u == 0.0).any():
+            zero = u == 0.0
+            u[zero] = rng.random(int(zero.sum()))
+        treat[c * m:(c + 1) * m] = x
+        uniforms[c * m:(c + 1) * m] = u
+    latent = simulate_time(scenario.baseline, np.repeat(frailties, m), treat,
+                           scenario.beta, uniforms)
+    cluster = np.repeat(np.arange(scenario.n_clusters, dtype=np.int64), m)
+    time = np.minimum(latent, scenario.censor_time)
+    event = (latent < scenario.censor_time).astype(np.int8)
+    return cluster, time, event, treat, frailties
+
+
+def test_generate_dataset_equals_the_per_cluster_generator_oracle():
+    for scenario in scenario_grid():
+        for rep in range(2):
+            seed = derive_seed(20250317, scenario.id, rep)
+            data, frailties = generate_dataset(scenario, seed, return_frailties=True)
+            got = (data.cluster, data.time, data.event, data.treat, frailties)
+            for name, a, b in zip(("cluster", "time", "event", "treat", "frailties"),
+                                  got, _oracle_dataset(scenario, seed)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                    scenario.id, rep, name)
+
+
+@pytest.mark.parametrize("family", list(FrailtyFamily))
+def test_frailty_sample_equals_the_numpy_sampler_oracle(family):
+    for variance in (0.25, 0.75, 1.25, 3.0):
+        spec = FrailtySpec(family, variance)
+        for seed in range(5):
+            for size in (1, 7, 1000):
+                got = spec.sample(np.random.default_rng(seed), size)
+                want = _oracle_sample(spec, np.random.default_rng(seed), size)
+                assert got.tobytes() == want.tobytes(), (family, variance, seed, size)
 
 
 def test_frailty_shifts_cluster_hazards():
