@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exceptions import DomainError, NumericError
 
@@ -179,8 +178,12 @@ class Gompertz(BaselineHazard):
 class WeibullMixture(BaselineHazard):
     """Two-component Weibull mixture on the survival scale.
 
-    S0(t) = mix * exp(-rate1 * t**shape1) + (1 - mix) * exp(-rate2 * t**shape2),
-    worked in log space so that very large cumulative hazards stay finite.
+    S0(t) = mix * exp(-rate1 * t**shape1) + (1 - mix) * exp(-rate2 * t**shape2).
+    One kernel gives log H0 and its slope in log t to relative precision at
+    every t > 0: near 0 through 1 - S0 summed from expm1 terms, far out
+    through a log-sum-exp of the component log survivals, so that very large
+    cumulative hazards stay finite. The inverse is a bracketed Newton
+    iteration on that kernel.
     """
 
     rate1: float
@@ -199,17 +202,28 @@ class WeibullMixture(BaselineHazard):
         if not 0.0 < self.mix < 1.0:
             raise ValueError(f"mix must lie strictly in (0, 1), got {self.mix}")
 
-    def _log_survival_terms(self, arr: np.ndarray) -> np.ndarray:
-        # stacked log of the two weighted component survival functions
-        return np.stack([
-            np.log(self.mix) - self.rate1 * arr**self.shape1,
-            np.log1p(-self.mix) - self.rate2 * arr**self.shape2,
-        ])
+    def _log_cumhaz_and_slope(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log H0(t) and d log H0 / d log t = t h0(t) / H0(t), for t > 0."""
+        w = self.mix
+        h1 = self.rate1 * t**self.shape1
+        h2 = self.rate2 * t**self.shape2
+        q = -(w * np.expm1(-h1) + (1.0 - w) * np.expm1(-h2))  # 1 - S0
+        # np.where evaluates both branches; each is used only where it is accurate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_s = np.where(q <= 0.5, np.log1p(-q),
+                             np.logaddexp(np.log(w) - h1, np.log1p(-w) - h2))
+            cumhaz = -log_s
+            # component survivals relative to S0, as exp(log S_i - log S0)
+            slope = (self.shape1 * h1 * w * np.exp(cumhaz - h1)
+                     + self.shape2 * h2 * (1.0 - w) * np.exp(cumhaz - h2)) / cumhaz
+            return np.log(cumhaz), slope
 
     def cumulative_hazard(self, t):
         arr, scalar = _prep_times(t)
-        vals = -logsumexp(self._log_survival_terms(arr), axis=0)
-        return _ret(vals, scalar)
+        out = np.zeros_like(arr)
+        pos = arr > 0
+        out[pos] = np.exp(self._log_cumhaz_and_slope(arr[pos])[0])
+        return _ret(out, scalar)
 
     def hazard(self, t):
         arr, scalar = _prep_times(t)
@@ -220,14 +234,8 @@ class WeibullMixture(BaselineHazard):
         pos = ~zero
         if pos.any():
             tp = arr[pos]
-            log_dens = np.stack([
-                np.log(self.mix) + np.log(self.rate1 * self.shape1)
-                + (self.shape1 - 1.0) * np.log(tp) - self.rate1 * tp**self.shape1,
-                np.log1p(-self.mix) + np.log(self.rate2 * self.shape2)
-                + (self.shape2 - 1.0) * np.log(tp) - self.rate2 * tp**self.shape2,
-            ])
-            log_s = logsumexp(self._log_survival_terms(tp), axis=0)
-            out[pos] = np.exp(logsumexp(log_dens, axis=0) - log_s)
+            log_cumhaz, slope = self._log_cumhaz_and_slope(tp)
+            out[pos] = slope * np.exp(log_cumhaz) / tp
         return _ret(out, scalar)
 
     def _hazard_at_zero(self) -> float:
@@ -249,33 +257,45 @@ class WeibullMixture(BaselineHazard):
         return _ret(out, scalar)
 
     def _invert_batch(self, targets: np.ndarray) -> np.ndarray:
-        """Vectorized bracketed bisection plus Newton polish on H0(t) = target."""
+        """Vectorized bracketed Newton on log H0 = log target in log t.
+
+        Doubling from t = 1 brackets each root in [lo, hi]. Newton steps
+        t <- t exp((log target - log H0) / slope) then start from
+        sqrt(lo * hi), or from hi when lo = 0. Every iterate tightens the
+        bracket, and a step that leaves it becomes the bracket's midpoint.
+        The iteration stops once every step is at most 1e-13 t, and the
+        result must match every target to 1e-10 relative.
+        """
+        log_targets = np.log(targets)
         hi = np.ones_like(targets)
         lo = np.zeros_like(targets)
-        active = self.cumulative_hazard(hi) < targets
+        active = self._log_cumhaz_and_slope(hi)[0] < log_targets
         for _ in range(200):
             if not active.any():
                 break
             lo[active] = hi[active]
             hi[active] *= 2.0
-            active &= self.cumulative_hazard(hi) < targets
+            active &= self._log_cumhaz_and_slope(hi)[0] < log_targets
         else:
             raise NumericError(
                 f"could not bracket cumulative-hazard target {targets[active][0]}"
             )
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = self.cumulative_hazard(mid) < targets
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        t = 0.5 * (lo + hi)
-        for _ in range(3):
-            resid = self.cumulative_hazard(t) - targets
-            slope = self.hazard(t)
-            step = np.where(slope > 0, resid / np.where(slope > 0, slope, 1.0), 0.0)
-            t = np.clip(t - step, lo, hi)
-        if (np.abs(self.cumulative_hazard(t) - targets)
-                > 1e-10 * np.maximum(1.0, targets)).any():
+        t = np.where(lo > 0, np.sqrt(lo * hi), hi)
+        for _ in range(100):
+            log_cumhaz, slope = self._log_cumhaz_and_slope(t)
+            below = log_cumhaz < log_targets
+            lo = np.where(below, t, lo)
+            hi = np.where(below, hi, t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = t * np.exp((log_targets - log_cumhaz) / slope)
+            # inclusive, so that an iterate exactly at the root stays there
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            done = (np.abs(new - t) <= 1e-13 * t).all()
+            t = new
+            if done:
+                break
+        resid = np.expm1(self._log_cumhaz_and_slope(t)[0] - log_targets)
+        if not (np.abs(resid) <= 1e-10).all():
             raise NumericError("inversion residual above tolerance")
         return t
 

@@ -327,6 +327,13 @@ def generate_dataset(
         bit_generator.state = fresh
         variates.append(frailty.standard_variates(rng))
         rng.random(out=draws[c])
+    # a zero inversion uniform (chance 2**-53 a draw) is redrawn from the
+    # rest of its cluster's stream, replayed up to the end of its 2m draws
+    for c in np.flatnonzero((draws[:, m:] == 0).any(axis=1)):
+        fresh["state"]["key"] = keys[c]
+        bit_generator.state = fresh
+        frailty.standard_variates(rng)
+        rng.random(2 * m)
         u = draws[c, m:]
         while not u.all():
             zero = u == 0.0

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from frailsim import fitting
 from frailsim.estimands import MarginalModel, lle, lle_functional, lle_gradient
@@ -351,17 +352,47 @@ def test_fallback_recovers_from_a_failed_first_start(monkeypatch, model_id):
     _assert_same_optimum(res, _best_of_three_starts(model_id, size))
 
 
+def test_fit_keeps_a_converged_start_over_a_higher_non_converged_first_start(monkeypatch):
+    """The first start is made to end above every other start's loglik but
+    with a score 100 times the convergence test's bound: the fallback runs,
+    and the fit keeps a converged start, not the highest loglik."""
+    minimize = fitting.minimize
+    first = []
+
+    def first_start_high_but_not_converged(*args, **kwargs):
+        if first:
+            return minimize(*args, **kwargs)
+        try:
+            res = minimize(*args, **kwargs)
+        except fitting._ScoreStop as stop:
+            res = stop.args[0]
+        loglik = 1.0 - res.fun
+        first.append(OptimizeResult({
+            **res, "fun": -loglik,
+            "jac": np.full_like(res.jac, 1e-3 * (1.0 + abs(loglik)))}))
+        return first[0]
+
+    monkeypatch.setattr(fitting, "minimize", first_start_high_but_not_converged)
+    res = fit(model_from_id("wei_gamma"), _study_data((20, 150)))
+    assert fitting._FALLBACK in res.message.split("; ")
+    assert res.converged
+    assert res.loglik < -first[0].fun
+    assert res.grad_inf_norm <= 1e-5 * (1.0 + abs(res.loglik))
+
+
 def test_fallback_keeps_a_converged_start_over_a_higher_non_converged_one(tmp_path):
-    """rp3_gamma on a ww2_mixturenormal_t075_20x150 dataset read back from
-    CSV: the first start ends on a precision-loss line search with a score
-    of 1.2e-5, just above the convergence test, and the highest loglik of
-    the three. The second start converges with a loglik lower by 9e-13,
-    so the fit is converged. (In memory, before the round trip,
-    the first start converges.)"""
+    """rp9_gamma on a ww2_mixturenormal_t075_20x150 dataset read back from
+    CSV: the first and third starts end on precision-loss line searches
+    with scores of 3.9e-5 and 4.6e-5, above the convergence test's 2.0e-5.
+    The second start converges at the first start's loglik, which a pick by
+    loglik alone, the earlier start on a tie, would not keep; so the fit is
+    converged only if a converged start wins. (This case has run the
+    fallback since before the Newton mixture inversion, when the second
+    start's loglik was lower than the first's by 2e-13.)"""
     sc = make_scenario("ww2", "mixturenormal", 0.75, 20, 150)
     path = tmp_path / "data.csv"
-    write_dataset_csv(generate_dataset(sc, derive_seed(4138362580, sc.id, 0)), path)
-    res = fit(model_from_id("rp3_gamma"), read_dataset_csv(path))
+    write_dataset_csv(generate_dataset(sc, derive_seed(376216070, sc.id, 0)), path)
+    res = fit(model_from_id("rp9_gamma"), read_dataset_csv(path))
     assert fitting._FALLBACK in res.message.split("; ")
     assert res.converged
     assert res.grad_inf_norm <= 1e-5 * (1.0 + abs(res.loglik))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,32 @@ def test_unbounded_hazard_at_zero_rejected():
         WW2.hazard(np.array([0.0]))
     # shapes > 1 on both components: hazard at 0 is well defined
     assert WW1.hazard(np.array([0.0]))[0] == 0.0
+
+
+def _mixture_cumhaz_series(b, t):
+    """-log(1 - q) at small t from power series, with q = 1 - S0 expanded
+    per component: q = sum_i w_i (H_i - H_i**2/2! + ...)."""
+    q = 0.0
+    for w, rate, shape in ((b.mix, b.rate1, b.shape1), (1.0 - b.mix, b.rate2, b.shape2)):
+        h = rate * t**shape
+        q += w * math.fsum((-1.0) ** (k + 1) * h**k / math.factorial(k) for k in range(1, 12))
+    return math.fsum(q**k / k for k in range(1, 12))
+
+
+@pytest.mark.parametrize("baseline", [WW1, WW2], ids=["ww1", "ww2"])
+@pytest.mark.parametrize("target", [1e-20, 1e-16, 1e-12, 1e-8, 1e-3])
+def test_mixture_inversion_of_small_targets(baseline, target):
+    """Relative precision where an absolute residual test passes anything:
+    H0 at the returned time is the target to 1e-12 and its power series
+    to 1e-14, and no step raises (ww2's hazard is unbounded at t = 0) or
+    warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = baseline.inverse_cumulative_hazard(np.array([target]))
+        got = baseline.cumulative_hazard(t)[0]
+    assert t[0] > 0
+    assert abs(got / target - 1.0) <= 1e-12
+    assert abs(got / _mixture_cumhaz_series(baseline, t[0]) - 1.0) <= 1e-14
 
 
 def test_mixture_inversion_rejects_unreachable_target():

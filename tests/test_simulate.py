@@ -259,6 +259,57 @@ def test_generate_dataset_equals_the_per_cluster_generator_oracle():
                     scenario.id, rep, name)
 
 
+class _ZeroingGenerator:
+    """A Generator whose random() returns 0.0 wherever the wrapped
+    generator drew ``value``; every other method passes through."""
+
+    def __init__(self, generator, value):
+        self._rng = generator
+        self._value = value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        draws = self._rng.random(size, dtype, out)
+        if np.ndim(draws) == 0:
+            return 0.0 if draws == self._value else draws
+        draws[draws == self._value] = 0.0
+        return draws
+
+
+@pytest.mark.parametrize("family", ["gamma", "mixturenormal"])
+def test_zero_inversion_uniform_is_redrawn_from_its_cluster_stream(monkeypatch, family):
+    """Force one inversion uniform of one cluster to 0: generate_dataset
+    redraws it from the rest of that cluster's stream, as the per-cluster
+    oracle does, and leaves every other row and every frailty unchanged."""
+    # no censoring, so that every uniform shows in its time
+    scenario = make_scenario("ww2", family, 0.75, 20, 150, censor_time=1e300)
+    seed, forced_cluster, forced_row = 11, 7, 42
+    m = scenario.cluster_size
+    rng = cluster_rng(seed, scenario.id, forced_cluster)
+    scenario.frailty.standard_variates(rng)
+    value = rng.random(2 * m)[m + forced_row]
+    clean, clean_frailties = generate_dataset(scenario, seed, return_frailties=True)
+
+    generator = np.random.Generator
+    monkeypatch.setattr(np.random, "Generator",
+                        lambda bit_generator: _ZeroingGenerator(generator(bit_generator), value))
+    data, frailties = generate_dataset(scenario, seed, return_frailties=True)
+    got = (data.cluster, data.time, data.event, data.treat, frailties)
+    for name, a, b in zip(("cluster", "time", "event", "treat", "frailties"),
+                          got, _oracle_dataset(scenario, seed)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    row = forced_cluster * m + forced_row
+    others = np.arange(scenario.n_subjects) != row
+    assert data.time[row] != clean.time[row]
+    assert data.time[others].tobytes() == clean.time[others].tobytes()
+    assert data.event[others].tobytes() == clean.event[others].tobytes()
+    assert data.treat.tobytes() == clean.treat.tobytes()
+    assert frailties.tobytes() == clean_frailties.tobytes()
+
+
 @pytest.mark.parametrize("family", list(FrailtyFamily))
 def test_frailty_sample_equals_the_numpy_sampler_oracle(family):
     for variance in (0.25, 0.75, 1.25, 3.0):
