@@ -9,7 +9,6 @@ from .estimands import (
     life_expectancy,
     lle,
     lle_functional,
-    lle_gradient,
     true_estimands,
 )
 from .fitting import (
@@ -69,7 +68,6 @@ __all__ = [
     "life_expectancy",
     "lle",
     "lle_functional",
-    "lle_gradient",
     "make_scenario",
     "model_from_id",
     "performance",

@@ -19,13 +19,9 @@ import sys
 import warnings
 from pathlib import Path
 
-from .estimands import (
-    EstimandName,
-    EstimandResult,
-    delta_method_se,
-    lle_functional,
-    lle_gradient,
-)
+from .estimands import EstimandName, EstimandResult
+# unused here, but bench/tracing.py patches both names on this module
+from .estimands import delta_method_se, lle_functional  # noqa: F401
 from .exceptions import (
     ConfigError,
     DataError,
@@ -41,6 +37,7 @@ from .fitting import (
 )
 from .harness import (
     derive_seed,
+    estimate,
     filter_convergence,
     plot_rows,
     read_results_csv,
@@ -283,14 +280,13 @@ def _estimand_payload(res: EstimandResult) -> dict:
     return {"estimate": res.estimate, "se": res.se, "ci": [lo, hi]}
 
 
-def _fit_one(model_id: str, dataset, horizon: float,
-             gh_nodes: int | None, max_iter: int) -> dict:
-    spec = model_from_id(model_id)
-    if gh_nodes is not None:
-        spec = dataclasses.replace(spec, gh_nodes=gh_nodes)
+def _fit_one(spec: ModelSpec, dataset, horizon: float, max_iter: int) -> dict:
     result = fit(spec, dataset, max_iter=max_iter)
     aic, bic = information_criteria(result)
-    record: dict = {
+    values = estimate(result, horizon)
+    log_hr = values[EstimandName.LOG_HR]
+    values[EstimandName.HR] = None if log_hr is None else log_hr.hazard_ratio()
+    return {
         "model_id": spec.id,
         "converged": result.converged,
         "loglik": result.loglik,
@@ -305,27 +301,9 @@ def _fit_one(model_id: str, dataset, horizon: float,
                    zip(result.natural_names, result.params.natural_vector())},
         "se": {name: float(val) for name, val in
                zip(result.natural_names, result.se_natural)},
-        "estimands": {},
+        "estimands": {name.value: None if res is None else _estimand_payload(res)
+                      for name, res in values.items()},
     }
-    if not result.converged:
-        record["estimands"] = {name: None for name in
-                               ("LogHR", "HR", "FrailtyVar", "LLE")}
-        return record
-    log_hr = EstimandResult(EstimandName.LOG_HR, result.beta_hat, result.beta_se)
-    record["estimands"]["LogHR"] = _estimand_payload(log_hr)
-    record["estimands"]["HR"] = _estimand_payload(log_hr.hazard_ratio())
-    record["estimands"]["FrailtyVar"] = _estimand_payload(
-        EstimandResult(EstimandName.FRAILTY_VAR,
-                       result.frailty_var_hat, result.frailty_var_se))
-    try:
-        functional = lle_functional(result, horizon)
-        est = functional(result.trans)
-        se = delta_method_se(result, lle_gradient(result, horizon))
-        record["estimands"]["LLE"] = _estimand_payload(
-            EstimandResult(EstimandName.LLE, est, se))
-    except NumericError:
-        record["estimands"]["LLE"] = None
-    return record
 
 
 def _format_cell(payload: dict | None) -> str:
@@ -336,16 +314,8 @@ def _format_cell(payload: dict | None) -> str:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     dataset = read_dataset_csv(args.dataset)
-    model_ids = all_model_ids() if args.model == "all" else _split_ids(args.model)
-    if not model_ids:
-        raise ConfigError("no models selected")
-    for model_id in model_ids:
-        try:
-            model_from_id(model_id)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    records = [_fit_one(mid, dataset, args.horizon, args.gh_nodes, args.max_iter)
-               for mid in model_ids]
+    specs = _resolve_models(args.model, args.gh_nodes)
+    records = [_fit_one(spec, dataset, args.horizon, args.max_iter) for spec in specs]
     header = (f"{'model':<14s} {'conv':<5s} {'HR (SE)':<18s} "
               f"{'frailty var (SE)':<18s} {'LLE (SE)':<18s} {'AIC':>10s} {'BIC':>10s}")
     print(header)

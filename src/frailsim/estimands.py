@@ -8,10 +8,10 @@ untreated arm loses over the horizon, positive when beta < 0.
 
 The time integral is that of the natural cubic spline through marginal
 survival on a fixed grid, which is a linear functional of the grid values:
-one weight vector per grid size. For a fitted model, lle_functional and
-lle_gradient evaluate the LLE and its gradient on the optimizer scale in
-one pass over that grid with the likelihood's own cluster kernels, and
-delta_method_se turns such a gradient into a standard error.
+one weight vector per grid size. For a fitted model, lle_functional
+evaluates the LLE and its gradient on the optimizer scale in one pass over
+that grid with the likelihood's own cluster kernels, and delta_method_se
+turns such a gradient into a standard error.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ __all__ = [
     "lle",
     "delta_method_se",
     "lle_functional",
-    "lle_gradient",
     "true_estimands",
 ]
 
@@ -245,21 +244,22 @@ def lle(
             - life_expectancy(model, 0, horizon, n_grid))
 
 
-def delta_method_se(
-    result: FitResult,
-    gradient: Callable[[np.ndarray], np.ndarray],
-) -> float:
+def delta_method_se(result: FitResult, gradient: np.ndarray) -> float:
     """Delta-method SE sqrt(g' cov g) of a functional of the optimizer-scale
-    parameters, where g = gradient(result.trans) is the functional's gradient
-    there and cov is the fit's covariance on that scale."""
+    parameters, where g is the functional's gradient at result.trans and cov
+    is the fit's covariance on that scale."""
     if result.cov_trans is None or not result.hessian_pd:
         raise EstimandError("fit has no positive-definite covariance")
-    grad = np.asarray(gradient(np.asarray(result.trans, dtype=float)), dtype=float)
+    grad = np.asarray(gradient, dtype=float)
     var = float(grad @ result.cov_trans @ grad)
     return float(np.sqrt(max(var, 0.0)))
 
 
-def _lle_pass(result: FitResult, horizon: float, n_grid: int):
+def lle_functional(
+    result: FitResult,
+    horizon: float,
+    n_grid: int = DEFAULT_GRID,
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """vec -> (LLE, its gradient) for the fitted model at optimizer-scale vec.
 
     Every positive grid time in each arm is a censored cluster of the
@@ -304,27 +304,6 @@ def _lle_pass(result: FitResult, horizon: float, n_grid: int):
         return value, grad
 
     return evaluate
-
-
-def lle_functional(
-    result: FitResult,
-    horizon: float,
-    n_grid: int = DEFAULT_GRID,
-) -> Callable[[np.ndarray], float]:
-    """LLE as a function of the optimizer-scale parameter vector."""
-    evaluate = _lle_pass(result, horizon, n_grid)
-    return lambda vec: evaluate(vec)[0]
-
-
-def lle_gradient(
-    result: FitResult,
-    horizon: float,
-    n_grid: int = DEFAULT_GRID,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Gradient of lle_functional in the optimizer-scale parameter vector,
-    for delta_method_se."""
-    evaluate = _lle_pass(result, horizon, n_grid)
-    return lambda vec: evaluate(vec)[1]
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,9 +3,11 @@
 run_cell fits every requested model to n_sim simulated datasets from each
 requested scenario, simulating each (scenario, rep) dataset once for all
 models, and emits per-replication records for the log hazard ratio, the
-loss in life expectancy, and the frailty variance. filter_convergence
-applies the median/IQR outlier rule, and summarize turns filtered records
-into bias, coverage and MSE with Monte Carlo standard errors.
+loss in life expectancy, and the frailty variance. estimate takes those
+from one fit, for run_cell and the CLI's fit command alike.
+filter_convergence applies the median/IQR outlier rule, and summarize
+turns filtered records into bias, coverage and MSE with Monte Carlo
+standard errors.
 """
 from __future__ import annotations
 
@@ -21,13 +23,13 @@ import numpy as np
 from .estimands import (
     Z95,
     EstimandName,
+    EstimandResult,
     delta_method_se,
     lle_functional,
-    lle_gradient,
     true_estimands,
 )
-from .exceptions import DataError, DomainError, NumericError
-from .fitting import ModelSpec, fit
+from .exceptions import DataError, DomainError, FitSetupError, NumericError
+from .fitting import FitResult, ModelSpec, fit
 from .simulate import Scenario, generate_dataset
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "ReplicationRecord",
     "PerformanceSummary",
     "derive_seed",
+    "estimate",
     "run_cell",
     "filter_convergence",
     "performance",
@@ -101,12 +104,44 @@ def derive_seed(master_seed: int, scenario_id: str, rep: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _nan_records(scenario_id: str, model_id: str, rep: int,
-                 wall_time: float) -> list[ReplicationRecord]:
+def estimate(result: FitResult,
+             horizon: float) -> dict[EstimandName, EstimandResult | None]:
+    """The study's estimands of one fit, in ESTIMAND_ORDER.
+
+    A fit that did not converge gives None for each. A converged fit gives
+    LogHR and FrailtyVar, and the LLE with its delta-method SE from one pass
+    of lle_functional, or None for the LLE when that fails numerically (a
+    NumericError); any other error propagates.
+    """
+    if not result.converged:
+        return dict.fromkeys(ESTIMAND_ORDER)
+    try:
+        lle_hat, grad = lle_functional(result, horizon)(result.trans)
+        lle_result = EstimandResult(EstimandName.LLE, lle_hat,
+                                    delta_method_se(result, grad))
+    except NumericError:
+        lle_result = None
+    return {
+        EstimandName.LOG_HR: EstimandResult(EstimandName.LOG_HR, result.beta_hat,
+                                            result.beta_se),
+        EstimandName.LLE: lle_result,
+        EstimandName.FRAILTY_VAR: EstimandResult(
+            EstimandName.FRAILTY_VAR, result.frailty_var_hat, result.frailty_var_se),
+    }
+
+
+def _records(scenario_id: str, model_id: str, rep: int,
+             values: Mapping[EstimandName, EstimandResult | None],
+             wall_time: float) -> list[ReplicationRecord]:
+    """One record per estimand; a missing or None value is a NaN record
+    with converged=false."""
+    nan = float("nan")
     return [
-        ReplicationRecord(scenario_id, model_id, rep, name,
-                          float("nan"), float("nan"), False,
+        ReplicationRecord(scenario_id, model_id, rep, name, nan, nan, False,
                           wall_time=wall_time)
+        if (res := values.get(name)) is None else
+        ReplicationRecord(scenario_id, model_id, rep, name, float(res.estimate),
+                          float(res.se), True, wall_time=wall_time)
         for name in ESTIMAND_ORDER
     ]
 
@@ -114,34 +149,16 @@ def _nan_records(scenario_id: str, model_id: str, rep: int,
 def _fit_records(scenario_id: str, spec: ModelSpec, rep: int, data,
                  horizon: float) -> list[ReplicationRecord]:
     """Fit one model to one dataset and extract the three estimands."""
-    model_id = spec.id
     started = time.perf_counter()
     try:
         result = fit(spec, data)
-    except Exception:
-        return _nan_records(scenario_id, model_id, rep,
-                            time.perf_counter() - started)
-    if not result.converged:
-        return _nan_records(scenario_id, model_id, rep,
-                            time.perf_counter() - started)
-    values: dict[EstimandName, tuple[float, float, bool]] = {}
-    values[EstimandName.LOG_HR] = (result.beta_hat, result.beta_se, True)
-    values[EstimandName.FRAILTY_VAR] = (result.frailty_var_hat,
-                                        result.frailty_var_se, True)
-    try:
-        functional = lle_functional(result, horizon)
-        est = functional(result.trans)
-        se = delta_method_se(result, lle_gradient(result, horizon))
-        values[EstimandName.LLE] = (est, se, True)
-    except NumericError:
-        values[EstimandName.LLE] = (float("nan"), float("nan"), False)
-    elapsed = time.perf_counter() - started
-    return [
-        ReplicationRecord(scenario_id, model_id, rep, name,
-                          float(values[name][0]), float(values[name][1]),
-                          values[name][2], wall_time=elapsed)
-        for name in ESTIMAND_ORDER
-    ]
+    except (FitSetupError, NumericError):
+        # the fit's own failures: data that cannot support the model, or a
+        # numeric routine that missed its target
+        values = {}
+    else:
+        values = estimate(result, horizon)
+    return _records(scenario_id, spec.id, rep, values, time.perf_counter() - started)
 
 
 def _replicate(task) -> list[list[ReplicationRecord]]:
@@ -153,7 +170,7 @@ def _replicate(task) -> list[list[ReplicationRecord]]:
     except (NumericError, DomainError):
         # the simulation's own failures: an inversion that misses its
         # residual or bracket, or an invalid uniform or frailty
-        return [_nan_records(scenario.id, spec.id, rep, 0.0) for spec in specs]
+        return [_records(scenario.id, spec.id, rep, {}, 0.0) for spec in specs]
     return [_fit_records(scenario.id, spec, rep, data, horizon) for spec in specs]
 
 
@@ -178,12 +195,14 @@ def run_cell(
     Deterministic given master_seed for any worker count: each replication
     derives its own seed, and the records come back ordered by scenario,
     then model, then rep. A horizon of None means each scenario's own
-    censor_time. Fit failures become converged=false records, never
-    exceptions. A simulation that fails numerically (a NumericError or
-    DomainError) does so for every model of its rep; any other error in
-    the simulation propagates. An LLE that fails numerically (a
-    NumericError) becomes a converged=false LLE record beside the fit's
-    other estimands; any other error in the estimand code propagates.
+    censor_time. A fit that does not converge, or fails with a
+    FitSetupError or NumericError, gives converged=false records; any
+    other error in the fit propagates. A simulation that fails numerically
+    (a NumericError or DomainError) does so for every model of its rep;
+    any other error in the simulation propagates. An LLE that fails
+    numerically (a NumericError) becomes a converged=false LLE record
+    beside the fit's other estimands; any other error in the estimand
+    code propagates.
 
     The scenarios' true estimands, which summarize needs, are computed
     into true_estimands' cache in the main process: while the pool runs
@@ -409,23 +428,26 @@ def plot_rows(
     return rows
 
 
-def _fmt(x: float) -> str:
-    if x != x:
+def _fmt(x: float | None) -> str:
+    """A float at full precision, or "" for None or NaN."""
+    if x is None or x != x:
         return ""
     return format(float(x), ".17g")
+
+
+def _write_csv(path: str, header: str, rows: Iterable[Iterable]) -> None:
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_results_csv(records: Iterable[ReplicationRecord], path: str) -> None:
     """Long-format results; floats carry full precision so re-summarizing
     a written file reproduces the original summary bit for bit."""
-    lines = [RESULTS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.scenario_id},{r.model_id},{r.rep},{r.estimand.value},"
-            f"{_fmt(r.estimate)},{_fmt(r.se)},{int(r.converged)},{int(r.filtered)}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, RESULTS_HEADER, (
+        (r.scenario_id, r.model_id, r.rep, r.estimand.value, _fmt(r.estimate),
+         _fmt(r.se), int(r.converged), int(r.filtered))
+        for r in records))
 
 
 def read_results_csv(path: str) -> list[ReplicationRecord]:
@@ -460,29 +482,18 @@ def read_results_csv(path: str) -> list[ReplicationRecord]:
 
 
 def write_summary_csv(summaries: Iterable[PerformanceSummary], path: str) -> None:
-    lines = [SUMMARY_HEADER]
-    for s in summaries:
-        lines.append(
-            f"{s.scenario_id},{s.model_id},{s.estimand.value},{s.n_used},"
-            f"{_fmt(s.bias)},{_fmt(s.bias_mcse)},{_fmt(s.coverage)},"
-            f"{_fmt(s.coverage_mcse)},{_fmt(s.mse)},{_fmt(s.mse_mcse)},"
-            f"{_fmt(s.empirical_se)},{_fmt(s.mean_model_se)},"
-            f"{_fmt(s.convergence_rate)}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, SUMMARY_HEADER, (
+        (s.scenario_id, s.model_id, s.estimand.value, s.n_used, _fmt(s.bias),
+         _fmt(s.bias_mcse), _fmt(s.coverage), _fmt(s.coverage_mcse), _fmt(s.mse),
+         _fmt(s.mse_mcse), _fmt(s.empirical_se), _fmt(s.mean_model_se),
+         _fmt(s.convergence_rate))
+        for s in summaries))
 
 
 def write_plot_csv(rows: Iterable[dict], path: str) -> None:
-    lines = [PLOT_HEADER]
-    for row in rows:
-        value = "" if row["value"] is None else format(float(row["value"]), ".17g")
-        mcse = "" if row["mcse"] is None else format(float(row["mcse"]), ".17g")
-        lines.append(
-            f"{row['scenario_id']},{row['baseline']},{row['frailty']},"
-            f"{row['frailty_var']:g},{row['n_clusters']},{row['cluster_size']},"
-            f"{row['model_id']},{row['estimand']},{row['measure']},"
-            f"{value},{mcse},{row['status']}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, PLOT_HEADER, (
+        (row["scenario_id"], row["baseline"], row["frailty"],
+         format(row["frailty_var"], "g"), row["n_clusters"], row["cluster_size"],
+         row["model_id"], row["estimand"], row["measure"], _fmt(row["value"]),
+         _fmt(row["mcse"]), row["status"])
+        for row in rows))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from frailsim import cli
+from frailsim import cli, estimands, harness
 from frailsim.cli import (
     _parse_baseline,
     build_parser,
@@ -232,11 +232,26 @@ def test_fit_prints_dash_when_lle_quadrature_fails(demo_dataset, capsys, monkeyp
             raise QuadratureError("log-Normal marginal survival is not finite")
         return functional
 
-    monkeypatch.setattr(cli, "lle_functional", failing_functional)
+    monkeypatch.setattr(harness, "lle_functional", failing_functional)
     assert main(["fit", demo_dataset, "--model", "exp_gamma"]) == 0
     row = next(line for line in capsys.readouterr().out.splitlines()
                if line.startswith("exp_gamma"))
     assert " - " in row
+
+
+def test_fit_builds_one_lle_grid_per_model(demo_dataset, capsys, monkeypatch):
+    """The LLE and its gradient come from one pass over one grid."""
+    original = estimands._grid_prepared
+    calls = []
+
+    def counted(result, t, x):
+        calls.append(result.spec.id)
+        return original(result, t, x)
+
+    monkeypatch.setattr(estimands, "_grid_prepared", counted)
+    assert main(["fit", demo_dataset, "--model", "exp_gamma,wei_gamma"]) == 0
+    capsys.readouterr()
+    assert calls == ["exp_gamma", "wei_gamma"]
 
 
 MC_CONFIG = CUSTOM_SCENARIO + """\

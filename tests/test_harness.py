@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from frailsim import harness
+from frailsim import estimands, harness
 from frailsim.estimands import EstimandName, true_estimands
-from frailsim.exceptions import DataError, NumericError, QuadratureError
+from frailsim.exceptions import DataError, FitSetupError, NumericError, QuadratureError
 from frailsim.fitting import model_from_id
 from frailsim.harness import (
     PLOT_HEADER,
@@ -252,7 +252,7 @@ def test_run_cell_raises_a_failing_truth(monkeypatch, workers):
 
 def test_run_cell_converts_failures_to_nan_records(monkeypatch):
     def broken_fit(spec, data):
-        raise RuntimeError("boom")
+        raise FitSetupError("boom")
 
     monkeypatch.setattr(harness, "fit", broken_fit)
     sc = make_scenario("exp", "gamma", 0.25, 5, 2)
@@ -267,7 +267,7 @@ def test_run_cell_fit_failure_spoils_only_that_model(monkeypatch):
 
     def fit_all_but_weibull(spec, data):
         if spec.id == "wei_gamma":
-            raise RuntimeError("boom")
+            raise FitSetupError("boom")
         return original(spec, data)
 
     monkeypatch.setattr(harness, "fit", fit_all_but_weibull)
@@ -278,17 +278,43 @@ def test_run_cell_fit_failure_spoils_only_that_model(monkeypatch):
     assert all(not r.converged and math.isnan(r.estimate) for r in recs[6:])
 
 
-def _failing_lle_gradient(error):
-    def lle_gradient(result, horizon):
-        def gradient(vec):
+def test_run_cell_fit_programming_error_propagates(monkeypatch):
+    def broken_fit(spec, data):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "fit", broken_fit)
+    sc = make_scenario("exp", "gamma", 0.25, 5, 2)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cell([sc], [model_from_id("exp_gamma")], 2, 7, workers=1)
+
+
+def test_run_cell_builds_one_lle_grid_per_fit(monkeypatch):
+    """The LLE and its gradient come from one pass over one grid."""
+    original = estimands._grid_prepared
+    calls = []
+
+    def counted(result, t, x):
+        calls.append(result.spec.id)
+        return original(result, t, x)
+
+    monkeypatch.setattr(estimands, "_grid_prepared", counted)
+    scenarios, specs = _grid()
+    recs = run_cell(scenarios[:1], specs, 2, 7, workers=1)
+    assert all(r.converged for r in recs)
+    assert sorted(calls) == ["exp_gamma"] * 2 + ["wei_gamma"] * 2
+
+
+def _failing_lle_functional(error):
+    def lle_functional(result, horizon):
+        def functional(vec):
             raise error
-        return gradient
-    return lle_gradient
+        return functional
+    return lle_functional
 
 
 def test_run_cell_lle_numeric_failure_keeps_the_other_estimands(monkeypatch):
-    monkeypatch.setattr(harness, "lle_gradient",
-                        _failing_lle_gradient(QuadratureError("not finite")))
+    monkeypatch.setattr(harness, "lle_functional",
+                        _failing_lle_functional(QuadratureError("not finite")))
     sc = make_scenario("exp", "gamma", 0.25, 30, 4)
     recs = run_cell([sc], [model_from_id("exp_gamma")], 2, 7, workers=1)
     assert len(recs) == 6
@@ -300,7 +326,7 @@ def test_run_cell_lle_numeric_failure_keeps_the_other_estimands(monkeypatch):
 
 
 def test_run_cell_lle_programming_error_propagates(monkeypatch):
-    monkeypatch.setattr(harness, "lle_gradient", _failing_lle_gradient(TypeError("bug")))
+    monkeypatch.setattr(harness, "lle_functional", _failing_lle_functional(TypeError("bug")))
     sc = make_scenario("exp", "gamma", 0.25, 30, 4)
     with pytest.raises(TypeError, match="bug"):
         run_cell([sc], [model_from_id("exp_gamma")], 2, 7, workers=1)
