@@ -1,80 +1,38 @@
-"""Shared-frailty survival models: simulation, fitting, and Monte Carlo studies."""
+"""Shared-frailty survival models: simulation, fitting, and Monte Carlo studies.
+
+Each public name loads its module on first use, so that importing the
+package loads no numpy: ``python -m frailsim`` can then set the BLAS
+thread variables before numpy reads them (see ``__main__``).
+"""
 from __future__ import annotations
 
-from .estimands import (
-    EstimandName,
-    EstimandResult,
-    MarginalModel,
-    delta_method_se,
-    life_expectancy,
-    lle,
-    lle_functional,
-    true_estimands,
-)
-from .fitting import (
-    FitResult,
-    ModelSpec,
-    all_model_ids,
-    fit,
-    information_criteria,
-    model_from_id,
-)
-from .harness import (
-    filter_convergence,
-    performance,
-    run_cell,
-    summarize,
-)
-from .hazards import (
-    Exponential,
-    FrailtyFamily,
-    FrailtySpec,
-    Gompertz,
-    Weibull,
-    WeibullMixture,
-)
-from .simulate import (
-    ClusteredDataset,
-    Scenario,
-    generate_dataset,
-    make_scenario,
-    read_dataset_csv,
-    scenario_grid,
-    write_dataset_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClusteredDataset",
-    "EstimandName",
-    "EstimandResult",
-    "Exponential",
-    "FitResult",
-    "FrailtyFamily",
-    "FrailtySpec",
-    "Gompertz",
-    "MarginalModel",
-    "ModelSpec",
-    "Scenario",
-    "Weibull",
-    "WeibullMixture",
-    "all_model_ids",
-    "delta_method_se",
-    "filter_convergence",
-    "fit",
-    "generate_dataset",
-    "information_criteria",
-    "life_expectancy",
-    "lle",
-    "lle_functional",
-    "make_scenario",
-    "model_from_id",
-    "performance",
-    "read_dataset_csv",
-    "run_cell",
-    "scenario_grid",
-    "summarize",
-    "true_estimands",
-    "write_dataset_csv",
-]
+_MODULE_EXPORTS = {
+    "estimands": ("EstimandName", "EstimandResult", "MarginalModel", "delta_method_se",
+                  "life_expectancy", "lle", "lle_functional", "true_estimands"),
+    "fitting": ("FitResult", "ModelSpec", "all_model_ids", "fit", "information_criteria",
+                "model_from_id"),
+    "harness": ("filter_convergence", "performance", "run_cell", "summarize"),
+    "hazards": ("Exponential", "FrailtyFamily", "FrailtySpec", "Gompertz", "Weibull",
+                "WeibullMixture"),
+    "simulate": ("ClusteredDataset", "Scenario", "generate_dataset", "make_scenario",
+                 "read_dataset_csv", "scenario_grid", "write_dataset_csv"),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,7 +10,10 @@ coefficients, and beta unchanged. The likelihood comes with its analytic
 score on that scale: per row d log h and d log H (closed forms, or the
 spline basis B and its derivative Bd), and per cluster the derivatives of
 the Gamma closed form or of the Gauss-Hermite sum in the cluster's
-cumulative hazard V and the log frailty variance.
+cumulative hazard V and the log frailty variance. The observed information
+at an optimum follows by the chain rule through V: closed second
+derivatives per row, and per cluster those of the Gamma closed form, or
+central differences of the Gauss-Hermite derivatives in V and log variance.
 """
 from __future__ import annotations
 
@@ -45,7 +48,12 @@ MODEL_BASELINES = ("exp", "wei", "gom", "rp")
 RP_DF = (3, 5, 9)
 
 _PENALTY = 1e10
-_HESS_STEP = 1e-4
+# steps of the central differences of the log-Normal cluster derivatives:
+# relative in V, and 1e-4 (1 + |log var|) in log var, because near var = 0
+# each cluster's g_u is a difference of O(1) terms whose rounding a smaller
+# step would amplify
+_V_STEP = 1e-5
+_U_STEP = 1e-4
 # relative, because an absolute score tolerance of 1e-7 is below what the
 # objective resolves at |loglik| of 500-2,000
 _GTOL_REL = 1e-7
@@ -288,6 +296,12 @@ class _Prepared:
     nearby knots are so collinear that the numerical Hessian of the raw
     (or merely rescaled) parameterization picks up spurious negative
     eigenvalues at any finite-difference step.
+
+    design is the constant part of d log H / d(baseline, beta), one row per
+    subject: [1, x] (exp), [1, B, x] (rp), and [1, z, x] for wei and gom,
+    whose middle column varies with the parameters and is built from z =
+    log t (wei) or t (gom). event_design is its sum over the event rows,
+    event_logt that of log t, and event_Bd the rows of Bd at the events.
     """
 
     t: np.ndarray
@@ -302,6 +316,10 @@ class _Prepared:
     Bd: np.ndarray | None
     center: np.ndarray | None
     transform: np.ndarray | None
+    design: np.ndarray
+    event_design: np.ndarray
+    event_logt: float
+    event_Bd: np.ndarray | None
     d_range: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -318,6 +336,36 @@ class _Prepared:
         return _scaled_to_raw_coefs(vec, spec.n_baseline_params, self.center, self.transform)
 
 
+def _rows(spec: ModelSpec, t: np.ndarray, logt: np.ndarray, x: np.ndarray,
+          d: np.ndarray, cluster: np.ndarray, basis: SplineBasis | None = None,
+          B: np.ndarray | None = None, Bd: np.ndarray | None = None,
+          center: np.ndarray | None = None,
+          transform: np.ndarray | None = None) -> _Prepared:
+    """The _Prepared of rows at times t (logs logt), arms x, event flags d
+    and clusters, with its constant design and event-row sums."""
+    n_clusters = int(cluster.max()) + 1
+    middle = {"exp": (), "wei": (logt,), "gom": (t,), "rp": (B,)}[spec.baseline]
+    design = np.column_stack((np.ones_like(t), *middle, x))
+    return _Prepared(
+        t=t,
+        logt=logt,
+        x=x,
+        d=d,
+        cluster=cluster,
+        n_clusters=n_clusters,
+        events_per_cluster=np.bincount(cluster, weights=d, minlength=n_clusters),
+        basis=basis,
+        B=B,
+        Bd=Bd,
+        center=center,
+        transform=transform,
+        design=design,
+        event_design=design[d].sum(axis=0),
+        event_logt=float(logt[d].sum()),
+        event_Bd=None if Bd is None else Bd[d],
+    )
+
+
 def _prepare(spec: ModelSpec, data: ClusteredDataset,
              basis: SplineBasis | None = None,
              orthogonalize: bool = True,
@@ -328,8 +376,6 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset,
     d = np.asarray(data.event, dtype=bool)
     if require_events and not d.any():
         raise FitSetupError("cannot fit with zero events")
-    cluster = np.asarray(data.cluster, dtype=np.int64)
-    n_clusters = int(cluster.max()) + 1
     logt = np.log(t)
     B = Bd = center = transform = None
     if spec.baseline == "rp":
@@ -348,20 +394,8 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset,
             transform = r / root_n
             B = q * root_n
             Bd = solve_triangular(transform, Bd.T, lower=False, trans="T").T
-    return _Prepared(
-        t=t,
-        logt=logt,
-        x=np.asarray(data.treat, dtype=float),
-        d=d,
-        cluster=cluster,
-        n_clusters=n_clusters,
-        events_per_cluster=np.bincount(cluster, weights=d, minlength=n_clusters),
-        basis=basis,
-        B=B,
-        Bd=Bd,
-        center=center,
-        transform=transform,
-    )
+    return _rows(spec, t, logt, np.asarray(data.treat, dtype=float), d,
+                 np.asarray(data.cluster, dtype=np.int64), basis, B, Bd, center, transform)
 
 
 def _grid_prepared(result: FitResult, t: np.ndarray, x: np.ndarray) -> _Prepared:
@@ -369,15 +403,16 @@ def _grid_prepared(result: FitResult, t: np.ndarray, x: np.ndarray) -> _Prepared
     own, on the optimizer scale of a fit: _log_h_and_H on it at result.trans
     gives H(t, x) and d log H / d trans."""
     n = t.size
-    rows = ClusteredDataset(cluster=np.arange(n), time=t, event=np.zeros(n, dtype=bool), treat=x)
-    prep = _prepare(result.spec, rows, basis=result.basis, orthogonalize=False,
-                    require_events=False)
-    if prep.B is not None:
+    logt = np.log(t)
+    B = Bd = None
+    if result.basis is not None:
         # the fit's orthogonalization: (B - center) T^-1 and Bd T^-1
-        prep.center, prep.transform = result.basis_center, result.basis_transform
-        prep.B, prep.Bd = (solve_triangular(prep.transform, cols.T, lower=False, trans="T").T
-                           for cols in (prep.B - prep.center, prep.Bd))
-    return prep
+        B, Bd = (solve_triangular(result.basis_transform, cols.T, lower=False, trans="T").T
+                 for cols in (basis_eval(result.basis, logt) - result.basis_center,
+                              basis_derivative(result.basis, logt)))
+    return _rows(result.spec, t, logt, np.asarray(x, dtype=float), np.zeros(n, dtype=bool),
+                 np.arange(n), result.basis, B, Bd, result.basis_center,
+                 result.basis_transform)
 
 
 def _dlog_expm1_over(v: np.ndarray) -> np.ndarray:
@@ -388,45 +423,58 @@ def _dlog_expm1_over(v: np.ndarray) -> np.ndarray:
     return np.where(small, 0.5 + v / 12.0, -1.0 / np.expm1(-safe) - 1.0 / safe)
 
 
-def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
-    """Row-wise log conditional hazard, conditional cumulative hazard, and
-    the derivatives of log h and log H in vec[:nb + 1] (baseline and beta),
-    one row per subject.
+def _d2log_expm1_over(v: np.ndarray) -> np.ndarray:
+    """d2/dv2 log(expm1(v)/v) = 1/v^2 - 1/(4 sinh^2(v/2)); below |v| = 0.05,
+    where that difference cancels, its series 1/12 - v^2/240 + v^4/6048."""
+    v = np.asarray(v, dtype=float)
+    small = np.abs(v) < 0.05
+    safe = np.where(small, 1.0, v)
+    v2 = v * v
+    with np.errstate(over="ignore"):
+        return np.where(small, 1.0 / 12.0 - v2 / 240.0 + v2 * v2 / 6048.0,
+                        1.0 / (safe * safe) - 0.25 / np.sinh(0.5 * safe) ** 2)
 
-    log h may be -inf (flagging a nonpositive RP hazard slope); H may
-    overflow to inf. Both are handled by the likelihood wrappers.
+
+def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
+    """The sum of log h over the event rows, the row-wise conditional
+    cumulative hazard H, the sum of d log h over the event rows, and the
+    row-wise d log H, the derivatives in vec[:nb + 1] (baseline and beta).
+
+    The log h sum may be -inf (flagging a nonpositive RP hazard slope at an
+    event) or NaN; H may overflow to inf. Both are handled by the callers.
+    d log H may be prep.design itself, which callers must not modify.
     """
     nb = spec.n_baseline_params
-    xb = prep.x * vec[nb]
-    ones = np.ones_like(prep.t)
+    theta = vec[:nb + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.baseline == "exp":
-            log_h = vec[0] + xb
-            H = np.exp(vec[0] + xb) * prep.t
-            dlog_H = dlog_h = np.column_stack((ones, prep.x))
+            log_h_sum = prep.event_design @ theta
+            H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t
+            dlog_h_sum, dlog_H = prep.event_design, prep.design
         elif spec.baseline == "wei":
+            # log h = log rate + log shape + (shape - 1) log t + x beta
             shape = np.exp(vec[1])
-            log_h = vec[0] + vec[1] + (shape - 1.0) * prep.logt + xb
-            H = np.exp(vec[0] + shape * prep.logt + xb)
-            dlog_H = np.column_stack((ones, shape * prep.logt, prep.x))
-            dlog_h = np.column_stack((ones, 1.0 + shape * prep.logt, prep.x))
+            scale = np.array([1.0, shape, 1.0])
+            log_h_sum = (prep.event_design @ [vec[0], shape - 1.0, vec[nb]]
+                         + prep.event_design[0] * vec[1])
+            H = np.exp(vec[0] + shape * prep.logt + prep.x * vec[nb])
+            dlog_h_sum = prep.event_design * scale + [0.0, prep.event_design[0], 0.0]
+            dlog_H = prep.design * scale
         elif spec.baseline == "gom":
-            gamma = vec[1]
-            log_h = vec[0] + gamma * prep.t + xb
-            H = np.exp(vec[0] + xb) * prep.t * _expm1_over(gamma * prep.t)
-            dlog_H = np.column_stack((ones, prep.t * _dlog_expm1_over(gamma * prep.t), prep.x))
-            dlog_h = np.column_stack((ones, prep.t, prep.x))
+            log_h_sum = prep.event_design @ theta
+            H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t * _expm1_over(vec[1] * prep.t)
+            dlog_h_sum = prep.event_design
+            dlog_H = prep.design.copy()
+            dlog_H[:, 1] *= _dlog_expm1_over(vec[1] * prep.t)
         else:
-            coef = vec[1:nb]
-            s = vec[0] + prep.B @ coef
-            sp = prep.Bd @ coef
-            logH = s + xb
-            log_h = np.where(sp > 0, np.log(np.where(sp > 0, sp, 1.0)) - prep.logt + logH, -np.inf)
-            H = np.exp(logH)
-            dlog_H = np.column_stack((ones, prep.B, prep.x))
-            dlog_h = dlog_H.copy()
-            dlog_h[:, 1:nb] += prep.Bd / sp[:, None]
-    return log_h, H, dlog_h, dlog_H
+            sp = prep.event_Bd @ vec[1:nb]
+            log_sp = np.where(sp > 0, np.log(np.where(sp > 0, sp, 1.0)), -np.inf)
+            log_h_sum = log_sp.sum() - prep.event_logt + prep.event_design @ theta
+            H = np.exp(prep.design @ theta)
+            dlog_h_sum = prep.event_design.copy()
+            dlog_h_sum[1:nb] += (1.0 / sp) @ prep.event_Bd
+            dlog_H = prep.design
+    return float(log_h_sum), H, dlog_h_sum, dlog_H
 
 
 def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule):
@@ -489,6 +537,35 @@ def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarra
     return cluster_logs, g_V, g_u
 
 
+def _gamma_curvature(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarray):
+    """Second derivatives g_VV, g_Vu and g_uu of the Gamma cluster terms of
+    _gamma_clusters, in V and in u = log var, in closed form."""
+    jv = var * d_range[:-1]
+    ratio_curvatures = np.concatenate(([0.0], np.cumsum(jv / (1.0 + jv) ** 2)))
+    one_vV = 1.0 + var * V
+    g_VV = var * (1.0 + var * D) / one_vV**2
+    g_Vu = -var * (D - V) / one_vV**2
+    g_uu = (ratio_curvatures[D.astype(np.int64)] + V / one_vV - np.log1p(var * V) / var
+            + g_Vu * V)
+    return g_VV, g_Vu, g_uu
+
+
+def _lognormal_curvature(D: np.ndarray, V: np.ndarray, var: float, rule):
+    """g_VV, g_Vu and g_uu of the log-Normal cluster terms: central
+    differences of _lognormal_clusters' g_V and g_u, in V by a step relative
+    to V and in u = log var. g_VV is 0 where V is 0, since it multiplies
+    d V / d vec, which is 0 there too."""
+    h = _V_STEP
+    _, g_V_up, _ = _lognormal_clusters(D, V * (1.0 + h), var, rule)
+    _, g_V_down, _ = _lognormal_clusters(D, V * (1.0 - h), var, rule)
+    step = 2.0 * h * V
+    g_VV = np.divide(g_V_up - g_V_down, step, out=np.zeros_like(V), where=step > 0)
+    hu = _U_STEP * (1.0 + abs(np.log(var)))
+    _, g_Vu_up, g_u_up = _lognormal_clusters(D, V, var * np.exp(hu), rule)
+    _, g_Vu_down, g_u_down = _lognormal_clusters(D, V, var * np.exp(-hu), rule)
+    return g_VV, (g_Vu_up - g_Vu_down) / (2.0 * hu), (g_u_up - g_u_down) / (2.0 * hu)
+
+
 def _cluster_terms(spec: ModelSpec, D: np.ndarray, V: np.ndarray, var: float,
                    d_range: np.ndarray):
     """Each cluster's log marginal term given its event count D and
@@ -498,28 +575,84 @@ def _cluster_terms(spec: ModelSpec, D: np.ndarray, V: np.ndarray, var: float,
     return _lognormal_clusters(D, V, var, gh_rule(spec.gh_nodes))
 
 
+def _cluster_curvature(spec: ModelSpec, D: np.ndarray, V: np.ndarray, var: float,
+                       d_range: np.ndarray):
+    """The second derivatives g_VV, g_Vu and g_uu of _cluster_terms."""
+    if spec.frailty is FrailtyFamily.GAMMA:
+        return _gamma_curvature(D, V, var, d_range)
+    return _lognormal_curvature(D, V, var, gh_rule(spec.gh_nodes))
+
+
 def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[float, np.ndarray]:
     """Marginal log-likelihood and its score (gradient in vec).
 
     A non-finite log-likelihood reads -inf, with a score of NaNs.
     """
     infeasible = -np.inf, np.full(vec.size, np.nan)
-    log_h, H, dlog_h, dlog_H = _log_h_and_H(prep, spec, vec)
-    event_log_h = log_h[prep.d]
-    if not (np.isfinite(event_log_h).all() and np.isfinite(H).all()):
+    log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, spec, vec)
+    if not (np.isfinite(log_h_sum) and np.isfinite(H).all()):
         return infeasible
     V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
     cluster_logs, g_V, g_u = _cluster_terms(spec, prep.events_per_cluster, V,
                                             np.exp(vec[-1]), prep.d_range)
-    ll = float(event_log_h.sum()) + float(cluster_logs.sum())
+    ll = log_h_sum + float(cluster_logs.sum())
     # optimizer excursions (an extreme log variance, every H underflowing)
     # can leave non-finite cluster terms; they are infeasible points
     if not np.isfinite(ll):
         return infeasible
     score = np.empty(vec.size)
-    score[:-1] = dlog_h[prep.d].sum(axis=0) + (g_V[prep.cluster] * H) @ dlog_H
+    score[:-1] = dlog_h_sum + (g_V[prep.cluster] * H) @ dlog_H
     score[-1] = g_u.sum()
     return ll, score
+
+
+def _observed_information(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> np.ndarray:
+    """Hessian of the negated marginal log-likelihood at vec, all NaN at an
+    infeasible point.
+
+    One pass over the rows, by the chain rule through each cluster's
+    cumulative hazard V_i = sum of its H_r. With theta the baseline and
+    beta, the theta block of the log-likelihood's Hessian is
+    sum_events d2 log h + sum_r g_V H (dlog H dlog H' + d2 log H)
+    + sum_i g_VV dV_i dV_i', where dV_i = sum_r H dlog H over the cluster.
+    The rows' second derivatives are sparse: none for exp; e^b log t in the
+    log-shape entry of both log h and log H for wei; t^2 times
+    d2/dv2 log(expm1(v)/v) in log H for gom; -Bd Bd' / sp^2 in log h's
+    coefficient block for rp. The log-variance row is sum_i g_Vu dV_i and
+    sum_i g_uu.
+    """
+    nb = spec.n_baseline_params
+    k = vec.size
+    hess = np.full((k, k), np.nan)
+    log_h_sum, H, _, dlog_H = _log_h_and_H(prep, spec, vec)
+    if not (np.isfinite(log_h_sum) and np.isfinite(H).all()):
+        return hess
+    V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
+    D, var = prep.events_per_cluster, np.exp(vec[-1])
+    cluster_logs, g_V, _ = _cluster_terms(spec, D, V, var, prep.d_range)
+    if not np.isfinite(cluster_logs.sum()):
+        return hess
+    w = g_V[prep.cluster] * H
+    # dV_i, one row per cluster: a single bincount over (cluster, column)
+    cells = prep.cluster[:, None] * (k - 1) + np.arange(k - 1)
+    dV = np.bincount(cells.ravel(), weights=(dlog_H * H[:, None]).ravel(),
+                     minlength=prep.n_clusters * (k - 1)).reshape(prep.n_clusters, k - 1)
+    # a score that overflowed where a V underflowed leaves a non-finite
+    # matrix, which the caller reads as not positive definite
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_VV, g_Vu, g_uu = _cluster_curvature(spec, D, V, var, prep.d_range)
+        block = (dlog_H * w[:, None]).T @ dlog_H + (dV * g_VV[:, None]).T @ dV
+        if spec.baseline == "wei":
+            block[1, 1] += np.exp(vec[1]) * (prep.event_design[1] + w @ prep.logt)
+        elif spec.baseline == "gom":
+            block[1, 1] += w @ (prep.t**2 * _d2log_expm1_over(vec[1] * prep.t))
+        elif spec.baseline == "rp":
+            q = prep.event_Bd / (prep.event_Bd @ vec[1:nb])[:, None]
+            block[1:nb, 1:nb] -= q.T @ q
+        hess[:-1, :-1] = block
+        hess[-1, :-1] = hess[:-1, -1] = g_Vu @ dV
+        hess[-1, -1] = g_uu.sum()
+    return -hess
 
 
 def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
@@ -581,19 +714,6 @@ def lognormal_marginal_loglik(spec: ModelSpec, params: ModelParams,
     return _marginal_loglik(FrailtyFamily.LOG_NORMAL, spec, params, data)
 
 
-def _score_hessian(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> np.ndarray:
-    """Hessian of the negated log-likelihood by central differences of the
-    score: 2k score evaluations. Non-finite where a neighbour is infeasible."""
-    steps = _HESS_STEP * (1.0 + np.abs(vec))
-    hess = np.empty((vec.size, vec.size))
-    for k, h in enumerate(steps):
-        step = np.zeros_like(vec)
-        step[k] = h
-        hess[k] = (_loglik_core(prep, spec, vec - step)[1]
-                   - _loglik_core(prep, spec, vec + step)[1]) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
 @dataclass
 class FitResult:
     """Everything a downstream consumer needs from one maximum-likelihood fit.
@@ -603,13 +723,13 @@ class FitResult:
     ``se_natural`` and ``cov_natural`` are on the reporting scales.
     ``n_evaluations`` counts the optimizer's evaluations over the starts
     that ran (one, or all three after a fallback), each one of the
-    log-likelihood and its score together; the 2k score evaluations of the
-    Hessian are not counted; ``n_iterations`` counts the BFGS iterations
-    completed. ``grad_inf_norm`` is the largest absolute score entry at the
-    optimum. ``message`` joins the distinct reasons the starts that ran
-    stopped: the relative score rule of ``fit`` ("score below
-    1e-07*(1+|loglik|)") or scipy's own message; after a fallback it also
-    says "first start not converged, fallback starts ran".
+    log-likelihood and its score together; the observed information taken
+    at each start's optimum is not counted; ``n_iterations`` counts the
+    BFGS iterations completed. ``grad_inf_norm`` is the largest absolute
+    score entry at the optimum. ``message`` joins the distinct reasons the
+    starts that ran stopped: the relative score rule of ``fit`` ("score
+    below 1e-07*(1+|loglik|)") or scipy's own message; after a fallback it
+    also says "first start not converged, fallback starts ran".
     """
 
     spec: ModelSpec
@@ -698,8 +818,9 @@ def fit(
     it evaluates, iterate or line-search trial, whose score inf-norm is at
     most 1e-7 (1 + |loglik|) and whose loglik is no lower than the best so
     far beyond rounding, unless scipy's own tests (absolute gtol 1e-7, a
-    failed line search, max_iter) end it first. The Hessian is central
-    differences of the score at that optimum. Only when that optimum fails
+    failed line search, max_iter) end it first. The Hessian at that optimum
+    is the observed information, by the chain rule through each cluster's
+    cumulative hazard (``_observed_information``). Only when that optimum fails
     the convergence test (score inf-norm at most 1e-5 (1 + |loglik|) and a
     positive-definite Hessian) do the other two starts run; each is assessed,
     and the converged start with the highest loglik is kept, or the highest
@@ -757,7 +878,7 @@ def fit(
         loglik = -res.fun if res.fun < _PENALTY / 2 else -np.inf
         grad_inf_norm = float(np.max(np.abs(res.jac)))
         grad_ok = np.isfinite(loglik) and grad_inf_norm <= 1e-5 * (1.0 + abs(loglik))
-        hessian = _score_hessian(prep, spec, res.x)
+        hessian = _observed_information(prep, spec, res.x)
         cov, cond = None, np.nan
         if np.isfinite(hessian).all():
             try:

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import frailsim
 from frailsim import cli, estimands, harness
 from frailsim.cli import (
     _parse_baseline,
@@ -17,6 +22,7 @@ from frailsim.exceptions import ConfigError, NumericError, QuadratureError
 from frailsim.fitting import fit, model_from_id
 from frailsim.harness import derive_seed
 from frailsim.hazards import Exponential, Weibull
+from frailsim.__main__ import THREAD_VARIABLES
 from frailsim.simulate import read_dataset_csv
 
 
@@ -315,3 +321,52 @@ def test_summarize_missing_results(tmp_path, capsys):
                "--out", str(tmp_path / "y")])
     assert rc == 3
     capsys.readouterr()
+
+
+# records the thread variables at the moment numpy is first imported, then
+# runs the package as ``python -m frailsim --help`` does
+_NUMPY_IMPORT_SPY = """
+import json, os, runpy, sys
+names = json.loads(sys.argv[1])
+seen = {}
+
+class NumpyImportSpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((var, os.environ.get(var)) for var in names)
+
+sys.meta_path.insert(0, NumpyImportSpy())
+sys.argv[1:] = ["--help"]
+try:
+    runpy.run_module("frailsim", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(seen))
+"""
+
+
+def _python(code: str, *args: str, **env: str) -> str:
+    """Run code in a fresh interpreter whose environment lacks the thread
+    variables, plus env, and return its last line of output."""
+    clean = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    src = str(Path(frailsim.__file__).resolve().parents[1])
+    clean["PYTHONPATH"] = os.pathsep.join(filter(None, [src, clean.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env={**clean, **env},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_python_m_frailsim_sets_thread_variables_before_numpy_loads(preset):
+    """Unset, each variable reads "1" when numpy loads; a value the caller
+    set, here "2", is kept."""
+    env = {} if preset is None else dict.fromkeys(THREAD_VARIABLES, preset)
+    seen = json.loads(_python(_NUMPY_IMPORT_SPY, json.dumps(THREAD_VARIABLES), **env))
+    assert seen == dict.fromkeys(THREAD_VARIABLES, preset or "1")
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_nothing():
+    code = ("import json, os, sys, frailsim; "
+            "print(json.dumps(['numpy' in sys.modules, "
+            f"[os.environ.get(v) for v in {list(THREAD_VARIABLES)!r}]]))")
+    assert json.loads(_python(code)) == [False, [None] * len(THREAD_VARIABLES)]
