@@ -240,15 +240,12 @@ def _robust_z(values: np.ndarray) -> np.ndarray:
     return (values - med) / iqr
 
 
-def filter_convergence(
-    records: Sequence[ReplicationRecord],
-    cutoff: float = FILTER_CUTOFF,
-) -> list[ReplicationRecord]:
+def filter_convergence(records: Sequence[ReplicationRecord]) -> list[ReplicationRecord]:
     """Flag outlier replications within each (scenario, model, estimand).
 
     Among converged records, the estimate and the standard error are each
     standardized as (value - median) / IQR; a record is filtered when
-    either statistic strictly exceeds the cutoff in absolute value. Zero
+    either statistic strictly exceeds FILTER_CUTOFF in absolute value. Zero
     IQR means no spread to standardize against, so nothing is filtered.
     """
     groups: dict[tuple[str, str, EstimandName], list[int]] = {}
@@ -262,7 +259,8 @@ def filter_convergence(
             continue
         est = np.array([records[i].estimate for i in indices])
         se = np.array([records[i].se for i in indices])
-        flag = (np.abs(_robust_z(est)) > cutoff) | (np.abs(_robust_z(se)) > cutoff)
+        flag = ((np.abs(_robust_z(est)) > FILTER_CUTOFF)
+                | (np.abs(_robust_z(se)) > FILTER_CUTOFF))
         for i, flagged in zip(indices, flag):
             if flagged:
                 out[i] = replace(out[i], filtered=True)
@@ -330,41 +328,47 @@ def _truth_for(scenario: Scenario, estimand: EstimandName) -> float:
     return scenario.frailty.variance
 
 
-def _frailty_matches(model_id: str, scenario: Scenario) -> bool:
-    family = model_id.rsplit("_", 1)[-1]
-    return family == scenario.frailty.family.value
+def _cells(records: Sequence[ReplicationRecord], scenarios: Mapping[str, Scenario]):
+    """Yield each (scenario, model, estimand) cell of the records as (key,
+    scenario, records), sorted by scenario, model and ESTIMAND_ORDER.
 
-
-def summarize(
-    records: Sequence[ReplicationRecord],
-    scenarios: Mapping[str, Scenario],
-    filter_alarm: float = FILTER_ALARM,
-) -> list[PerformanceSummary]:
-    """Per-cell performance summaries against each scenario's ground truth.
-
-    Frailty-variance rows are produced only where the fitted frailty family
+    Frailty-variance cells appear only where the fitted frailty family
     matches the generating one; bias of a variance against a differently
-    shaped law is not a meaningful number. Cells with fewer than two usable
-    records are skipped (the plot data marks them instead). Filtering more
-    than filter_alarm of a cell's converged records raises a warning since
-    heavy filtering signals a pathological model/scenario pairing.
+    shaped law is not a meaningful number. An unknown scenario id raises
+    DataError.
     """
     groups: dict[tuple[str, str, EstimandName], list[ReplicationRecord]] = {}
     for rec in records:
         groups.setdefault((rec.scenario_id, rec.model_id, rec.estimand), []).append(rec)
     order = {name: pos for pos, name in enumerate(ESTIMAND_ORDER)}
-    summaries = []
     for key in sorted(groups, key=lambda k: (k[0], k[1], order[k[2]])):
         scenario_id, model_id, estimand = key
         if scenario_id not in scenarios:
             raise DataError(f"unknown scenario id in records: {scenario_id!r}")
         scenario = scenarios[scenario_id]
-        if estimand is EstimandName.FRAILTY_VAR and not _frailty_matches(model_id, scenario):
+        if (estimand is EstimandName.FRAILTY_VAR
+                and model_id.rsplit("_", 1)[-1] != scenario.frailty.family.value):
             continue
-        cell = groups[key]
+        yield key, scenario, groups[key]
+
+
+def summarize(
+    records: Sequence[ReplicationRecord],
+    scenarios: Mapping[str, Scenario],
+) -> list[PerformanceSummary]:
+    """Per-cell performance summaries against each scenario's ground truth,
+    for the cells of _cells.
+
+    Cells with fewer than two usable records are skipped (the plot data
+    marks them instead). Filtering more than FILTER_ALARM of a cell's
+    converged records raises a warning since heavy filtering signals a
+    pathological model/scenario pairing.
+    """
+    summaries = []
+    for (scenario_id, model_id, estimand), scenario, cell in _cells(records, scenarios):
         converged = [r for r in cell if r.converged]
         n_filtered = sum(r.filtered for r in converged)
-        if converged and n_filtered / len(converged) > filter_alarm:
+        if converged and n_filtered / len(converged) > FILTER_ALARM:
             warnings.warn(
                 f"{scenario_id}/{model_id}/{estimand.value}: filtered "
                 f"{n_filtered}/{len(converged)} converged replications",
@@ -384,24 +388,15 @@ def plot_rows(
 ) -> list[dict]:
     """Tidy rows for plotting: one row per cell, estimand and measure.
 
-    Every (scenario, model, estimand) cell present in the records appears,
-    either with its summary values or with status "insufficient" when too
-    few replications converged, so downstream plots can grey those cells
-    out instead of silently dropping them.
+    Every cell of _cells appears, either with its summary values or with
+    status "insufficient" when too few replications converged, so
+    downstream plots can grey those cells out instead of silently dropping
+    them.
     """
     have = {(s.scenario_id, s.model_id, s.estimand): s for s in summaries}
-    cells: dict[tuple[str, str, EstimandName], None] = {}
-    for rec in records:
-        cells.setdefault((rec.scenario_id, rec.model_id, rec.estimand), None)
-    order = {name: pos for pos, name in enumerate(ESTIMAND_ORDER)}
     rows = []
-    for key in sorted(cells, key=lambda k: (k[0], k[1], order[k[2]])):
+    for key, scenario, _ in _cells(records, scenarios):
         scenario_id, model_id, estimand = key
-        if scenario_id not in scenarios:
-            raise DataError(f"unknown scenario id in records: {scenario_id!r}")
-        scenario = scenarios[scenario_id]
-        if estimand is EstimandName.FRAILTY_VAR and not _frailty_matches(model_id, scenario):
-            continue
         base = {
             "scenario_id": scenario_id,
             "baseline": scenario.baseline_label,

@@ -235,13 +235,24 @@ class WeibullMixture(BaselineHazard):
         if pos.any():
             tp = arr[pos]
             log_cumhaz, slope = self._log_cumhaz_and_slope(tp)
-            out[pos] = slope * np.exp(log_cumhaz) / tp
+            h = slope * np.exp(log_cumhaz) / tp
+            # where H0 is subnormal the slope loses its digits, and where both
+            # component H underflow log H0 is -inf and the slope 0/0; there
+            # h0 is its small-t limit, the weighted component hazards
+            tiny = log_cumhaz < np.log(np.finfo(float).tiny)
+            h[tiny] = sum(w * rate * shape * tp[tiny] ** (shape - 1.0)
+                          for w, rate, shape in self._components())
+            out[pos] = h
         return _ret(out, scalar)
+
+    def _components(self) -> tuple[tuple[float, float, float], ...]:
+        """(weight, rate, shape) of each Weibull component."""
+        return ((self.mix, self.rate1, self.shape1),
+                (1.0 - self.mix, self.rate2, self.shape2))
 
     def _hazard_at_zero(self) -> float:
         total = 0.0
-        for w, rate, shape in ((self.mix, self.rate1, self.shape1),
-                               (1.0 - self.mix, self.rate2, self.shape2)):
+        for w, rate, shape in self._components():
             if shape < 1.0:
                 raise DomainError("hazard is unbounded at t = 0 when a component shape < 1")
             total += w * rate * shape if shape == 1.0 else 0.0

@@ -28,6 +28,7 @@ from frailsim.fitting import (
 from frailsim.harness import derive_seed
 from frailsim.hazards import FrailtyFamily
 from frailsim.quadrature import tanh_sinh
+from frailsim.splines import place_knots
 from frailsim.simulate import (
     ClusteredDataset,
     generate_dataset,
@@ -210,7 +211,7 @@ def _cd_gradient(prep, spec, vec):
 @pytest.mark.parametrize("model_id", all_model_ids())
 def test_score_matches_central_differences(model_id, size):
     prep, spec, res = _study_fit(model_id, size)
-    start = prep.raw_to_scaled(spec, fitting._starting_points(spec, prep)[1])
+    start = np.linalg.solve(prep.to_raw, fitting._starting_points(spec, prep)[1])
     for vec in (start, res.trans):
         ll, score = fitting._loglik_core(prep, spec, vec)
         assert np.isfinite(ll)
@@ -267,7 +268,7 @@ def test_loglik_on_the_prepared_design_matches_a_column_stack_reference(model_id
     log-likelihood is compared.)"""
     prep, spec, res = _study_fit(model_id, size)
     for raw in fitting._starting_points(spec, prep):
-        vec = prep.raw_to_scaled(spec, raw)
+        vec = np.linalg.solve(prep.to_raw, raw)
         ll, score = fitting._loglik_core(prep, spec, vec)
         want_ll, want_score = _column_stack_loglik(prep, spec, vec)
         assert abs(ll - want_ll) <= 1e-12 * abs(want_ll)
@@ -599,14 +600,61 @@ def test_fit_message_names_each_start_stop_reason(monkeypatch):
         assert fitting._SCORE_STOP in reasons
 
 
-def test_pack_unpack_round_trip():
-    spec = model_from_id("gom_gamma")
-    params = ModelParams(spec, np.array([0.45, 0.15]), -0.4, 0.8)
+@pytest.mark.parametrize("model_id,baseline,logs", [
+    ("exp_gamma", [0.45], [True, False, True]),
+    ("wei_lognormal", [0.45, 1.3], [True, True, False, True]),
+    ("gom_gamma", [0.45, -0.15], [True, False, False, True]),
+    ("rp5_gamma", [-1.2, 0.9, -0.3, 0.05, 0.2, -0.1], [False] * 7 + [True]),
+], ids=["exp", "wei", "gom", "rp5"])
+def test_pack_unpack_round_trip(model_id, baseline, logs):
+    """The log_* entries of param_names() are the logs of their natural
+    values and the others the values themselves, also a negative Gompertz
+    slope, and unpack_params inverts pack_params."""
+    spec = model_from_id(model_id)
+    assert spec.log_scale.tolist() == logs
+    basis = place_knots(np.log(np.linspace(0.1, 5.0, 50)), 5) if spec.df else None
+    params = ModelParams(spec, np.array(baseline), -0.4, 0.8, basis=basis)
+    natural = params.natural_vector()
     vec = pack_params(params)
-    back = unpack_params(spec, vec)
+    logs = np.array(logs)
+    assert (vec[logs] == np.log(natural[logs])).all()
+    assert (vec[~logs] == natural[~logs]).all()
+    back = unpack_params(spec, vec, basis=basis)
     np.testing.assert_allclose(back.baseline, params.baseline, rtol=1e-14)
     assert abs(back.beta - params.beta) <= 1e-14
     assert abs(back.frailty_var - params.frailty_var) <= 1e-14
+    assert back.basis is basis
+
+
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_natural_standard_errors_match_a_difference_jacobian(model_id):
+    """se_natural is sqrt(diag(J cov_trans J')), with J the central
+    differences, step 1e-6 (1 + |x|), of params_from_trans(v).natural_vector()
+    at trans."""
+    _, _, res = _study_fit(model_id, (20, 150))
+    assert res.hessian_pd
+    jac = np.empty((res.n_params, res.n_params))
+    for k in range(res.n_params):
+        step = np.zeros(res.n_params)
+        step[k] = 1e-6 * (1.0 + abs(res.trans[k]))
+        up = res.params_from_trans(res.trans + step).natural_vector()
+        down = res.params_from_trans(res.trans - step).natural_vector()
+        jac[:, k] = (up - down) / (2.0 * step[k])
+    want = np.sqrt(np.diag(jac @ res.cov_trans @ jac.T))
+    np.testing.assert_allclose(res.se_natural, want, rtol=1e-6)
+
+
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_fitted_params_give_the_hazards_of_the_optimizer_rows(model_id):
+    """params (to_raw @ trans unpacked) evaluated on the raw spline basis by
+    conditional_pieces give the cumulative hazards that the fit's own rows
+    (the QR columns for rp) give at trans, to 1e-10 relative: the collinear
+    raw rp9 columns amplify the rounding of the raw coefficients to about
+    9e-12."""
+    prep, spec, res = _study_fit(model_id, (20, 150))
+    _, H = conditional_pieces(spec, res.params, prep.t, prep.x)
+    want = fitting._log_h_and_H(prep, spec, res.trans)[1]
+    np.testing.assert_allclose(H, want, rtol=1e-10)
 
 
 def test_conditional_pieces_exponential():

@@ -124,6 +124,33 @@ def test_mixture_inversion_of_small_targets(baseline, target):
     assert abs(got / _mixture_cumhaz_series(baseline, t[0]) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("t", [1e-300, 1e-250, 1e-215, 1e-210])
+def test_mixture_hazard_where_the_cumulative_hazard_is_subnormal_or_underflows(t):
+    """Below about t = 2e-205 ww1's H0 is subnormal, and below about 1e-216
+    both component H underflow to 0, so that log H0 is -inf and its slope
+    0/0 (the slope read 2.0 instead of 1.5 at 1e-215); the hazard is then the
+    small-t limit sum_i w_i rate_i shape_i t**(shape_i - 1), about
+    3.15e-151 at 1e-300."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = WW1.hazard(t)
+        array = WW1.hazard(np.array([t, 1.0]))
+    want = 0.7 * 0.3 * 1.5 * t**0.5 + 0.3 * 0.5 * 2.5 * t**1.5
+    assert abs(got / want - 1.0) <= 1e-14
+    assert array[0] == got and array[1] == WW1.hazard(1.0)
+
+
+@pytest.mark.parametrize("baseline", [WW1, WW2], ids=["ww1", "ww2"])
+def test_mixture_hazard_meets_its_small_t_limit(baseline):
+    """At t = 1e-150, where log H0 is still finite, the kernel's hazard
+    agrees with the weighted component hazards to 1e-12."""
+    t = 1e-150
+    limit = math.fsum(w * rate * shape * t ** (shape - 1.0) for w, rate, shape in (
+        (baseline.mix, baseline.rate1, baseline.shape1),
+        (1.0 - baseline.mix, baseline.rate2, baseline.shape2)))
+    assert abs(baseline.hazard(t) / limit - 1.0) <= 1e-12
+
+
 def test_mixture_inversion_rejects_unreachable_target():
     with pytest.raises(NumericError):
         WW1.inverse_cumulative_hazard(np.array([1e100]))
