@@ -17,11 +17,11 @@ central differences of the Gauss-Hermite derivatives in V and log variance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import OptimizeResult, minimize
 
 from .exceptions import DomainError, FitSetupError
 from .hazards import FrailtyFamily
@@ -47,7 +47,6 @@ __all__ = [
 MODEL_BASELINES = ("exp", "wei", "gom", "rp")
 RP_DF = (3, 5, 9)
 
-_PENALTY = 1e10
 # steps of the central differences of the log-Normal cluster derivatives:
 # relative in V, and 1e-4 (1 + |log var|) in log var, because near var = 0
 # each cluster's g_u is a difference of O(1) terms whose rounding a smaller
@@ -62,10 +61,11 @@ _SCORE_STOP = f"score below {_GTOL_REL:g}*(1+|loglik|)"
 # over thousands of rows; near an optimum they differ by about 2e-15
 _ROUNDING = 1e-12
 _FALLBACK = "first start not converged, fallback starts ran"
-
-
-class _ScoreStop(Exception):
-    """Raised by a start's objective to end it; args[0] is its OptimizeResult."""
+# BFGS's absolute gradient tolerance and strong Wolfe constants, as in
+# scipy's BFGS, and the trials one line search may make
+_GTOL = 1e-7
+_C1, _C2 = 1e-4, 0.9
+_LS_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -660,11 +660,13 @@ class FitResult:
     that ran (one, or all three after a fallback), each one of the
     log-likelihood and its score together; the observed information taken
     at each start's optimum is not counted; ``n_iterations`` counts the
-    BFGS iterations completed. ``grad_inf_norm`` is the largest absolute
-    score entry at the optimum. ``message`` joins the distinct reasons the
-    starts that ran stopped: the relative score rule of ``fit`` ("score
-    below 1e-07*(1+|loglik|)") or scipy's own message; after a fallback it
-    also says "first start not converged, fallback starts ran".
+    BFGS steps accepted. ``grad_inf_norm`` is the largest absolute score
+    entry at the optimum. ``message`` joins the distinct reasons the starts
+    that ran stopped: the relative score rule of ``fit`` ("score below
+    1e-07*(1+|loglik|)"), or one of ``_bfgs``'s own ("gradient inf-norm at
+    most 1e-07", "line search found no strong-Wolfe step", "max_iter (N)
+    steps taken", "start is infeasible"); after a fallback it also says
+    "first start not converged, fallback starts ran".
     """
 
     spec: ModelSpec
@@ -723,6 +725,139 @@ class FitResult:
         return float(self.se_natural[-1])
 
 
+@dataclass
+class _Run:
+    """Where one BFGS run ended: the point, the objective and its gradient
+    there (inf at an infeasible point), the objective calls and accepted
+    steps it took, and why it stopped."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nfev: int
+    nit: int
+    message: str
+
+
+class _Stopped(Exception):
+    """Raised by _bfgs's evaluation when stop() gives a reason; args are
+    (reason, x, f, g)."""
+
+
+def _cubic_step(lo: tuple, hi: tuple) -> float:
+    """The minimizer of the cubic through two (alpha, phi, dphi) triples
+    (Nocedal & Wright eq. 3.59), or their midpoint when that minimizer does
+    not exist or lies outside the middle 80% of the interval."""
+    (a0, f0, d0), (a1, f1, d1) = lo, hi
+    mid = 0.5 * (a0 + a1)
+    if not (math.isfinite(f1) and math.isfinite(d1) and a0 != a1):
+        return mid
+    e = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+    disc = e * e - d0 * d1
+    if not 0.0 <= disc < math.inf:
+        return mid
+    root = math.copysign(math.sqrt(disc), a1 - a0)
+    denom = d1 - d0 + 2.0 * root
+    if denom == 0.0:
+        return mid
+    alpha = a1 - (a1 - a0) * (d1 + root - e) / denom
+    margin = 0.1 * abs(a1 - a0)
+    return alpha if min(a0, a1) + margin <= alpha <= max(a0, a1) - margin else mid
+
+
+def _line_search(evaluate, x: np.ndarray, f: float, g: np.ndarray, p: np.ndarray,
+                 f_prev: float):
+    """A step along p from x (objective f, gradient g) that meets the strong
+    Wolfe conditions with _C1 and _C2: (alpha, x + alpha p, its f and g), or
+    None when p is not a descent direction or _LS_TRIALS trials find none.
+
+    Nocedal & Wright, Numerical Optimization (2nd ed.), Algorithms 3.5 and
+    3.6: double the step until a trial brackets a minimizer, then zoom in
+    by safeguarded cubic interpolation. An infeasible trial (f = inf) ends
+    the bracket, so the search bisects back toward the last good step. The
+    first trial is scipy's min(1, 2.02 (f - f_prev) / g'p), or 1 when that
+    is not positive; f_prev is the previous iterate's objective.
+    """
+    slope0 = float(g @ p)
+    if not slope0 < 0.0:
+        return None
+    alpha = 2.02 * (f - f_prev) / slope0
+    alpha = min(1.0, alpha) if alpha > 0.0 else 1.0
+    lo, hi = (0.0, f, slope0), None
+    for _ in range(_LS_TRIALS):
+        x_new = x + alpha * p
+        f_new, g_new = evaluate(x_new)
+        slope = float(g_new @ p) if np.isfinite(f_new) else np.nan
+        if f_new > f + _C1 * alpha * slope0 or f_new >= lo[1]:
+            hi = (alpha, f_new, slope)
+        else:
+            if abs(slope) <= -_C2 * slope0:
+                return alpha, x_new, f_new, g_new
+            if slope * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = (alpha, f_new, slope)
+        if hi is None:
+            alpha *= 2.0
+        else:
+            alpha = _cubic_step(lo, hi)
+            if alpha in (lo[0], hi[0]):
+                return None
+    return None
+
+
+def _bfgs(fun, x0: np.ndarray, *, max_iter: int, stop=None) -> _Run:
+    """Minimize fun(x) -> (f, g) by BFGS from x0.
+
+    A dense inverse Hessian starts at the identity and takes the BFGS
+    update after each step from _line_search, skipped when s'y <= 0. A
+    point where f or g is not finite is infeasible and reads f = inf. The
+    run ends, with its own message, when stop(f, g), asked at every
+    feasible point evaluated (iterate or line-search trial), returns a
+    reason; when an iterate's gradient inf-norm is at most _GTOL; when the
+    line search fails; or after max_iter steps.
+    """
+    nfev = nit = 0
+
+    def evaluate(x: np.ndarray):
+        nonlocal nfev
+        nfev += 1
+        f, g = fun(x)
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            return np.inf, g
+        reason = stop(f, g) if stop is not None else None
+        if reason:
+            raise _Stopped(reason, x, f, g)
+        return f, g
+
+    x = np.array(x0, dtype=float)
+    message = None
+    try:
+        f, g = evaluate(x)
+        f_prev = f + np.linalg.norm(g) / 2.0
+        hess_inv = np.eye(x.size)
+        while message is None:
+            if not np.isfinite(f):
+                message = "start is infeasible"
+            elif np.max(np.abs(g)) <= _GTOL:
+                message = f"gradient inf-norm at most {_GTOL:g}"
+            elif nit >= max_iter:
+                message = f"max_iter ({max_iter}) steps taken"
+            elif (step := _line_search(evaluate, x, f, g, -hess_inv @ g, f_prev)) is None:
+                message = "line search found no strong-Wolfe step"
+            else:
+                _, x_new, f_new, g_new = step
+                s, y = x_new - x, g_new - g
+                x, f_prev, f, g = x_new, f, f_new, g_new
+                nit += 1
+                sy = float(s @ y)
+                if sy > 0.0:
+                    a = np.eye(x.size) - np.outer(s, y) / sy
+                    hess_inv = a @ hess_inv @ a.T + np.outer(s, s) / sy
+    except _Stopped as stopped:
+        message, x, f, g = stopped.args
+    return _Run(x=x, fun=f, jac=g, nfev=nfev, nit=nit, message=message)
+
+
 def _starting_points(spec: ModelSpec, prep: _Prepared) -> list[np.ndarray]:
     rate0 = float(prep.d.sum() / prep.t.sum())
     log_rate0 = np.log(rate0)
@@ -747,12 +882,13 @@ def fit(
 ) -> FitResult:
     """Maximize the marginal log-likelihood; never raises on mere non-convergence.
 
-    BFGS with the analytic score from the first of three deterministic
-    starts (one per frailty-variance guess). A start ends at the first point
-    it evaluates, iterate or line-search trial, whose score inf-norm is at
-    most 1e-7 (1 + |loglik|) and whose loglik is no lower than the best so
-    far beyond rounding, unless scipy's own tests (absolute gtol 1e-7, a
-    failed line search, max_iter) end it first. The Hessian at that optimum
+    BFGS (``_bfgs``, with a strong-Wolfe line search) and the analytic
+    score, from the first of three deterministic starts (one per
+    frailty-variance guess). A start ends at the first point it evaluates,
+    iterate or line-search trial, whose score inf-norm is at most
+    1e-7 (1 + |loglik|) and whose loglik is no lower than the best so far
+    beyond rounding, unless the optimizer's own tests (absolute gtol 1e-7,
+    a failed line search, max_iter) end it first. The Hessian at that optimum
     is the observed information, by the chain rule through each cluster's
     cumulative hazard (``_observed_information``). Only when that optimum fails
     the convergence test (score inf-norm at most 1e-5 (1 + |loglik|) and a
@@ -773,43 +909,30 @@ def fit(
         raw_starts = [start]
     starts = [np.linalg.solve(prep.to_raw, s) for s in raw_starts]
 
-    def run(x0: np.ndarray) -> OptimizeResult:
-        """One BFGS start, ended from inside the objective by the score
-        rule: near such a point the loglik is flat to rounding, so a line
-        search through it can only fail, after dozens of evaluations."""
-        counts = {"nfev": 0, "nit": 0}
+    def run(x0: np.ndarray) -> _Run:
+        """One BFGS start, ended at the first point it evaluates whose
+        score meets the relative rule: near such a point the loglik is flat
+        to rounding, so a line search through it can only fail, after
+        dozens of evaluations."""
         best_f = np.inf
 
-        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        def flat(f: float, g: np.ndarray) -> str | None:
             nonlocal best_f
-            counts["nfev"] += 1
+            done = (np.max(np.abs(g)) <= _GTOL_REL * (1.0 + abs(f))
+                    and f <= best_f + _ROUNDING * (1.0 + abs(f)))
+            best_f = min(best_f, f)
+            return _SCORE_STOP if done else None
+
+        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
             ll, score = _loglik_core(prep, spec, vec)
-            # infeasible (NaN score), or a score that overflowed where a V
-            # underflowed: a flat penalty sends the line search back
-            if not np.isfinite(score).all():
-                return _PENALTY, np.zeros_like(vec)
-            if (np.max(np.abs(score)) <= _GTOL_REL * (1.0 + abs(ll))
-                    and -ll <= best_f + _ROUNDING * (1.0 + abs(ll))):
-                raise _ScoreStop(OptimizeResult(
-                    x=vec.copy(), fun=-ll, jac=-score, status=0, success=True,
-                    message=_SCORE_STOP, **counts))
-            best_f = min(best_f, -ll)
             return -ll, -score
 
-        def count_iteration(intermediate_result):
-            counts["nit"] += 1
-
-        try:
-            return minimize(objective, x0, jac=True, method="BFGS",
-                            callback=count_iteration,
-                            options={"gtol": 1e-7, "maxiter": max_iter})
-        except _ScoreStop as stop:
-            return stop.args[0]
+        return _bfgs(objective, x0, max_iter=max_iter, stop=flat)
 
     def assess(res):
         """(loglik, score inf-norm, covariance or None, condition number,
         converged) at the optimum of one start."""
-        loglik = -res.fun if res.fun < _PENALTY / 2 else -np.inf
+        loglik = -res.fun
         grad_inf_norm = float(np.max(np.abs(res.jac)))
         grad_ok = np.isfinite(loglik) and grad_inf_norm <= 1e-5 * (1.0 + abs(loglik))
         hessian = _observed_information(prep, spec, res.x)

@@ -231,9 +231,7 @@ def run_cell(
 
 
 def _robust_z(values: np.ndarray) -> np.ndarray:
-    med = float(np.quantile(values, 0.5, method="linear"))
-    q1 = float(np.quantile(values, 0.25, method="linear"))
-    q3 = float(np.quantile(values, 0.75, method="linear"))
+    med, q1, q3 = np.quantile(values, [0.5, 0.25, 0.75], method="linear").tolist()
     iqr = q3 - q1
     if iqr == 0.0:
         return np.zeros_like(values)

@@ -375,11 +375,35 @@ def write_dataset_csv(dataset: ClusteredDataset, path: str | Path) -> None:
             writer.writerow([label, f"{t:.12g}", int(e), int(x)])
 
 
+def _raise_first_bad_row(path: Path, rows: list[list[str]]) -> None:
+    """Raise the DataError of the first data row that breaks a rule, with
+    its line number; rows follow the header, blank ones included."""
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+        try:
+            t = float(row[1])
+            e = int(row[2])
+            x = int(row[3])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        if not (np.isfinite(t) and t > 0):
+            raise DataError(f"{path}: line {lineno}: time must be positive, got {row[1]}")
+        if e not in (0, 1):
+            raise DataError(f"{path}: line {lineno}: event must be 0 or 1, got {row[2]}")
+        if x not in (0, 1):
+            raise DataError(f"{path}: line {lineno}: treat must be 0 or 1, got {row[3]}")
+
+
 def read_dataset_csv(path: str | Path) -> ClusteredDataset:
-    """Parse a dataset CSV, mapping cluster labels to codes in order of appearance."""
+    """Parse a dataset CSV, mapping cluster labels to codes in order of appearance.
+
+    The columns are converted and checked in bulk; only when that fails are
+    the rows checked one by one, so that the error names the first bad line.
+    """
     path = Path(path)
-    codes: dict[str, int] = {}
-    cluster, time, event, treat = [], [], [], []
     try:
         fh = path.open(newline="")
     except OSError as exc:
@@ -395,35 +419,31 @@ def read_dataset_csv(path: str | Path) -> ClusteredDataset:
                 f"{path}: line 1: expected header {','.join(DATASET_HEADER)!r}, "
                 f"got {','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-            label = row[0].strip()
-            try:
-                t = float(row[1])
-                e = int(row[2])
-                x = int(row[3])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if not (np.isfinite(t) and t > 0):
-                raise DataError(f"{path}: line {lineno}: time must be positive, got {row[1]}")
-            if e not in (0, 1):
-                raise DataError(f"{path}: line {lineno}: event must be 0 or 1, got {row[2]}")
-            if x not in (0, 1):
-                raise DataError(f"{path}: line {lineno}: treat must be 0 or 1, got {row[3]}")
-            cluster.append(codes.setdefault(label, len(codes)))
-            time.append(t)
-            event.append(e)
-            treat.append(x)
-    if not time:
+        rows = list(reader)
+    data = [row for row in rows if row]
+    if not data:
         raise DataError(f"{path}: no data rows")
+    try:
+        if any(len(row) != 4 for row in data):
+            raise ValueError
+        labels, t, e, x = zip(*data)
+        time = np.array(t, dtype=float)
+        event = np.array(e, dtype=np.int64)
+        treat = np.array(x, dtype=np.int64)
+        valid = bool((time > 0).all() and np.isfinite(time).all()
+                     and ((event == 0) | (event == 1)).all()
+                     and ((treat == 0) | (treat == 1)).all())
+    except (ValueError, OverflowError):
+        valid = False
+    if not valid:
+        _raise_first_bad_row(path, rows)
+    codes: dict[str, int] = {}
+    cluster = [codes.setdefault(label.strip(), len(codes)) for label in labels]
     return ClusteredDataset(
         cluster=np.asarray(cluster, dtype=np.int64),
-        time=np.asarray(time),
-        event=np.asarray(event, dtype=np.int8),
-        treat=np.asarray(treat, dtype=np.int8),
+        time=time,
+        event=event.astype(np.int8),
+        treat=treat.astype(np.int8),
         cluster_labels=tuple(codes),
     )
 

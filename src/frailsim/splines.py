@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .exceptions import DomainError, FitSetupError
 
@@ -104,6 +103,10 @@ class InterpolatingSpline:
     """Natural cubic spline through given points, integrated exactly."""
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
+        # imported here: scipy.interpolate loads scipy.optimize, which no
+        # CLI path otherwise needs
+        from scipy.interpolate import CubicSpline
+
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:

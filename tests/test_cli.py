@@ -365,6 +365,20 @@ def test_python_m_frailsim_sets_thread_variables_before_numpy_loads(preset):
     assert seen == dict.fromkeys(THREAD_VARIABLES, preset or "1")
 
 
+def test_the_cli_loads_neither_scipy_optimize_nor_scipy_interpolate():
+    """fit runs its own BFGS, and splines imports CubicSpline only when an
+    InterpolatingSpline is built, so importing the CLI leaves both packages
+    out; interp_integrate still works, here on a line."""
+    code = ("import json, sys, frailsim.cli; "
+            "loaded = [m in sys.modules for m in ('scipy.optimize', 'scipy.interpolate')]; "
+            "from frailsim.splines import interp_integrate; "
+            "area = interp_integrate([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0], 0.5, 2.5); "
+            "print(json.dumps([loaded, area]))")
+    loaded, area = json.loads(_python(code))
+    assert loaded == [False, False]
+    assert abs(area - 8.0) <= 1e-12
+
+
 def test_importing_the_package_loads_no_numpy_and_sets_nothing():
     code = ("import json, os, sys, frailsim; "
             "print(json.dumps(['numpy' in sys.modules, "

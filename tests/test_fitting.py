@@ -4,10 +4,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from frailsim import fitting
 from frailsim.estimands import MarginalModel, lle, lle_functional
@@ -478,29 +478,24 @@ def test_one_start_fit_matches_the_best_of_three_starts(model_id, size):
     _assert_same_optimum(_study_fit(model_id, size)[2], _best_of_three_starts(model_id, size))
 
 
-def _record_minimize(monkeypatch, first_options=None):
-    """Record the OptimizeResult of each start, also of one that the score
-    rule ends from inside fitting.minimize; the first call's options are
-    updated with first_options."""
+def _record_runs(monkeypatch, first_max_iter=None):
+    """Record the _Run of each start, also of one that the score rule ends;
+    the first start's max_iter is replaced by first_max_iter."""
     runs = []
-    minimize = fitting.minimize
+    bfgs = fitting._bfgs
 
-    def recording_minimize(*args, **kwargs):
-        if not runs and first_options:
-            kwargs["options"] = {**kwargs["options"], **first_options}
-        try:
-            runs.append(minimize(*args, **kwargs))
-        except fitting._ScoreStop as stop:
-            runs.append(stop.args[0])
-            raise
+    def recording_bfgs(*args, **kwargs):
+        if not runs and first_max_iter is not None:
+            kwargs["max_iter"] = first_max_iter
+        runs.append(bfgs(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(fitting, "minimize", recording_minimize)
+    monkeypatch.setattr(fitting, "_bfgs", recording_bfgs)
     return runs
 
 
 def test_fallback_that_fails_runs_every_start(monkeypatch):
-    runs = _record_minimize(monkeypatch)
+    runs = _record_runs(monkeypatch)
     res = fit(model_from_id("wei_lognormal"), _study_data((20, 150)),
               max_iter=1)
     assert len(runs) == 3
@@ -514,7 +509,7 @@ def test_fallback_that_fails_runs_every_start(monkeypatch):
 def test_fallback_recovers_from_a_failed_first_start(monkeypatch, model_id):
     """The first start gets no iteration, so it fails the convergence test;
     the other two starts run and reach the three-start optimum."""
-    runs = _record_minimize(monkeypatch, first_options={"maxiter": 0})
+    runs = _record_runs(monkeypatch, first_max_iter=0)
     size = (20, 150)
     res = fit(model_from_id(model_id), _study_data(size))
     assert len(runs) == 3 and runs[0].nit == 0
@@ -527,23 +522,19 @@ def test_fit_keeps_a_converged_start_over_a_higher_non_converged_first_start(mon
     """The first start is made to end above every other start's loglik but
     with a score 100 times the convergence test's bound: the fallback runs,
     and the fit keeps a converged start, not the highest loglik."""
-    minimize = fitting.minimize
+    bfgs = fitting._bfgs
     first = []
 
     def first_start_high_but_not_converged(*args, **kwargs):
         if first:
-            return minimize(*args, **kwargs)
-        try:
-            res = minimize(*args, **kwargs)
-        except fitting._ScoreStop as stop:
-            res = stop.args[0]
+            return bfgs(*args, **kwargs)
+        res = bfgs(*args, **kwargs)
         loglik = 1.0 - res.fun
-        first.append(OptimizeResult({
-            **res, "fun": -loglik,
-            "jac": np.full_like(res.jac, 1e-3 * (1.0 + abs(loglik)))}))
+        first.append(dataclasses.replace(
+            res, fun=-loglik, jac=np.full_like(res.jac, 1e-3 * (1.0 + abs(loglik)))))
         return first[0]
 
-    monkeypatch.setattr(fitting, "minimize", first_start_high_but_not_converged)
+    monkeypatch.setattr(fitting, "_bfgs", first_start_high_but_not_converged)
     res = fit(model_from_id("wei_gamma"), _study_data((20, 150)))
     assert fitting._FALLBACK in res.message.split("; ")
     assert res.converged
@@ -552,18 +543,19 @@ def test_fit_keeps_a_converged_start_over_a_higher_non_converged_first_start(mon
 
 
 def test_fallback_keeps_a_converged_start_over_a_higher_non_converged_one(tmp_path):
-    """rp9_gamma on a ww2_mixturenormal_t075_20x150 dataset read back from
-    CSV: the first and third starts end on precision-loss line searches
-    with scores of 3.9e-5 and 4.6e-5, above the convergence test's 2.0e-5.
-    The second start converges at the first start's loglik, which a pick by
-    loglik alone, the earlier start on a tie, would not keep; so the fit is
-    converged only if a converged start wins. (This case has run the
-    fallback since before the Newton mixture inversion, when the second
-    start's loglik was lower than the first's by 2e-13.)"""
+    """wei_gamma on a ww2_mixturenormal_t075_20x150 dataset read back from
+    CSV: the first start ends on a failed line search with a score of
+    5.3e-5, above the convergence test's 3.4e-5, and the second converges
+    at a loglik lower than the first's by 1.1e-12, which a pick by loglik
+    alone would not keep; so the fit is converged only if a converged start
+    wins. Found by fitting all 12 models to the fit_all dataset of the
+    benchmark's master seeds for --seed 501, passes 0-599 (7,200 fits
+    through CSV): 11 ran the fallback, and this is the only one whose
+    highest loglik belongs to a start that did not converge."""
     sc = make_scenario("ww2", "mixturenormal", 0.75, 20, 150)
     path = tmp_path / "data.csv"
-    write_dataset_csv(generate_dataset(sc, derive_seed(376216070, sc.id, 0)), path)
-    res = fit(model_from_id("rp9_gamma"), read_dataset_csv(path))
+    write_dataset_csv(generate_dataset(sc, derive_seed(1934102973, sc.id, 0)), path)
+    res = fit(model_from_id("wei_gamma"), read_dataset_csv(path))
     assert fitting._FALLBACK in res.message.split("; ")
     assert res.converged
     assert res.grad_inf_norm <= 1e-5 * (1.0 + abs(res.loglik))
@@ -586,18 +578,150 @@ def test_fit_checks_start_shape_first():
 
 
 def test_fit_message_names_each_start_stop_reason(monkeypatch):
-    """Every start's reason to stop reaches FitResult.message, and the
-    relative score rule replaces scipy's StopIteration text."""
+    """Every start's reason to stop reaches FitResult.message."""
     data = _study_data((20, 150))
-    runs = _record_minimize(monkeypatch)
+    runs = _record_runs(monkeypatch)
     for model_id in ("rp5_gamma", "wei_lognormal"):
         runs.clear()
         res = fit(model_from_id(model_id), data)
-        reasons = [fitting._SCORE_STOP if r.status == 99 else r.message for r in runs]
+        reasons = [r.message for r in runs]
         assert len(runs) == 1
         assert set(res.message.split("; ")) == set(reasons)
-        assert "StopIteration" not in res.message
         assert fitting._SCORE_STOP in reasons
+
+
+def _scipy_bfgs(fun, x0, *, max_iter, stop=None):
+    """A stand-in for fitting._bfgs that runs scipy's BFGS, without the
+    relative score rule, to its own stop. An infeasible point gets a large
+    value and a zero gradient, which sends scipy's line search back."""
+    from scipy.optimize import minimize
+
+    def penalized(x):
+        f, g = fun(x)
+        if np.isfinite(f) and np.isfinite(g).all():
+            return f, g
+        return 1e10, np.zeros_like(x)
+
+    res = minimize(penalized, x0, jac=True, method="BFGS",
+                   options={"gtol": fitting._GTOL, "maxiter": max_iter})
+    return fitting._Run(x=res.x, fun=res.fun, jac=res.jac, nfev=res.nfev,
+                        nit=res.nit, message=res.message)
+
+
+@pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_fit_matches_scipy_bfgs(monkeypatch, model_id, size):
+    """An independent oracle for the optimizer: the same fit with scipy's
+    BFGS in place of fitting._bfgs reaches the same optimum."""
+    _, spec, res = _study_fit(model_id, size)
+    monkeypatch.setattr(fitting, "_bfgs", _scipy_bfgs)
+    _assert_same_optimum(res, fit(spec, _study_data(size)))
+
+
+def _rosenbrock(x):
+    a, b = x
+    f = 100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2
+    g = np.array([-400.0 * a * (b - a * a) - 2.0 * (1.0 - a), 200.0 * (b - a * a)])
+    return f, g
+
+
+def _quadratic():
+    """f = x'Ax/2 - b'x with A positive definite, condition number 100, and
+    its minimizer."""
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))
+    a = q @ np.diag(np.geomspace(1.0, 100.0, 5)) @ q.T
+    b = np.arange(1.0, 6.0)
+    return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), np.linalg.solve(a, b)
+
+
+def _recording_line_search(monkeypatch):
+    """Record each line search's (x, f, g, p) and its result."""
+    searches = []
+    line_search = fitting._line_search
+
+    def recording(evaluate, x, f, g, p, f_prev):
+        searches.append(((x, f, g, p), line_search(evaluate, x, f, g, p, f_prev)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(fitting, "_line_search", recording)
+    return searches
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "rosenbrock"])
+def test_bfgs_reaches_the_minimizer_by_strong_wolfe_steps(monkeypatch, problem):
+    """Each accepted step meets both strong Wolfe conditions, every step is
+    accepted, and the run ends on the gradient tolerance at the minimizer;
+    nfev counts the objective's calls and nit the steps."""
+    if problem == "quadratic":
+        fun, want = _quadratic()
+        x0 = np.zeros(5)
+    else:
+        fun, want = _rosenbrock, np.ones(2)
+        x0 = np.array([-1.2, 1.0])
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return fun(x)
+
+    searches = _recording_line_search(monkeypatch)
+    run = fitting._bfgs(counted, x0, max_iter=500)
+    assert run.message == "gradient inf-norm at most 1e-07"
+    assert np.max(np.abs(run.jac)) <= 1e-7
+    np.testing.assert_allclose(run.x, want, atol=1e-6)
+    assert run.nfev == len(calls)
+    assert run.nit == len(searches) > 0
+    for (x, f, g, p), step in searches:
+        alpha, x_new, f_new, g_new = step
+        np.testing.assert_array_equal(x_new, x + alpha * p)
+        assert f_new <= f + fitting._C1 * alpha * (g @ p)
+        assert abs(g_new @ p) <= fitting._C2 * abs(g @ p)
+
+
+@pytest.mark.parametrize("model_id", ["wei_lognormal", "rp9_gamma"])
+def test_fit_takes_strong_wolfe_steps(monkeypatch, model_id):
+    searches = _recording_line_search(monkeypatch)
+    res = fit(model_from_id(model_id), _study_data((20, 150)))
+    assert res.converged and res.n_iterations == len(searches)
+    for (x, f, g, p), (alpha, _, f_new, g_new) in searches:
+        assert f_new <= f + fitting._C1 * alpha * (g @ p)
+        assert abs(g_new @ p) <= fitting._C2 * abs(g @ p)
+
+
+def test_an_infeasible_first_trial_backtracks():
+    """(x - 1)^2 is infeasible beyond x = 1.5. The first trial step, 1,
+    lands on x = 4: the search halves it to the feasible x = 1, without a
+    RuntimeWarning, and accepts it there."""
+    trials = []
+
+    def evaluate(x):
+        trials.append(float(x[0]))
+        if x[0] > 1.5:
+            return np.inf, np.full(1, np.nan)
+        return float((x[0] - 1.0) ** 2), 2.0 * (x - 1.0)
+
+    x0 = np.zeros(1)
+    f0, g0 = evaluate(x0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, x, f, g = fitting._line_search(evaluate, x0, f0, g0, np.array([4.0]),
+                                              f_prev=np.inf)
+    assert trials[1:] == [4.0, 2.0, 1.0]
+    assert (alpha, float(x[0]), f) == (0.25, 1.0, 0.0)
+
+
+def test_bfgs_at_max_iter_zero_returns_the_start():
+    x0 = np.array([-1.2, 1.0])
+    run = fitting._bfgs(_rosenbrock, x0, max_iter=0)
+    assert (run.nit, run.nfev) == (0, 1)
+    np.testing.assert_array_equal(run.x, x0)
+    assert (run.fun, run.message) == (_rosenbrock(x0)[0], "max_iter (0) steps taken")
+
+
+def test_bfgs_from_an_infeasible_start_stops_there():
+    run = fitting._bfgs(lambda x: (np.inf, np.full_like(x, np.nan)), np.zeros(3),
+                        max_iter=10)
+    assert (run.nit, run.nfev, run.fun, run.message) == (0, 1, np.inf, "start is infeasible")
 
 
 @pytest.mark.parametrize("model_id,baseline,logs", [
