@@ -805,7 +805,7 @@ def _line_search(evaluate, x: np.ndarray, f: float, g: np.ndarray, p: np.ndarray
     return None
 
 
-def _bfgs(fun, x0: np.ndarray, *, max_iter: int, stop=None) -> _Run:
+def _bfgs(fun, x0: np.ndarray, *, max_iter: int, stop) -> _Run:
     """Minimize fun(x) -> (f, g) by BFGS from x0.
 
     A dense inverse Hessian starts at the identity and takes the BFGS
@@ -814,7 +814,10 @@ def _bfgs(fun, x0: np.ndarray, *, max_iter: int, stop=None) -> _Run:
     run ends, with its own message, when stop(f, g), asked at every
     feasible point evaluated (iterate or line-search trial), returns a
     reason; when an iterate's gradient inf-norm is at most _GTOL; when the
-    line search fails; or after max_iter steps.
+    line search fails; or after max_iter steps. A failed search along an
+    updated direction is retried once along -g, with the inverse Hessian
+    reset to the identity, as scipy's BFGS retries with a second line
+    search; only when that fails too does the run end.
     """
     nfev = nit = 0
 
@@ -824,35 +827,41 @@ def _bfgs(fun, x0: np.ndarray, *, max_iter: int, stop=None) -> _Run:
         f, g = fun(x)
         if not (np.isfinite(f) and np.isfinite(g).all()):
             return np.inf, g
-        reason = stop(f, g) if stop is not None else None
+        reason = stop(f, g)
         if reason:
             raise _Stopped(reason, x, f, g)
         return f, g
 
     x = np.array(x0, dtype=float)
-    message = None
     try:
         f, g = evaluate(x)
         f_prev = f + np.linalg.norm(g) / 2.0
-        hess_inv = np.eye(x.size)
-        while message is None:
+        hess_inv, updated = np.eye(x.size), False
+        while True:
             if not np.isfinite(f):
                 message = "start is infeasible"
-            elif np.max(np.abs(g)) <= _GTOL:
+                break
+            if np.max(np.abs(g)) <= _GTOL:
                 message = f"gradient inf-norm at most {_GTOL:g}"
-            elif nit >= max_iter:
+                break
+            if nit >= max_iter:
                 message = f"max_iter ({max_iter}) steps taken"
-            elif (step := _line_search(evaluate, x, f, g, -hess_inv @ g, f_prev)) is None:
+                break
+            step = _line_search(evaluate, x, f, g, -hess_inv @ g, f_prev)
+            if step is None and updated:
+                hess_inv, updated = np.eye(x.size), False
+                step = _line_search(evaluate, x, f, g, -g, f_prev)
+            if step is None:
                 message = "line search found no strong-Wolfe step"
-            else:
-                _, x_new, f_new, g_new = step
-                s, y = x_new - x, g_new - g
-                x, f_prev, f, g = x_new, f, f_new, g_new
-                nit += 1
-                sy = float(s @ y)
-                if sy > 0.0:
-                    a = np.eye(x.size) - np.outer(s, y) / sy
-                    hess_inv = a @ hess_inv @ a.T + np.outer(s, s) / sy
+                break
+            _, x_new, f_new, g_new = step
+            s, y = x_new - x, g_new - g
+            x, f_prev, f, g = x_new, f, f_new, g_new
+            nit += 1
+            sy = float(s @ y)
+            if sy > 0.0:
+                a = np.eye(x.size) - np.outer(s, y) / sy
+                hess_inv, updated = a @ hess_inv @ a.T + np.outer(s, s) / sy, True
     except _Stopped as stopped:
         message, x, f, g = stopped.args
     return _Run(x=x, fun=f, jac=g, nfev=nfev, nit=nit, message=message)

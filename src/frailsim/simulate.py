@@ -375,33 +375,28 @@ def write_dataset_csv(dataset: ClusteredDataset, path: str | Path) -> None:
             writer.writerow([label, f"{t:.12g}", int(e), int(x)])
 
 
-def _raise_first_bad_row(path: Path, rows: list[list[str]]) -> None:
-    """Raise the DataError of the first data row that breaks a rule, with
-    its line number; rows follow the header, blank ones included."""
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+def _convert(values: tuple[str, ...], dtype) -> tuple[np.ndarray, Exception | None]:
+    """values as an array of dtype, cut before the first value that does not
+    convert, and that value's error (None when all convert)."""
+    try:
+        return np.array(values, dtype=dtype), None
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    for i, value in enumerate(values):
         try:
-            t = float(row[1])
-            e = int(row[2])
-            x = int(row[3])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
-        if not (np.isfinite(t) and t > 0):
-            raise DataError(f"{path}: line {lineno}: time must be positive, got {row[1]}")
-        if e not in (0, 1):
-            raise DataError(f"{path}: line {lineno}: event must be 0 or 1, got {row[2]}")
-        if x not in (0, 1):
-            raise DataError(f"{path}: line {lineno}: treat must be 0 or 1, got {row[3]}")
+            np.array(value, dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            return np.array(values[:i], dtype=dtype), exc
+    return np.array((), dtype=dtype), error
 
 
 def read_dataset_csv(path: str | Path) -> ClusteredDataset:
     """Parse a dataset CSV, mapping cluster labels to codes in order of appearance.
 
-    The columns are converted and checked in bulk; only when that fails are
-    the rows checked one by one, so that the error names the first bad line.
+    The columns are converted and checked in bulk. A row breaks a rule when
+    it does not have 4 fields, a value does not convert, time is not finite
+    and positive, or event or treat is not 0 or 1; the error names the
+    first such line, counting blank lines.
     """
     path = Path(path)
     try:
@@ -419,24 +414,36 @@ def read_dataset_csv(path: str | Path) -> ClusteredDataset:
                 f"{path}: line 1: expected header {','.join(DATASET_HEADER)!r}, "
                 f"got {','.join(header)!r}"
             )
-        rows = list(reader)
-    data = [row for row in rows if row]
-    if not data:
+        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    try:
-        if any(len(row) != 4 for row in data):
-            raise ValueError
-        labels, t, e, x = zip(*data)
-        time = np.array(t, dtype=float)
-        event = np.array(e, dtype=np.int64)
-        treat = np.array(x, dtype=np.int64)
-        valid = bool((time > 0).all() and np.isfinite(time).all()
-                     and ((event == 0) | (event == 1)).all()
-                     and ((treat == 0) | (treat == 1)).all())
-    except (ValueError, OverflowError):
-        valid = False
-    if not valid:
-        _raise_first_bad_row(path, rows)
+    # each rule's first breach as (row index, message); the rows before the
+    # first one of too few or too many fields, and before the first value
+    # that does not convert, are checked for the others
+    breaches = []
+    n = next((i for i, (_, row) in enumerate(rows) if len(row) != 4), len(rows))
+    if n < len(rows):
+        breaches.append((n, f"expected 4 fields, got {len(rows[n][1])}"))
+    labels, *fields = zip(*(row for _, row in rows[:n])) if n else [()] * 4
+    columns = []
+    for values, dtype in zip(fields, (float, np.int64, np.int64)):
+        column, error = _convert(values, dtype)
+        if error is not None:
+            breaches.append((len(column), str(error)))
+        columns.append(column)
+    m = min(len(column) for column in columns)
+    time, event, treat = (column[:m] for column in columns)
+    for k, (bad, rule) in enumerate([
+        (~(np.isfinite(time) & (time > 0)), "time must be positive"),
+        ((event != 0) & (event != 1), "event must be 0 or 1"),
+        ((treat != 0) & (treat != 1), "treat must be 0 or 1"),
+    ], start=1):
+        if bad.any():
+            i = int(bad.argmax())
+            breaches.append((i, f"{rule}, got {rows[i][1][k]}"))
+    if breaches:
+        i, message = min(breaches, key=lambda breach: breach[0])
+        raise DataError(f"{path}: line {rows[i][0]}: {message}")
     codes: dict[str, int] = {}
     cluster = [codes.setdefault(label.strip(), len(codes)) for label in labels]
     return ClusteredDataset(

@@ -590,7 +590,7 @@ def test_fit_message_names_each_start_stop_reason(monkeypatch):
         assert fitting._SCORE_STOP in reasons
 
 
-def _scipy_bfgs(fun, x0, *, max_iter, stop=None):
+def _scipy_bfgs(fun, x0, *, max_iter, stop):
     """A stand-in for fitting._bfgs that runs scipy's BFGS, without the
     relative score rule, to its own stop. An infeasible point gets a large
     value and a zero gradient, which sends scipy's line search back."""
@@ -616,6 +616,11 @@ def test_fit_matches_scipy_bfgs(monkeypatch, model_id, size):
     _, spec, res = _study_fit(model_id, size)
     monkeypatch.setattr(fitting, "_bfgs", _scipy_bfgs)
     _assert_same_optimum(res, fit(spec, _study_data(size)))
+
+
+def _never(f, g):
+    """A stop rule that never ends a run."""
+    return None
 
 
 def _rosenbrock(x):
@@ -665,7 +670,7 @@ def test_bfgs_reaches_the_minimizer_by_strong_wolfe_steps(monkeypatch, problem):
         return fun(x)
 
     searches = _recording_line_search(monkeypatch)
-    run = fitting._bfgs(counted, x0, max_iter=500)
+    run = fitting._bfgs(counted, x0, max_iter=500, stop=_never)
     assert run.message == "gradient inf-norm at most 1e-07"
     assert np.max(np.abs(run.jac)) <= 1e-7
     np.testing.assert_allclose(run.x, want, atol=1e-6)
@@ -676,6 +681,55 @@ def test_bfgs_reaches_the_minimizer_by_strong_wolfe_steps(monkeypatch, problem):
         np.testing.assert_array_equal(x_new, x + alpha * p)
         assert f_new <= f + fitting._C1 * alpha * (g @ p)
         assert abs(g_new @ p) <= fitting._C2 * abs(g @ p)
+
+
+@pytest.mark.parametrize("fail_at", [0, 3])
+def test_a_failed_search_is_retried_once_along_the_gradient(monkeypatch, fail_at):
+    """When the search along the BFGS direction fails, one more search runs
+    along -g from the identity, and the run goes on from its step; a failed
+    search along -g from the identity ends the run. Searches fail from the
+    fail_at-th on (0-based), and only the last of them is along -g."""
+    searches = []
+    line_search = fitting._line_search
+
+    def failing(evaluate, x, f, g, p, f_prev):
+        searches.append((g, p))
+        if len(searches) > fail_at:
+            return None
+        return line_search(evaluate, x, f, g, p, f_prev)
+
+    monkeypatch.setattr(fitting, "_line_search", failing)
+    run = fitting._bfgs(_rosenbrock, np.array([-1.2, 1.0]), max_iter=500, stop=_never)
+    assert run.message == "line search found no strong-Wolfe step"
+    assert run.nit == fail_at
+    retried = 1 if fail_at else 0
+    assert len(searches) == fail_at + 1 + retried
+    g, p = searches[-1]
+    np.testing.assert_array_equal(p, -g)
+    if retried:
+        g, p = searches[-2]
+        assert not np.array_equal(p, -g)
+
+
+def test_the_retry_along_the_gradient_lets_the_run_finish(monkeypatch):
+    """Only the fourth search fails: its retry along -g steps on, and the run
+    reaches Rosenbrock's minimizer."""
+    searches = []
+    line_search = fitting._line_search
+
+    def failing_once(evaluate, x, f, g, p, f_prev):
+        searches.append((g, p))
+        if len(searches) == 4:
+            return None
+        return line_search(evaluate, x, f, g, p, f_prev)
+
+    monkeypatch.setattr(fitting, "_line_search", failing_once)
+    run = fitting._bfgs(_rosenbrock, np.array([-1.2, 1.0]), max_iter=500, stop=_never)
+    assert run.message == "gradient inf-norm at most 1e-07"
+    np.testing.assert_allclose(run.x, np.ones(2), atol=1e-6)
+    assert run.nit == len(searches) - 1
+    g, p = searches[4]
+    np.testing.assert_array_equal(p, -g)
 
 
 @pytest.mark.parametrize("model_id", ["wei_lognormal", "rp9_gamma"])
@@ -712,7 +766,7 @@ def test_an_infeasible_first_trial_backtracks():
 
 def test_bfgs_at_max_iter_zero_returns_the_start():
     x0 = np.array([-1.2, 1.0])
-    run = fitting._bfgs(_rosenbrock, x0, max_iter=0)
+    run = fitting._bfgs(_rosenbrock, x0, max_iter=0, stop=_never)
     assert (run.nit, run.nfev) == (0, 1)
     np.testing.assert_array_equal(run.x, x0)
     assert (run.fun, run.message) == (_rosenbrock(x0)[0], "max_iter (0) steps taken")
@@ -720,7 +774,7 @@ def test_bfgs_at_max_iter_zero_returns_the_start():
 
 def test_bfgs_from_an_infeasible_start_stops_there():
     run = fitting._bfgs(lambda x: (np.inf, np.full_like(x, np.nan)), np.zeros(3),
-                        max_iter=10)
+                        max_iter=10, stop=_never)
     assert (run.nit, run.nfev, run.fun, run.message) == (0, 1, np.inf, "start is infeasible")
 
 
