@@ -712,13 +712,14 @@ def test_a_failed_search_is_retried_once_along_the_gradient(monkeypatch, fail_at
 
 
 def test_the_retry_along_the_gradient_lets_the_run_finish(monkeypatch):
-    """Only the fourth search fails: its retry along -g steps on, and the run
+    """Only the fourth search fails: its retry along -g steps on, the next
+    direction comes from one BFGS update of the identity, and the run
     reaches Rosenbrock's minimizer."""
     searches = []
     line_search = fitting._line_search
 
     def failing_once(evaluate, x, f, g, p, f_prev):
-        searches.append((g, p))
+        searches.append((x, g, p))
         if len(searches) == 4:
             return None
         return line_search(evaluate, x, f, g, p, f_prev)
@@ -728,8 +729,12 @@ def test_the_retry_along_the_gradient_lets_the_run_finish(monkeypatch):
     assert run.message == "gradient inf-norm at most 1e-07"
     np.testing.assert_allclose(run.x, np.ones(2), atol=1e-6)
     assert run.nit == len(searches) - 1
-    g, p = searches[4]
+    (x, g, p), (x_new, g_new, p_new) = searches[4:6]
     np.testing.assert_array_equal(p, -g)
+    s, y = x_new - x, g_new - g
+    a = np.eye(2) - np.outer(s, y) / (s @ y)
+    updated_identity = a @ a.T + np.outer(s, s) / (s @ y)
+    np.testing.assert_allclose(p_new, -updated_identity @ g_new, rtol=1e-12)
 
 
 @pytest.mark.parametrize("model_id", ["wei_lognormal", "rp9_gamma"])

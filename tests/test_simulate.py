@@ -370,6 +370,8 @@ def test_read_dataset_csv_maps_labels_in_order(tmp_path):
         ("cluster,time,event,treat\n1,1.0,1\n", 2),
         ("cluster,time,event,treat\n", None),
         ("", None),
+        ("cluster,time,event,treat\n1,1.0,1,0\n2,abc,1,0\n", 3),
+        ("cluster,time,event,treat\n1,1.0,1,0\n2,1.0,1,x\n", 3),
         ("cluster,time,event,treat\n1,1.0,1,0\n\n2,nan,0,1\n3,1.0,x,0\n", 4),
         ("cluster,time,event,treat\n1,1.0,1,0\n2,1.0,0,1\n3,2.5,1,0,9\n4,0,1,1\n", 4),
     ],
