@@ -377,7 +377,9 @@ def write_dataset_csv(dataset: ClusteredDataset, path: str | Path) -> None:
 
 def _convert(values: tuple[str, ...], dtype) -> tuple[np.ndarray, Exception | None]:
     """values as an array of dtype, cut before the first value that does not
-    convert, and that value's error (None when all convert)."""
+    convert, and that value's error (None when all convert). Should only
+    the bulk conversion fail, the cut is at the start, so a bad column is
+    never taken for a good one."""
     try:
         return np.array(values, dtype=dtype), None
     except (ValueError, OverflowError) as exc:
