@@ -54,6 +54,10 @@ Z95 = 1.959964
 DEFAULT_GRID = 1000
 TRUTH_GRID = 4000
 TRUTH_GH_NODES = 63
+# elements in one (nodes, block) quadrature temporary, 256 KB of doubles:
+# of budgets from 4k to 128k elements, 32k gave the fastest truths on a host
+# with 2 MB of L2 cache per core
+_BLOCK_ELEMENTS = 32768
 
 
 class EstimandName(str, Enum):
@@ -140,14 +144,38 @@ class MarginalModel:
 
 
 def _lognormal_marginal(H: np.ndarray, variance: float, mean: float, nodes: int) -> np.ndarray:
+    """Survival averaged over a log-Normal frailty with log-mean mean, at
+    each cumulative hazard in H, by adaptive Gauss-Hermite quadrature.
+
+    The quadrature runs on column blocks of at most _BLOCK_ELEMENTS // nodes
+    values of H, so that each (nodes, block) temporary, 256 KB, stays within
+    one core's L2 cache; on the whole (63, 3999) grid of a truth every
+    temporary is 2 MB and each pass streams from L3. Every column is
+    computed by the same operations in the same order as on the whole
+    batch, so the result does not depend on the block size.
+    """
+    rule = gh_rule(nodes)
     const = -0.5 * np.log(2.0 * np.pi * variance)
+    S = np.empty(H.size)
+    block = max(1, _BLOCK_ELEMENTS // nodes)
+    for start in range(0, H.size, block):
+        H_block = H[start:start + block]
 
-    def log_f(eta: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return -np.exp(eta) * H - (eta - mean) ** 2 / (2.0 * variance) + const
+        def log_f(eta: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.exp(eta)
+                out *= H_block
+                np.negative(out, out=out)
+                sq = eta - mean
+                np.square(sq, out=sq)
+                sq /= 2.0 * variance
+                out -= sq
+                out += const
+                return out
 
-    laplace = lognormal_laplace(0.0, H, mean, variance)
-    S = np.exp(adaptive_gh_batch(log_f, gh_rule(nodes), laplace)[0])
+        laplace = lognormal_laplace(0.0, H_block, mean, variance)
+        S[start:start + block] = adaptive_gh_batch(log_f, rule, laplace)[0]
+    np.exp(S, out=S)
     if not np.isfinite(S).all():
         raise QuadratureError("log-Normal marginal survival is not finite "
                               f"at cumulative hazard {H[~np.isfinite(S)][:3]!r}")

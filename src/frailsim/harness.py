@@ -466,12 +466,20 @@ def read_results_csv(path: str) -> list[ReplicationRecord]:
                 estimand=EstimandName(parts[3]),
                 estimate=float(parts[4]) if parts[4] else float("nan"),
                 se=float(parts[5]) if parts[5] else float("nan"),
-                converged=bool(int(parts[6])),
-                filtered=bool(int(parts[7])),
+                converged=_flag("converged", parts[6]),
+                filtered=_flag("filtered", parts[7]),
             ))
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
     return records
+
+
+def _flag(name: str, field: str) -> bool:
+    """A 0/1 column of results.csv as a bool; any other value is a ValueError."""
+    value = int(field)
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {field}")
+    return value == 1
 
 
 def write_summary_csv(summaries: Iterable[PerformanceSummary], path: str) -> None:

@@ -81,7 +81,9 @@ def adaptive_gh_batch(
     laplace is the (mode, curvature) pair of each log-integrand. The rule is
     recentred at the mode and its nodes scaled by sqrt(2 / curvature), so a
     moderate node count handles very concentrated integrands. log_f gets all
-    nodes in one (rule.n, batch) array and returns the log-integrand there.
+    nodes in one (rule.n, batch) array, which it must not modify, and
+    returns the log-integrand there as a fresh array, which this function
+    overwrites.
 
     Returns the log-integrals, the nodes eta as a (rule.n, batch) array and
     each node's normalised weight (its share of its integral), so that a
@@ -90,18 +92,22 @@ def adaptive_gh_batch(
     mode, curv = laplace
     scale = np.sqrt(2.0 / curv)
     eta = mode + scale * rule.nodes[:, None]
-    terms = log_f(eta) + (rule.nodes**2 + np.log(rule.weights))[:, None]
+    terms = log_f(eta)
+    terms += (rule.nodes**2 + np.log(rule.weights))[:, None]
     # log-sum-exp over the nodes, each column shifted by its max or, where
     # that is not finite, by 0: an all -inf column sums to -inf, not NaN.
     # An infinite cumulative hazard gives scale 0; the non-finite
-    # log-integral that follows is the caller's to report.
+    # log-integral that follows is the caller's to report. The shift, the
+    # exponential and the normalisation reuse the array of terms.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = terms.max(axis=0)
         top = np.where(np.isfinite(top), top, 0.0)
-        shifted = np.exp(terms - top)
+        terms -= top
+        shifted = np.exp(terms, out=terms)
         total = shifted.sum(axis=0)
         log_sum = top + np.log(total)
-        return log_sum + np.log(scale), eta, shifted / total
+        shifted /= total
+        return log_sum + np.log(scale), eta, shifted
 
 
 _T_MAX = 4.0

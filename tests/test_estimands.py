@@ -25,6 +25,7 @@ from frailsim.estimands import (
 from frailsim.exceptions import DomainError, EstimandError, QuadratureError
 from frailsim.fitting import ModelParams, fit, model_from_id
 from frailsim.hazards import FrailtyFamily, FrailtySpec
+from frailsim.quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace, tanh_sinh
 from frailsim.simulate import generate_dataset, make_scenario
 
 
@@ -93,6 +94,77 @@ def test_mixture_marginal_survival_against_monte_carlo():
     draws = np.exp(-np.exp(eta) * H)
     mc_se = draws.std(ddof=1) / 1000.0
     assert abs(got - draws.mean()) <= 4.0 * mc_se
+
+
+def _components(frailty):
+    """(probability, log-mean) of each Normal component of a log-Normal or
+    mixture frailty."""
+    if frailty.family is FrailtyFamily.LOG_NORMAL:
+        return [(1.0, 0.0)]
+    return list(zip(frailty.mixture_probs, frailty.mixture_means))
+
+
+def _whole_batch_survival(model, t, x):
+    """marginal_survival as one adaptive_gh_batch call per component on the
+    whole grid, with the log-integrand as one expression."""
+    H = model.cumulative_hazard(t, x)
+    var = model.frailty.variance
+    const = -0.5 * np.log(2.0 * np.pi * var)
+    S = np.zeros_like(H)
+    for prob, mean in _components(model.frailty):
+        def log_f(eta, mean=mean):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return -np.exp(eta) * H - (eta - mean) ** 2 / (2.0 * var) + const
+
+        laplace = lognormal_laplace(0.0, H, mean, var)
+        S_k = np.exp(adaptive_gh_batch(log_f, gh_rule(model.gh_nodes), laplace)[0])
+        S += prob * S_k
+    return np.where(H == 0.0, 1.0, np.clip(S, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("nodes", [15, estimands.TRUTH_GH_NODES])
+@pytest.mark.parametrize("frailty", ["lognormal", "mixturenormal"])
+def test_blocked_marginal_survival_equals_the_whole_batch_bit_for_bit(frailty, nodes):
+    """marginal_survival evaluates the quadrature in column blocks; on a grid
+    3.3 blocks long, with zero times at and next to the block edges, every
+    value equals that of the quadrature run once on the whole grid."""
+    model = MarginalModel.from_scenario(make_scenario("wei", frailty, 0.75, 20, 150),
+                                        gh_nodes=nodes)
+    block = estimands._BLOCK_ELEMENTS // nodes
+    n = 3 * block + block // 3
+    t = np.random.default_rng(nodes).uniform(0.0, 10.0, n) ** 2
+    t[[0, block - 1, block, 2 * block + 1, n - 1]] = 0.0
+    for x in (0.0, 1.0):
+        got = marginal_survival(model, t, x)
+        want = _whole_batch_survival(model, t, x)
+        assert np.array_equal(got, want)
+        assert got[block] == 1.0 and 0.0 < got[block + 1] < 1.0
+
+
+@pytest.mark.parametrize("frailty", ["lognormal", "mixturenormal"])
+def test_truth_marginal_survival_matches_tanh_sinh(frailty):
+    """At the truth settings (63 nodes) marginal survival is the Normal
+    mixture average of exp(-e^eta H) to 1e-12, for H from 1e-6 to 50. The
+    oracle splits each component's range at the integrand's peak, where a
+    large H makes it narrow."""
+    sc = make_scenario("wei", frailty, 0.75, 20, 150)
+    model = MarginalModel.from_scenario(sc)
+    assert model.gh_nodes == estimands.TRUTH_GH_NODES
+    t = sc.baseline.inverse_cumulative_hazard(np.logspace(-6.0, math.log10(50.0), 25))
+    H = model.cumulative_hazard(t, 0.0)
+    got = marginal_survival(model, t, 0.0)
+    sd = math.sqrt(model.frailty.variance)
+    for k in range(H.size):
+        want = 0.0
+        for prob, mean in _components(model.frailty):
+            def integrand(eta, mean=mean):
+                z = (eta - mean) / sd
+                return np.exp(-0.5 * z * z - np.exp(eta) * H[k]) / (sd * math.sqrt(2.0 * math.pi))
+
+            peak = float(lognormal_laplace(0.0, H[k], mean, sd * sd)[0])
+            want += prob * (tanh_sinh(integrand, mean - 12.0 * sd, peak, tol=1e-14)
+                            + tanh_sinh(integrand, peak, mean + 12.0 * sd, tol=1e-14))
+        assert abs(got[k] - want) <= 1e-12
 
 
 @pytest.mark.parametrize("family", [FrailtyFamily.LOG_NORMAL, FrailtyFamily.MIXTURE_NORMAL])

@@ -449,6 +449,22 @@ def test_read_results_csv_validation(tmp_path):
         read_results_csv(str(tmp_path / "missing.csv"))
 
 
+@pytest.mark.parametrize("flags,message", [
+    ("2,0", "converged must be 0 or 1, got 2"),
+    ("-1,0", "converged must be 0 or 1, got -1"),
+    ("1,2", "filtered must be 0 or 1, got 2"),
+    ("0,-1", "filtered must be 0 or 1, got -1"),
+])
+def test_read_results_csv_rejects_flags_other_than_0_or_1(tmp_path, flags, message):
+    """A converged or filtered value other than 0 or 1 is a DataError that
+    names its line, not a true flag that summarize would count."""
+    path = tmp_path / "results.csv"
+    path.write_text(RESULTS_HEADER + "\ns,m,0,LogHR,1.0,0.1,1,0\n"
+                    f"s,m,1,LogHR,1.0,0.1,{flags}\n")
+    with pytest.raises(DataError, match=f"line 3: {message}"):
+        read_results_csv(str(path))
+
+
 def test_summary_and_plot_csv_headers(tmp_path):
     sc, recs = _summary_fixture()
     summaries = summarize(recs, {sc.id: sc})

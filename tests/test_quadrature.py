@@ -109,6 +109,28 @@ def test_adaptive_gh_matches_tanh_sinh_oracle():
         assert abs(got[k] - (math.log(oracle) + peak)) <= 1e-9
 
 
+def test_adaptive_gh_in_place_equals_the_expression_form_bit_for_bit():
+    """adaptive_gh_batch reuses the array log_f returns for the shift, the
+    exponential and the normalisation; each step is the operation of the
+    expression form below, so the three outputs do not change by one bit."""
+    D, V, mean, var = _random_clusters(500, seed=17)
+    log_f = _lognormal_log_f(D, V, mean, var)
+    rule = gh_rule(15)
+    laplace = lognormal_laplace(D, V, mean, var)
+    mode, curv = laplace
+    scale = np.sqrt(2.0 / curv)
+    eta = mode + scale * rule.nodes[:, None]
+    terms = log_f(eta) + (rule.nodes**2 + np.log(rule.weights))[:, None]
+    top = terms.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    shifted = np.exp(terms - top)
+    total = shifted.sum(axis=0)
+    want = (top + np.log(total) + np.log(scale), eta, shifted / total)
+    got = adaptive_gh_batch(log_f, rule, laplace)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_adaptive_gh_log_sum_matches_scipy_logsumexp():
     """At scale 1, the log-integral is the log-sum-exp over the nodes of
