@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .exceptions import DomainError, EstimandError, QuadratureError
 from .fitting import (
@@ -152,10 +151,13 @@ def _lognormal_marginal(H: np.ndarray, variance: float, mean: float, nodes: int)
     one core's L2 cache; on the whole (63, 3999) grid of a truth every
     temporary is 2 MB and each pass streams from L3. Every column is
     computed by the same operations in the same order as on the whole
-    batch, so the result does not depend on the block size.
+    batch, so the result does not depend on the block size. The Laplace
+    points are one value per column, computed once for the whole grid:
+    per block, the fixed cost of a Wright omega call would repeat.
     """
     rule = gh_rule(nodes)
     const = -0.5 * np.log(2.0 * np.pi * variance)
+    mode, curv = lognormal_laplace(0.0, H, mean, variance)
     S = np.empty(H.size)
     block = max(1, _BLOCK_ELEMENTS // nodes)
     for start in range(0, H.size, block):
@@ -173,7 +175,7 @@ def _lognormal_marginal(H: np.ndarray, variance: float, mean: float, nodes: int)
                 out += const
                 return out
 
-        laplace = lognormal_laplace(0.0, H_block, mean, variance)
+        laplace = mode[start:start + block], curv[start:start + block]
         S[start:start + block] = adaptive_gh_batch(log_f, rule, laplace)[0]
     np.exp(S, out=S)
     if not np.isfinite(S).all():
@@ -215,16 +217,27 @@ def _spline_weights(n_grid: int) -> np.ndarray:
     h^3 (M_i + M_i+1) / 24, with M its second derivatives, zero at both
     ends and A M = R S inside (A tridiagonal and symmetric, R the second
     divided differences). So w is the trapezoid weights minus R' z, where
-    A z = c and c_i = (h_i-1^3 + h_i^3) / 24: one banded solve.
+    A z = c and c_i = (h_i-1^3 + h_i^3) / 24: one tridiagonal solve. A is
+    strictly diagonally dominant, so elimination without pivoting (the
+    Thomas algorithm) is stable; it takes LAPACK gtsv's steps in gtsv's
+    order.
     """
     if n_grid < 4:
         raise DomainError(f"need at least 4 grid points, got {n_grid}")
     h = np.diff(np.linspace(0.0, 1.0, n_grid) ** 2)
-    bands = np.zeros((3, n_grid - 2))
-    bands[0, 1:] = bands[2, :-1] = h[1:-1] / 6.0
-    bands[1] = (h[:-1] + h[1:]) / 3.0
-    z = np.zeros(n_grid)
-    z[1:-1] = solve_banded((1, 1), bands, (h[:-1] ** 3 + h[1:] ** 3) / 24.0)
+    off = (h[1:-1] / 6.0).tolist()
+    diag = ((h[:-1] + h[1:]) / 3.0).tolist()
+    # z[k + 1] is the k-th unknown; off[k] couples it with the next
+    z = [0.0, *((h[:-1] ** 3 + h[1:] ** 3) / 24.0).tolist(), 0.0]
+    n = len(diag)
+    for k in range(1, n):
+        fact = off[k - 1] / diag[k - 1]
+        diag[k] -= fact * off[k - 1]
+        z[k + 1] -= fact * z[k]
+    z[n] /= diag[n - 1]
+    for k in range(n - 2, -1, -1):
+        z[k + 1] = (z[k + 1] - off[k] * z[k + 2]) / diag[k]
+    z = np.array(z)
     slope = np.concatenate(([0.0], np.diff(z) / h, [0.0]))
     trapezoid = 0.5 * (np.concatenate(([0.0], h)) + np.concatenate((h, [0.0])))
     w = trapezoid - np.diff(slope)

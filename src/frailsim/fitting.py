@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import DomainError, FitSetupError
 from .hazards import FrailtyFamily
@@ -330,12 +329,14 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset,
             q, r = np.linalg.qr(B - center)
             if (np.abs(np.diag(r)) / root_n < 1e-10).any():
                 raise FitSetupError("spline basis columns are numerically collinear")
-            transform = r / root_n
+            # T = r / sqrt(n) is upper triangular, so its LU makes no row
+            # swaps and T^-1 comes from the back substitution alone
+            inverse = np.linalg.inv(r / root_n)
             B = q * root_n
-            Bd = solve_triangular(transform, Bd.T, lower=False, trans="T").T
+            Bd = Bd @ inverse
             nb = spec.n_baseline_params
-            to_raw[1:nb, 1:nb] = solve_triangular(transform, np.eye(nb - 1), lower=False)
-            to_raw[0, 1:nb] = -center @ to_raw[1:nb, 1:nb]
+            to_raw[1:nb, 1:nb] = inverse
+            to_raw[0, 1:nb] = -center @ inverse
     return _rows(spec, t, logt, np.asarray(data.treat, dtype=float), d,
                  np.asarray(data.cluster, dtype=np.int64), basis, to_raw, B, Bd)
 
@@ -420,38 +421,41 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule):
     through the Wright omega w = var*curv - 1 of lognormal_laplace, whose
     derivative in its argument log(var*V) + var*D is w/(1 + w).
     """
-    with np.errstate(divide="ignore"):
-        log_V = np.log(V)
     const = -0.5 * np.log(2.0 * np.pi * var)
+    e_eta_V = None
 
     def log_f(eta: np.ndarray) -> np.ndarray:
+        nonlocal e_eta_V
         # e^eta * V as one exponential: 0, not inf * 0, where V underflowed
-        with np.errstate(over="ignore", invalid="ignore"):
-            return eta * D - np.exp(eta + log_V) - eta * eta / (2.0 * var) + const
+        e_eta_V = np.exp(eta + log_V)
+        return eta * D - e_eta_V - eta * eta / (2.0 * var) + const
 
-    laplace = lognormal_laplace(D, V, 0.0, var)
-    logs, eta, weight = adaptive_gh_batch(log_f, rule, laplace)
-    mode, curv = laplace
-    w = var * curv - 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_V = np.log(V)
+        laplace = lognormal_laplace(D, V, 0.0, var)
+        logs, eta, weight = adaptive_gh_batch(log_f, rule, laplace)
+        mode, curv = laplace
+        w = var * curv - 1.0
+        one_w = 1.0 + w
+        var_D = var * D
         e_eta = np.exp(eta)
         # l'(eta) at each node, and its posterior means without and with
         # the node offset eta - mode
-        dl = D - np.exp(eta + log_V) - eta / var
-        mean_dl = np.sum(weight * dl, axis=0)
-        mean_dl_off = np.sum(weight * dl * (eta - mode), axis=0)
+        weight_dl = weight * (D - e_eta_V - eta / var)
+        mean_dl = weight_dl.sum(axis=0)
+        mean_dl_off1 = (weight_dl * (eta - mode)).sum(axis=0) + 1.0
         # d w / dV = var e^mode / (1 + w) needs no division by V. At V = 0
         # with var*D > 709 it overflows and the score is not finite; the
         # optimizer treats such a point as infeasible.
-        w_V = var * np.exp(mode) / (1.0 + w)
-        w_u = w / (1.0 + w) * (1.0 + var * D)
+        w_V = var * np.exp(mode) / one_w
+        w_u = w / one_w * (1.0 + var_D)
         # mode = var*D - w, log scale = (log 2 + log var - log(1 + w)) / 2
-        log_scale_V = -0.5 * w_V / (1.0 + w)
-        log_scale_u = 0.5 - 0.5 * w_u / (1.0 + w)
-        g_V = (-np.sum(weight * e_eta, axis=0) - w_V * mean_dl
-               + log_scale_V * (mean_dl_off + 1.0))
-        g_u = (np.sum(weight * eta * eta, axis=0) / (2.0 * var) - 0.5
-               + (var * D - w_u) * mean_dl + log_scale_u * (mean_dl_off + 1.0))
+        log_scale_V = -0.5 * w_V / one_w
+        log_scale_u = 0.5 - 0.5 * w_u / one_w
+        g_V = (-(weight * e_eta).sum(axis=0) - w_V * mean_dl
+               + log_scale_V * mean_dl_off1)
+        g_u = ((weight * eta * eta).sum(axis=0) / (2.0 * var) - 0.5
+               + (var_D - w_u) * mean_dl + log_scale_u * mean_dl_off1)
     return logs, g_V, g_u
 
 
@@ -522,18 +526,17 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[flo
 
     A non-finite log-likelihood reads -inf, with a score of NaNs.
     """
-    infeasible = -np.inf, np.full(vec.size, np.nan)
     log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, spec, vec)
-    if not (np.isfinite(log_h_sum) and np.isfinite(H).all()):
-        return infeasible
+    if not (math.isfinite(log_h_sum) and np.isfinite(H).all()):
+        return -np.inf, np.full(vec.size, np.nan)
     V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
     cluster_logs, g_V, g_u = _cluster_terms(spec, prep.events_per_cluster, V,
                                             np.exp(vec[-1]), prep.d_range)
     ll = log_h_sum + float(cluster_logs.sum())
     # optimizer excursions (an extreme log variance, every H underflowing)
     # can leave non-finite cluster terms; they are infeasible points
-    if not np.isfinite(ll):
-        return infeasible
+    if not math.isfinite(ll):
+        return -np.inf, np.full(vec.size, np.nan)
     score = np.empty(vec.size)
     score[:-1] = dlog_h_sum + (g_V[prep.cluster] * H) @ dlog_H
     score[-1] = g_u.sum()

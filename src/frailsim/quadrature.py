@@ -6,7 +6,8 @@ Three tools live here:
 * adaptive Gauss-Hermite in log space, for marginalizing log-Normal
   cluster frailties whose integrands are sharply peaked: each integrand
   is recentred at its closed-form (Wright omega) mode and scaled by its
-  exact curvature there, and
+  exact curvature there, with the real Wright omega function computed
+  here, and
 * tanh-sinh (double-exponential) quadrature on finite intervals, kept as
   a high-accuracy oracle.
 """
@@ -18,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import wrightomega
 
 from .exceptions import DomainError, QuadratureError
 
@@ -28,18 +28,27 @@ __all__ = [
     "adaptive_gh_batch",
     "lognormal_laplace",
     "tanh_sinh",
+    "wright_omega",
 ]
 
 MAX_GH_NODES = 128
+# 72 times machine epsilon, against which wright_omega weighs the error term
+# of its first Fritsch-Shafer-Crowley step
+_OMEGA_TOL = 72.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class GHRule:
-    """A Gauss-Hermite rule: integrates f(x) exp(-x^2) dx over the real line."""
+    """A Gauss-Hermite rule: integrates f(x) exp(-x^2) dx over the real line.
+
+    log_offset is nodes**2 + log(weights) as an (n, 1) column: the log
+    weights of the same nodes for integral f(x) dx.
+    """
 
     n: int
     nodes: np.ndarray
     weights: np.ndarray
+    log_offset: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,9 +59,56 @@ def gh_rule(n: int) -> GHRule:
     if not 1 <= n <= MAX_GH_NODES:
         raise ValueError(f"node count must be in [1, {MAX_GH_NODES}], got {n}")
     nodes, weights = hermgauss(int(n))
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return GHRule(n=int(n), nodes=nodes, weights=weights)
+    log_offset = (nodes**2 + np.log(weights))[:, None]
+    for array in (nodes, weights, log_offset):
+        array.setflags(write=False)
+    return GHRule(n=int(n), nodes=nodes, weights=weights, log_offset=log_offset)
+
+
+def _fsc_step(z: np.ndarray, w: np.ndarray):
+    """One Fritsch-Shafer-Crowley step towards the w with w + log(w) = z,
+    with the relative residual r / (w + 1) and the w + 1 it started from,
+    r = z - w - log(w). The doublings are sums, which round alike."""
+    r = z - w - np.log(w)
+    wp1 = w + 1.0
+    q = r / wp1
+    a = (wp1 + wp1) * (wp1 + 2.0 / 3.0 * r)
+    return w * (1.0 + q * (a - r) / (a - (r + r))), q, wp1
+
+
+def wright_omega(z):
+    """The real Wright omega function: the w with w + log(w) = z.
+
+    The algorithm of scipy.special.wrightomega for real input (Lawrence,
+    Corless & Jeffrey, ACM TOMS Algorithm 917, 2012): a start by region,
+    exp(z) below z = -2, exp(2 (z - 1) / 3) below 1 and z - log z + log z / z
+    above, then a Fritsch-Shafer-Crowley step of fourth order, and a second
+    one where the first one's error term, (2w^2 - 8w - 1) r^4 / (72 (w+1)^6),
+    may exceed machine epsilon. Below z = -50 the start exp(z) is already
+    exact and is returned, as is z itself above 1e20, so -inf gives 0 and
+    +inf gives inf; NaN gives NaN. A 0-d input gives a 0-d result.
+    """
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_z = np.log(z)
+        w = z - log_z + log_z / z
+        # the clusters of a fit all start above z = 1; a truth's grid does not
+        low = z < 1.0
+        any_low = low.any()
+        if any_low:
+            # z < 2 (z - 1) / 3 exactly where z < -2
+            start = np.exp(np.minimum(z, 2.0 * (z - 1.0) / 3.0))
+            w = np.where(low, start, w)
+        w, q, wp1 = _fsc_step(z, w)
+        # the error term over (w + 1)^4, against 72 eps (w + 1)^2
+        q2 = q * q
+        again = (np.abs(((w + w - 8.0) * w - 1.0) * (q2 * q2))
+                 >= _OMEGA_TOL * (wp1 * wp1))
+        if again.any():
+            w = np.where(again, _fsc_step(z, w)[0], w)
+        if any_low:
+            w = np.where(z < -50.0, start, w)
+        return np.where(z > 1e20, z, w)
 
 
 def lognormal_laplace(D, V, mean, var) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +123,7 @@ def lognormal_laplace(D, V, mean, var) -> tuple[np.ndarray, np.ndarray]:
     """
     shift = mean + var * D
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = wrightomega(np.log(var * V) + shift)
+        w = wright_omega(np.log(var * V) + shift)
         return shift - w, (w + 1.0) / var
 
 
@@ -93,7 +149,7 @@ def adaptive_gh_batch(
     scale = np.sqrt(2.0 / curv)
     eta = mode + scale * rule.nodes[:, None]
     terms = log_f(eta)
-    terms += (rule.nodes**2 + np.log(rule.weights))[:, None]
+    terms += rule.log_offset
     # log-sum-exp over the nodes, each column shifted by its max or, where
     # that is not finite, by 0: an all -inf column sums to -inf, not NaN.
     # An infinite cumulative hazard gives scale 0; the non-finite
@@ -126,6 +182,12 @@ def tanh_sinh(
     successive estimates agree to tol * (1 + |estimate|). Abscissae are formed
     as offsets from the endpoints, so integrable endpoint singularities are
     handled without evaluating f at a or b themselves.
+
+    The stop rule can pass before any node lands on a narrow peak inside a
+    wide interval, and the estimate is then wrong without an error: at tol
+    1e-14, a log-Normal mixture density times exp(-e^eta H) over mean +- 12
+    sd read 1e-7 off. Split the interval at the peak and integrate the
+    pieces apart.
     """
     a = float(a)
     b = float(b)

@@ -365,17 +365,58 @@ def test_python_m_frailsim_sets_thread_variables_before_numpy_loads(preset):
     assert seen == dict.fromkeys(THREAD_VARIABLES, preset or "1")
 
 
-def test_the_cli_loads_neither_scipy_optimize_nor_scipy_interpolate():
-    """fit runs its own BFGS, and splines imports CubicSpline only when an
-    InterpolatingSpline is built, so importing the CLI leaves both packages
-    out; interp_integrate still works, here on a line."""
+# runs the installed command's entry point once per argv in a process where
+# importing scipy fails; the pool's forked workers inherit the block
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from frailsim.__main__ import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv[1:] = argv
+    codes.append(main())
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_every_cli_command_runs_with_scipy_blocked(tmp_path):
+    """The CLI needs numpy alone: simulate, fit --model all (log-Normal fits
+    centre their rule at a Wright omega mode, rp fits invert a triangular
+    factor, each LLE takes the spline weights of a tridiagonal solve), mc at
+    2 workers with its mixture truths, and summarize all exit 0 where
+    importing scipy fails, and no scipy module is loaded."""
+    data = tmp_path / "data"
+    dataset = data / "ww2_mixturenormal_t075_20x150_rep0.csv"
+    commands = [
+        ["simulate", "--scenario", "ww2_mixturenormal_t075_20x150", "--seed", "7",
+         "--out", str(data)],
+        ["fit", str(dataset), "--model", "all", "--out", str(tmp_path / "fit")],
+        ["mc", "--scenarios", "exp_mixturenormal_t075_750x2,ww1_lognormal_t025_750x2",
+         "--models", "exp_lognormal,rp3_gamma", "--nsim", "2", "--seed", "7",
+         "--workers", "2", "--out", str(tmp_path / "mc")],
+        ["summarize", str(tmp_path / "mc" / "results.csv"), "--out", str(tmp_path / "sum")],
+    ]
+    codes, loaded = json.loads(_python(_WITHOUT_SCIPY, json.dumps(commands)))
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+    fits = json.loads((tmp_path / "fit" / "fit_ww2_mixturenormal_t075_20x150_rep0.json").read_text())
+    assert len(fits) == 12 and all(rec["converged"] for rec in fits)
+    assert (tmp_path / "sum" / "summary.csv").read_bytes() == (
+        tmp_path / "mc" / "summary.csv").read_bytes()
+
+
+def test_importing_the_cli_loads_no_scipy_and_interp_integrate_still_works():
+    """splines imports CubicSpline only when an InterpolatingSpline is built,
+    so interp_integrate works, here on a line, where scipy is installed."""
     code = ("import json, sys, frailsim.cli; "
-            "loaded = [m in sys.modules for m in ('scipy.optimize', 'scipy.interpolate')]; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
             "from frailsim.splines import interp_integrate; "
             "area = interp_integrate([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0], 0.5, 2.5); "
             "print(json.dumps([loaded, area]))")
     loaded, area = json.loads(_python(code))
-    assert loaded == [False, False]
+    assert loaded == []
     assert abs(area - 8.0) <= 1e-12
 
 

@@ -211,6 +211,25 @@ def test_spline_weights_integrate_the_natural_spline(n_grid, horizon):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("n_grid", [4, 5, 1000, 4000])
+def test_spline_weights_equal_the_banded_solve_bit_for_bit(n_grid):
+    """The Thomas solve takes LAPACK gtsv's steps in gtsv's order, which
+    pivots nowhere on this diagonally dominant system, so the weights equal
+    those of scipy's solve_banded (gtsv for one band each side), imported
+    here only, to the last bit."""
+    from scipy.linalg import solve_banded
+
+    h = np.diff(np.linspace(0.0, 1.0, n_grid) ** 2)
+    bands = np.zeros((3, n_grid - 2))
+    bands[0, 1:] = bands[2, :-1] = h[1:-1] / 6.0
+    bands[1] = (h[:-1] + h[1:]) / 3.0
+    z = np.zeros(n_grid)
+    z[1:-1] = solve_banded((1, 1), bands, (h[:-1] ** 3 + h[1:] ** 3) / 24.0)
+    slope = np.concatenate(([0.0], np.diff(z) / h, [0.0]))
+    trapezoid = 0.5 * (np.concatenate(([0.0], h)) + np.concatenate((h, [0.0])))
+    assert np.array_equal(_spline_weights(n_grid), trapezoid - np.diff(slope))
+
+
 def test_life_expectancy_rejects_small_grids_and_non_finite_survival(monkeypatch):
     model = MarginalModel.from_scenario(make_scenario("exp", "gamma", 0.25, 20, 150))
     with pytest.raises(DomainError):

@@ -28,7 +28,7 @@ from frailsim.fitting import (
 from frailsim.harness import derive_seed
 from frailsim.hazards import FrailtyFamily
 from frailsim.quadrature import tanh_sinh
-from frailsim.splines import place_knots
+from frailsim.splines import basis_derivative, basis_eval, place_knots
 from frailsim.simulate import (
     ClusteredDataset,
     generate_dataset,
@@ -193,6 +193,30 @@ def _study_fit(model_id, size):
     spec = model_from_id(model_id)
     data = _study_data(size)
     return fitting._prepare(spec, data), spec, fit(spec, data)
+
+
+@pytest.mark.parametrize("df", [3, 5, 9])
+def test_rp_prepare_matches_triangular_solves(df):
+    """_prepare inverts the QR factor T once and uses T^-1 in Bd T^-1 and as
+    the to_raw block; scipy's triangular solves, imported here only, give
+    both to 1e-12 of their largest entry on the fit_all dataset."""
+    from scipy.linalg import solve_triangular
+
+    spec = model_from_id(f"rp{df}_gamma")
+    data = _study_data((20, 150))
+    prep = fitting._prepare(spec, data)
+    logt = np.log(data.time)
+    basis = place_knots(logt[np.asarray(data.event, dtype=bool)], df)
+    B, Bd = basis_eval(basis, logt), basis_derivative(basis, logt)
+    center = B.mean(axis=0)
+    transform = np.linalg.qr(B - center)[1] / np.sqrt(B.shape[0])
+    inverse = solve_triangular(transform, np.eye(df), lower=False)
+    want_Bd = solve_triangular(transform, Bd.T, lower=False, trans="T").T
+    want_to_raw = np.eye(spec.n_params)
+    want_to_raw[1:df + 1, 1:df + 1] = inverse
+    want_to_raw[0, 1:df + 1] = -center @ inverse
+    for got, want in ((prep.Bd, want_Bd), (prep.to_raw, want_to_raw)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
 
 
 def _cd_gradient(prep, spec, vec):

@@ -1,5 +1,5 @@
-"""Tests for Gauss-Hermite rules, the log-Normal Laplace point, adaptive GH,
-and tanh-sinh integration."""
+"""Tests for Gauss-Hermite rules, the Wright omega function, the log-Normal
+Laplace point, adaptive GH, and tanh-sinh integration."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,13 @@ import pytest
 from scipy.special import logsumexp
 
 from frailsim.exceptions import DomainError, QuadratureError
-from frailsim.quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace, tanh_sinh
+from frailsim.quadrature import (
+    adaptive_gh_batch,
+    gh_rule,
+    lognormal_laplace,
+    tanh_sinh,
+    wright_omega,
+)
 
 
 # A Gauss-Hermite rule with n nodes integrates x^d e^{-x^2} exactly for
@@ -52,6 +58,42 @@ def test_gh_rule_rejects_non_integers(bad):
 def test_gh_rule_accepts_boundary_counts(n):
     rule = gh_rule(n)
     assert rule.nodes.shape == (n,)
+
+
+def test_wright_omega_matches_scipy():
+    """An oracle: scipy.special.wrightomega, imported here only. The relative
+    difference is at most 1e-14 wherever scipy's value is a normal positive
+    float (about 1e-15 at most on this grid; below z = -2 both are up to
+    some 30 ulp off, by mpmath, since the residual z - w - log w cancels
+    there). Below z = -708 the value exp(z) is
+    subnormal, one unit of which exceeds 1e-14 relative, and numpy's exp
+    and the C library's may round apart: there the two agree to one unit."""
+    from scipy.special import wrightomega
+
+    z = np.concatenate([np.linspace(-745.0, 745.0, 200_001),
+                        [-50.0, -2.0, 1.0, 1e20, -0.0, 0.0]])
+    got, want = wright_omega(z), wrightomega(z)
+    normal = want >= np.finfo(float).tiny
+    assert np.isfinite(want).all() and normal.sum() > 190_000
+    assert np.all(np.abs(got[normal] - want[normal]) <= 1e-14 * want[normal])
+    subnormal = ~normal & (want > 0)
+    assert subnormal.sum() > 1_000
+    assert np.all(np.abs(got[subnormal] - want[subnormal]) <= np.nextafter(0.0, 1.0))
+
+
+def test_wright_omega_at_the_edges():
+    """0 at -inf and below the smallest exp, z itself above 1e20 and at +inf,
+    NaN for NaN, and a 0-d result for scalar and 0-d input."""
+    z = np.array([-np.inf, -800.0, 1e25, 1e300, np.inf, np.nan])
+    got = wright_omega(z)
+    assert np.array_equal(got[:5], [0.0, 0.0, 1e25, 1e300, np.inf])
+    assert np.isnan(got[5])
+    for scalar in (0.5, np.float64(0.5), np.array(0.5)):
+        assert np.ndim(wright_omega(scalar)) == 0
+    # omega(1) = 1 and omega(0) is the omega constant, W(1)
+    assert wright_omega(1.0) == 1.0
+    assert abs(wright_omega(0.0) - 0.5671432904097838) <= 1e-16
+    assert wright_omega(np.array(-np.inf)) == 0.0
 
 
 def _random_clusters(n, seed):
@@ -157,11 +199,14 @@ def test_adaptive_gh_log_sum_matches_scipy_logsumexp():
 def test_adaptive_gh_exact_for_gaussian_density(mu, sigma):
     """A Normal density integrates to 1 (log-integral 0) at its Laplace point,
     for any node count, because the rescaled integrand is a polynomial of
-    degree 0 against the GH weight."""
+    degree 0 against the GH weight. Without hazard (V = 0, so omega(-inf) =
+    0) that point is the density's own mode and curvature, exactly, for
+    float and 0-d array input alike."""
 
     def log_f(eta):
         return -0.5 * ((eta - mu) / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
 
+    assert lognormal_laplace(np.array(0.0), np.array(0.0), mu, sigma**2) == (mu, 1.0 / sigma**2)
     laplace = lognormal_laplace(0.0, 0.0, mu, sigma**2)
     assert laplace == (mu, 1.0 / sigma**2)
     assert abs(adaptive_gh_batch(log_f, gh_rule(5), laplace)[0]) <= 1e-12
