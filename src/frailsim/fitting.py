@@ -329,11 +329,15 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset,
             q, r = np.linalg.qr(B - center)
             if (np.abs(np.diag(r)) / root_n < 1e-10).any():
                 raise FitSetupError("spline basis columns are numerically collinear")
-            # T = r / sqrt(n) is upper triangular, so its LU makes no row
-            # swaps and T^-1 comes from the back substitution alone
-            inverse = np.linalg.inv(r / root_n)
+            transform = r / root_n
             B = q * root_n
-            Bd = Bd @ inverse
+            # Bd T^-1 by substitution, one column at a time: T is upper
+            # triangular and has at most 9 columns
+            raw_Bd, Bd = Bd, np.empty_like(Bd)
+            for j in range(Bd.shape[1]):
+                Bd[:, j] = (raw_Bd[:, j] - Bd[:, :j] @ transform[:j, j]) / transform[j, j]
+            # T's LU makes no row swaps, so this inverse is a back substitution
+            inverse = np.linalg.inv(transform)
             nb = spec.n_baseline_params
             to_raw[1:nb, 1:nb] = inverse
             to_raw[0, 1:nb] = -center @ inverse
@@ -424,6 +428,8 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule):
     const = -0.5 * np.log(2.0 * np.pi * var)
     e_eta_V = None
 
+    # adaptive_gh_batch calls log_f once, on the nodes it returns, so the
+    # exponential kept here serves the score below
     def log_f(eta: np.ndarray) -> np.ndarray:
         nonlocal e_eta_V
         # e^eta * V as one exponential: 0, not inf * 0, where V underflowed
@@ -526,17 +532,18 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[flo
 
     A non-finite log-likelihood reads -inf, with a score of NaNs.
     """
+    infeasible = -np.inf, np.full(vec.size, np.nan)
     log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, spec, vec)
-    if not (math.isfinite(log_h_sum) and np.isfinite(H).all()):
-        return -np.inf, np.full(vec.size, np.nan)
+    if not (np.isfinite(log_h_sum) and np.isfinite(H).all()):
+        return infeasible
     V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
     cluster_logs, g_V, g_u = _cluster_terms(spec, prep.events_per_cluster, V,
                                             np.exp(vec[-1]), prep.d_range)
     ll = log_h_sum + float(cluster_logs.sum())
     # optimizer excursions (an extreme log variance, every H underflowing)
     # can leave non-finite cluster terms; they are infeasible points
-    if not math.isfinite(ll):
-        return -np.inf, np.full(vec.size, np.nan)
+    if not np.isfinite(ll):
+        return infeasible
     score = np.empty(vec.size)
     score[:-1] = dlog_h_sum + (g_V[prep.cluster] * H) @ dlog_H
     score[-1] = g_u.sum()

@@ -92,7 +92,9 @@ def wright_omega(z):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_z = np.log(z)
         w = z - log_z + log_z / z
-        # the clusters of a fit all start above z = 1; a truth's grid does not
+        # The two .any() tests only skip work; the values are those of the
+        # form that always takes both branches. In fits few z are below 1 and
+        # most need one step: at 20 values the skips save about 12 of 44 us.
         low = z < 1.0
         any_low = low.any()
         if any_low:
@@ -139,7 +141,8 @@ def adaptive_gh_batch(
     moderate node count handles very concentrated integrands. log_f gets all
     nodes in one (rule.n, batch) array, which it must not modify, and
     returns the log-integrand there as a fresh array, which this function
-    overwrites.
+    overwrites. log_f is called exactly once, on the eta returned, so a
+    caller may keep what log_f computed there for its own derivatives.
 
     Returns the log-integrals, the nodes eta as a (rule.n, batch) array and
     each node's normalised weight (its share of its integral), so that a

@@ -197,9 +197,9 @@ def _study_fit(model_id, size):
 
 @pytest.mark.parametrize("df", [3, 5, 9])
 def test_rp_prepare_matches_triangular_solves(df):
-    """_prepare inverts the QR factor T once and uses T^-1 in Bd T^-1 and as
-    the to_raw block; scipy's triangular solves, imported here only, give
-    both to 1e-12 of their largest entry on the fit_all dataset."""
+    """_prepare solves Bd T^-1 by column substitution and inverts the QR
+    factor T for the to_raw block; scipy's triangular solves, imported here
+    only, give both to 1e-12 of their largest entry on the fit_all dataset."""
     from scipy.linalg import solve_triangular
 
     spec = model_from_id(f"rp{df}_gamma")

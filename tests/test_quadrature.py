@@ -81,6 +81,19 @@ def test_wright_omega_matches_scipy():
     assert np.all(np.abs(got[subnormal] - want[subnormal]) <= np.nextafter(0.0, 1.0))
 
 
+def test_wright_omega_skips_change_no_value():
+    """wright_omega skips the exp start where no z is below 1 and the second
+    step where no value needs it. One value per call takes exactly its own
+    branches, so single calls must equal one call on a batch that mixes
+    every region, bit for bit."""
+    z = np.concatenate([np.linspace(-60.0, 60.0, 1201), np.geomspace(1.0, 1e22, 300),
+                        [-np.inf, np.inf, np.nan]])
+    batch = wright_omega(z)
+    single = np.array([wright_omega(x) for x in z])
+    assert np.array_equal(batch, single, equal_nan=True)
+    assert np.array_equal(wright_omega(z[z >= 1.0]), batch[z >= 1.0])
+
+
 def test_wright_omega_at_the_edges():
     """0 at -inf and below the smallest exp, z itself above 1e20 and at +inf,
     NaN for NaN, and a 0-d result for scalar and 0-d input."""
@@ -171,6 +184,21 @@ def test_adaptive_gh_in_place_equals_the_expression_form_bit_for_bit():
     got = adaptive_gh_batch(log_f, rule, laplace)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_adaptive_gh_calls_log_f_once_on_the_nodes_it_returns():
+    """fitting._lognormal_clusters keeps exp(eta + log V) from its log_f for
+    the score, which is right only if log_f saw the eta returned, once."""
+    D, V, mean, var = _random_clusters(30, seed=19)
+    inner = _lognormal_log_f(D, V, mean, var)
+    seen = []
+
+    def log_f(eta):
+        seen.append(eta)
+        return inner(eta)
+
+    _, eta, _ = adaptive_gh_batch(log_f, gh_rule(15), lognormal_laplace(D, V, mean, var))
+    assert len(seen) == 1 and seen[0] is eta
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
