@@ -326,16 +326,16 @@ def lle_functional(
     def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
         vec = np.asarray(vec, dtype=float)
         prep, signed = grid()
-        _, H, _, dlog_H = _log_h_and_H(prep, spec, vec)
-        live = ~np.isposinf(H)
-        log_S = np.full(H.size, -np.inf)
-        g_V = np.zeros(H.size)
-        g_u = np.zeros(H.size)
-        log_S[live], g_V[live], g_u[live] = _cluster_terms(
-            spec, prep.events_per_cluster[live], H[live], np.exp(vec[-1]), prep.d_range)
-        a = signed * np.exp(log_S)
         grad = np.empty(vec.size)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            _, H, _, dlog_H = _log_h_and_H(prep, spec, vec)
+            live = ~np.isposinf(H)
+            log_S = np.full(H.size, -np.inf)
+            g_V = np.zeros(H.size)
+            g_u = np.zeros(H.size)
+            log_S[live], g_V[live], g_u[live] = _cluster_terms(
+                spec, prep.events_per_cluster[live], H[live], np.exp(vec[-1]), prep.d_range)
+            a = signed * np.exp(log_S)
             # 0, not 0 * inf, where S underflowed
             grad[:-1] = np.where(a != 0.0, a * g_V * H, 0.0) @ dlog_H
             grad[-1] = np.where(a != 0.0, a * g_u, 0.0).sum()

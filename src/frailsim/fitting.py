@@ -6,18 +6,19 @@ marginal likelihood) or log-Normal (adaptive Gauss-Hermite marginalization).
 
 Optimization happens on a transformed scale where every parameter is free:
 log rate, log shape, log frailty variance; Gompertz slope, spline
-coefficients, and beta unchanged. The likelihood comes with its analytic
-score on that scale: per row d log h and d log H (closed forms, or the
-spline basis B and its derivative Bd), and per cluster the derivatives of
-the Gamma closed form or of the Gauss-Hermite sum in the cluster's
-cumulative hazard V and the log frailty variance. The observed information
-at an optimum follows by the chain rule through V: closed second
-derivatives per row, and per cluster those of the Gamma closed form, or
-central differences of the Gauss-Hermite derivatives in V and log variance.
+coefficients, and beta unchanged. One pass over the rows and clusters
+(``_loglik_core``) gives the likelihood with its analytic score and
+observed information on that scale: per row d log h and d log H and their
+second derivatives (closed forms, or the spline basis B and its derivative
+Bd), and per cluster the first and second derivatives, all closed, of the
+Gamma closed form or of the Gauss-Hermite sum in the cluster's cumulative
+hazard V and the log frailty variance; the information follows by the
+chain rule through V. The fit takes Newton steps in Levenberg-Marquardt
+form on them (``_newton``).
 """
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,25 +47,19 @@ __all__ = [
 MODEL_BASELINES = ("exp", "wei", "gom", "rp")
 RP_DF = (3, 5, 9)
 
-# steps of the central differences of the log-Normal cluster derivatives:
-# relative in V, and 1e-4 (1 + |log var|) in log var, because near var = 0
-# each cluster's g_u is a difference of O(1) terms whose rounding a smaller
-# step would amplify
-_V_STEP = 1e-5
-_U_STEP = 1e-4
-# relative, because an absolute score tolerance of 1e-7 is below what the
-# objective resolves at |loglik| of 500-2,000
-_GTOL_REL = 1e-7
-_SCORE_STOP = f"score below {_GTOL_REL:g}*(1+|loglik|)"
-# logliks closer than this, relative, are equal up to the rounding of a sum
-# over thousands of rows; near an optimum they differ by about 2e-15
-_ROUNDING = 1e-12
+# a start ends when its Newton decrement g'H^-1 g is at most this times
+# 1 + |loglik|: the loglik is then within half of it of the quadratic
+# model's maximum. A shifted step that predicts no more gain than that ends
+# it too.
+_DECREMENT = 1e-12
+_DECREMENT_STOP = f"Newton decrement at most {_DECREMENT:g}*(1+|loglik|)"
+_GAIN_STOP = "a step predicted a gain below half the decrement tolerance"
 _FALLBACK = "first start not converged, fallback starts ran"
-# BFGS's absolute gradient tolerance and strong Wolfe constants, as in
-# scipy's BFGS, and the trials one line search may make
-_GTOL = 1e-7
-_C1, _C2 = 1e-4, 0.9
-_LS_TRIALS = 20
+# the smallest ratio of actual to predicted fall that takes a Newton step,
+# and the least Levenberg-Marquardt shift after a rejected step, relative
+# to the Hessian's largest diagonal entry
+_MIN_RATIO = 1e-4
+_LAM_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -230,11 +225,14 @@ class _Prepared:
     raw columns are centered and QR-rotated so the internal design has
     orthogonal columns of unit root-mean-square, and the optimizer works on
     their coefficients. Raw truncated-power columns with nearby knots are
-    so collinear that BFGS, which starts from an identity inverse Hessian,
-    conditions badly on their coefficients: on the raw coefficients, the
-    study's 90 scenarios at reps 0-2 (1,620 rp fits) had 2 fits that did
-    not converge and 13 that needed the fallback starts, against none
-    here, and 14% more evaluations (at most 379 in a fit, against 109).
+    so collinear that BFGS, the optimizer before the Newton fit, which
+    starts from an identity inverse Hessian, conditioned badly on their
+    coefficients: on the raw coefficients, the study's 90 scenarios at
+    reps 0-2 (1,620 rp fits) had 2 fits that did not converge and 13 that
+    needed the fallback starts, against none here, and 14% more evaluations
+    (at most 379 in a fit, against 109). Newton steps do not depend on the
+    basis in exact arithmetic, but the shift of a rejected step and the
+    floating-point solves do.
 
     to_raw maps an optimizer-scale vector to the raw transformed vector of
     pack_params and unpack_params: the identity but for the rp coefficient
@@ -266,6 +264,14 @@ class _Prepared:
 
     def __post_init__(self):
         self.d_range = np.arange(int(self.events_per_cluster.max()) + 1, dtype=float)
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """The flat index of (cluster, column) for each entry of a row-wise
+        array shaped like design, so that one bincount gives the sums of
+        its columns over each cluster."""
+        width = self.design.shape[1]
+        return (self.cluster[:, None] * width + np.arange(width)).ravel()
 
 
 def _rows(spec: ModelSpec, t: np.ndarray, logt: np.ndarray, x: np.ndarray,
@@ -369,9 +375,8 @@ def _d2log_expm1_over(v: np.ndarray) -> np.ndarray:
     small = np.abs(v) < 0.05
     safe = np.where(small, 1.0, v)
     v2 = v * v
-    with np.errstate(over="ignore"):
-        return np.where(small, 1.0 / 12.0 - v2 / 240.0 + v2 * v2 / 6048.0,
-                        1.0 / (safe * safe) - 0.25 / np.sinh(0.5 * safe) ** 2)
+    return np.where(small, 1.0 / 12.0 - v2 / 240.0 + v2 * v2 / 6048.0,
+                    1.0 / (safe * safe) - 0.25 / np.sinh(0.5 * safe) ** 2)
 
 
 def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
@@ -381,180 +386,208 @@ def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
 
     The log h sum may be -inf (flagging a nonpositive RP hazard slope at an
     event) or NaN; H may overflow to inf. Both are handled by the callers.
-    d log H may be prep.design itself, which callers must not modify.
+    d log H may be prep.design itself, which callers must not modify. The
+    caller enters np.errstate.
     """
     nb = spec.n_baseline_params
     theta = vec[:nb + 1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if spec.baseline == "exp":
-            log_h_sum = prep.event_design @ theta
-            H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t
-            dlog_h_sum, dlog_H = prep.event_design, prep.design
-        elif spec.baseline == "wei":
-            # log h = log rate + log shape + (shape - 1) log t + x beta
-            shape = np.exp(vec[1])
-            scale = np.array([1.0, shape, 1.0])
-            log_h_sum = (prep.event_design @ [vec[0], shape - 1.0, vec[nb]]
-                         + prep.event_design[0] * vec[1])
-            H = np.exp(vec[0] + shape * prep.logt + prep.x * vec[nb])
-            dlog_h_sum = prep.event_design * scale + [0.0, prep.event_design[0], 0.0]
-            dlog_H = prep.design * scale
-        elif spec.baseline == "gom":
-            log_h_sum = prep.event_design @ theta
-            H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t * _expm1_over(vec[1] * prep.t)
-            dlog_h_sum = prep.event_design
-            dlog_H = prep.design.copy()
-            dlog_H[:, 1] *= _dlog_expm1_over(vec[1] * prep.t)
-        else:
-            sp = prep.event_Bd @ vec[1:nb]
-            log_sp = np.where(sp > 0, np.log(np.where(sp > 0, sp, 1.0)), -np.inf)
-            log_h_sum = log_sp.sum() - prep.event_logt + prep.event_design @ theta
-            H = np.exp(prep.design @ theta)
-            dlog_h_sum = prep.event_design.copy()
-            dlog_h_sum[1:nb] += (1.0 / sp) @ prep.event_Bd
-            dlog_H = prep.design
+    if spec.baseline == "exp":
+        log_h_sum = prep.event_design @ theta
+        H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t
+        dlog_h_sum, dlog_H = prep.event_design, prep.design
+    elif spec.baseline == "wei":
+        # log h = log rate + log shape + (shape - 1) log t + x beta
+        shape = np.exp(vec[1])
+        scale = np.array([1.0, shape, 1.0])
+        log_h_sum = (prep.event_design @ [vec[0], shape - 1.0, vec[nb]]
+                     + prep.event_design[0] * vec[1])
+        H = np.exp(vec[0] + shape * prep.logt + prep.x * vec[nb])
+        dlog_h_sum = prep.event_design * scale + [0.0, prep.event_design[0], 0.0]
+        dlog_H = prep.design * scale
+    elif spec.baseline == "gom":
+        log_h_sum = prep.event_design @ theta
+        H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t * _expm1_over(vec[1] * prep.t)
+        dlog_h_sum = prep.event_design
+        dlog_H = prep.design.copy()
+        dlog_H[:, 1] *= _dlog_expm1_over(vec[1] * prep.t)
+    else:
+        sp = prep.event_Bd @ vec[1:nb]
+        log_sp = np.where(sp > 0, np.log(np.where(sp > 0, sp, 1.0)), -np.inf)
+        log_h_sum = log_sp.sum() - prep.event_logt + prep.event_design @ theta
+        H = np.exp(prep.design @ theta)
+        dlog_h_sum = prep.event_design.copy()
+        dlog_h_sum[1:nb] += (1.0 / sp) @ prep.event_Bd
+        dlog_H = prep.design
     return float(log_h_sum), H, dlog_h_sum, dlog_H
 
 
-def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule):
+def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule,
+                        curvature: bool = False):
     """Log-Normal cluster terms by adaptive Gauss-Hermite, with their exact
-    derivatives in V and in log var.
+    derivatives g_V in V and g_u in u = log var, and with curvature=True
+    also g_VV, g_Vu and g_uu. The caller enters np.errstate.
 
     The derivatives are those of the quadrature sum itself, not of the
-    integral it approximates: the nodes mode + scale*z move with V and var
-    through the Wright omega w = var*curv - 1 of lognormal_laplace, whose
-    derivative in its argument log(var*V) + var*D is w/(1 + w).
+    integral it approximates. The nodes are eta_j = m + t_j, t_j = s*z_j,
+    around the mode m of l(eta) = eta*D - e^eta*V - eta^2/(2 var) - log(2 pi
+    var)/2, at scale s = sqrt(2 var/(1 + w)), where w = var*V*e^m is the
+    Wright omega of lognormal_laplace. Since l'(m) = 0 and -l''(m) = 2/s^2,
+    l(eta_j) + z_j^2 = l(m) + R_j with R_j = -A psi(t_j), A = e^m*V = w/var
+    and psi(t) = e^t - 1 - t - t^2/2; so the sum is log s + l(m) + log sum_j
+    q_j e^R_j, with q_j the rule's weights, whose normalised terms are the
+    posterior weights p_j. Its first derivatives are (log s)_a + l_a(m) +
+    E_p[R_a], and its second (log s)_ab + l_ab(m) + l_a'(m) m_b + E_p[R_ab]
+    + Cov_p(R_a, R_b). Every term is small where the frailty variance is,
+    so g_u keeps its relative precision as var -> 0, where the derivatives
+    of l(eta_j) would be a difference of O(1) terms.
+
+    m and s move with V and u through w, the Wright omega of log(var*V) +
+    var*D, whose first and second derivatives in that argument are w/(1 + w)
+    and w/(1 + w)^3; w/V enters as var*e^m, so nothing divides by V.
     """
     const = -0.5 * np.log(2.0 * np.pi * var)
-    e_eta_V = None
 
-    # adaptive_gh_batch calls log_f once, on the nodes it returns, so the
-    # exponential kept here serves the score below
     def log_f(eta: np.ndarray) -> np.ndarray:
-        nonlocal e_eta_V
         # e^eta * V as one exponential: 0, not inf * 0, where V underflowed
-        e_eta_V = np.exp(eta + log_V)
-        return eta * D - e_eta_V - eta * eta / (2.0 * var) + const
+        return eta * D - np.exp(eta + log_V) - eta * eta / (2.0 * var) + const
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_V = np.log(V)
-        laplace = lognormal_laplace(D, V, 0.0, var)
-        logs, eta, weight = adaptive_gh_batch(log_f, rule, laplace)
-        mode, curv = laplace
-        w = var * curv - 1.0
-        one_w = 1.0 + w
-        var_D = var * D
-        e_eta = np.exp(eta)
-        # l'(eta) at each node, and its posterior means without and with
-        # the node offset eta - mode
-        weight_dl = weight * (D - e_eta_V - eta / var)
-        mean_dl = weight_dl.sum(axis=0)
-        mean_dl_off1 = (weight_dl * (eta - mode)).sum(axis=0) + 1.0
-        # d w / dV = var e^mode / (1 + w) needs no division by V. At V = 0
-        # with var*D > 709 it overflows and the score is not finite; the
-        # optimizer treats such a point as infeasible.
-        w_V = var * np.exp(mode) / one_w
-        w_u = w / one_w * (1.0 + var_D)
-        # mode = var*D - w, log scale = (log 2 + log var - log(1 + w)) / 2
-        log_scale_V = -0.5 * w_V / one_w
-        log_scale_u = 0.5 - 0.5 * w_u / one_w
-        g_V = (-(weight * e_eta).sum(axis=0) - w_V * mean_dl
-               + log_scale_V * mean_dl_off1)
-        g_u = ((weight * eta * eta).sum(axis=0) / (2.0 * var) - 0.5
-               + (var_D - w_u) * mean_dl + log_scale_u * mean_dl_off1)
-    return logs, g_V, g_u
+    log_V = np.log(V)
+    laplace = lognormal_laplace(D, V, 0.0, var)
+    logs, eta, weight = adaptive_gh_batch(log_f, rule, laplace)
+    mode, curv = laplace
+    w = var * curv - 1.0
+    one_w = 1.0 + w
+    var_D = var * D
+    # d/du of omega's argument
+    arg_u = 1.0 + var_D
+    e_mode = np.exp(mode)
+    # w/V = var e^m, which at V = 0 with var*D > 709 overflows: the
+    # derivatives are then not finite, and the point is infeasible
+    w_V = var * e_mode / one_w
+    w_u = w / one_w * arg_u
+    m_u = var_D - w_u
+    # log s = (log 2 + u - log(1 + w)) / 2
+    log_s_V = -0.5 * w_V / one_w
+    log_s_u = 0.5 - 0.5 * w_u / one_w
+    A = w / var
+    A_V = e_mode / one_w
+    A_u = A * mode / one_w
+    # R = -A psi(t) with d t = (log s)_a t, so R_a = -(A_a psi + A (log s)_a
+    # psi'(t) t): each derivative of R is a per-cluster combination of psi,
+    # psi'(t) t and psi''(t) t^2, and its posterior moments are those of
+    # these three node arrays
+    t = eta - mode
+    em1 = np.expm1(t)
+    t2 = t * t
+    psi1_t = (em1 - t) * t
+    psi = em1 - t - 0.5 * t2
+
+    def mean(x: np.ndarray) -> np.ndarray:
+        return (weight * x).sum(axis=0)
+
+    m0, m1 = mean(psi), mean(psi1_t)
+    B_V, B_u = A * log_s_V, A * log_s_u
+    # l_V(m) = -e^m, l_u(m) = m^2/(2 var) - 1/2
+    g_V = log_s_V - e_mode - (A_V * m0 + B_V * m1)
+    g_u = mode * mode / (2.0 * var) - 0.5 * w_u / one_w - (A_u * m0 + B_u * m1)
+    if not curvature:
+        return logs, g_V, g_u
+    cube = one_w * one_w * one_w
+    w_VV = -var * e_mode * w_V * (2.0 + w) / (one_w * one_w)
+    w_Vu = var * e_mode * arg_u / cube
+    w_uu = w * arg_u * arg_u / cube + w / one_w * var_D
+    log_s_VV = -0.5 * (w_VV - w_V * w_V / one_w) / one_w
+    log_s_Vu = -0.5 * (w_Vu - w_V * w_u / one_w) / one_w
+    log_s_uu = -0.5 * (w_uu - w_u * w_u / one_w) / one_w
+    A_VV = -e_mode * w_V * (2.0 + w) / (one_w * one_w)
+    A_Vu = e_mode * (m_u - w_u / one_w) / one_w
+    A_uu = (A_u * mode + A * (m_u - mode * w_u / one_w)) / one_w
+    m2 = mean(em1 * t2)
+    psi -= m0
+    psi1_t -= m1
+    v00, v01, v11 = mean(psi * psi), mean(psi * psi1_t), mean(psi1_t * psi1_t)
+
+    def second(A_ab, A_a, A_b, B_a, B_b, ls_a, ls_b, ls_ab):
+        """E_p[R_ab] + Cov_p(R_a, R_b)."""
+        return (A_a * A_b * v00 + (A_a * B_b + A_b * B_a) * v01 + B_a * B_b * v11
+                - A_ab * m0 - (A_a * ls_b + A_b * ls_a + A * (ls_ab + ls_a * ls_b)) * m1
+                - B_a * ls_b * m2)
+
+    # l_VV = 0 and l_V' = -e^m; l_uu = -m^2/(2 var) and l_u' = m/var
+    g_VV = (log_s_VV + e_mode * w_V
+            + second(A_VV, A_V, A_V, B_V, B_V, log_s_V, log_s_V, log_s_VV))
+    g_Vu = (log_s_Vu - e_mode * m_u
+            + second(A_Vu, A_V, A_u, B_V, B_u, log_s_V, log_s_u, log_s_Vu))
+    g_uu = (log_s_uu + mode * (m_u - 0.5 * mode) / var
+            + second(A_uu, A_u, A_u, B_u, B_u, log_s_u, log_s_u, log_s_uu))
+    return logs, g_V, g_u, g_VV, g_Vu, g_uu
 
 
-def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarray):
-    """Gamma cluster terms in closed form, with their derivatives in V and in
-    log var. d_range is 0, 1, ..., max(D)."""
+def _log1p_gap(x: np.ndarray) -> np.ndarray:
+    """1/(1 + x) - log1p(x)/x for x >= 0; below x = 0.01, where that
+    difference cancels, its series -x/2 + 2x^2/3 - 3x^3/4 + ..."""
+    small = x < 0.01
+    safe = np.where(small, 1.0, x)
+    out = 1.0 / (1.0 + safe) - np.log1p(safe) / safe
+    # the test only skips work: in most fits no x is that small
+    if small.any():
+        xs = x[small]
+        out[small] = xs * (-1.0 / 2.0 + xs * (2.0 / 3.0 + xs * (-3.0 / 4.0 + xs * (
+            4.0 / 5.0 + xs * (-5.0 / 6.0 + xs * (6.0 / 7.0 + xs * (-7.0 / 8.0 + xs * 8.0 / 9.0)))))))
+    return out
+
+
+def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarray,
+                    curvature: bool = False):
+    """Gamma cluster terms in closed form, with their derivatives g_V in V
+    and g_u in u = log var, and with curvature=True also g_VV, g_Vu and
+    g_uu. d_range is 0, 1, ..., max(D).
+
+    g_u and g_uu are O(var) as var -> 0, while log1p(var*V)/var and V/(1 +
+    var*V) are O(V); their difference is taken as V * _log1p_gap(var*V),
+    so that it keeps its relative precision at a frailty variance near 0.
+    """
     # log Gamma(1/v + D) - log Gamma(1/v) + D log v telescopes to
     # sum_{j<D} log(1 + j v), which is stable for every v > 0
     jv = var * d_range[:-1]
-    ratio_terms = np.concatenate(([0.0], np.cumsum(np.log1p(jv))))
-    ratio_slopes = np.concatenate(([0.0], np.cumsum(jv / (1.0 + jv))))
+    one_jv = 1.0 + jv
     Di = D.astype(np.int64)
-    log1p_vV = np.log1p(var * V)
-    cluster_logs = ratio_terms[Di] - (1.0 / var + D) * log1p_vV
-    g_V = -(1.0 + var * D) / (1.0 + var * V)
-    g_u = ratio_slopes[Di] + log1p_vV / var + g_V * V
-    return cluster_logs, g_V, g_u
-
-
-def _gamma_curvature(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarray):
-    """Second derivatives g_VV, g_Vu and g_uu of the Gamma cluster terms of
-    _gamma_clusters, in V and in u = log var, in closed form."""
-    jv = var * d_range[:-1]
-    ratio_curvatures = np.concatenate(([0.0], np.cumsum(jv / (1.0 + jv) ** 2)))
-    one_vV = 1.0 + var * V
-    g_VV = var * (1.0 + var * D) / one_vV**2
+    vV = var * V
+    one_vV = 1.0 + vV
+    V_gap = V * _log1p_gap(vV)
+    cluster_logs = (np.concatenate(([0.0], np.cumsum(np.log1p(jv))))[Di]
+                    - (1.0 / var + D) * np.log1p(vV))
+    g_V = -(1.0 + var * D) / one_vV
+    g_u = np.concatenate(([0.0], np.cumsum(jv / one_jv)))[Di] - V_gap - var * D * V / one_vV
+    if not curvature:
+        return cluster_logs, g_V, g_u
+    g_VV = -var * g_V / one_vV
     g_Vu = -var * (D - V) / one_vV**2
-    g_uu = (ratio_curvatures[D.astype(np.int64)] + V / one_vV - np.log1p(var * V) / var
-            + g_Vu * V)
-    return g_VV, g_Vu, g_uu
-
-
-def _lognormal_curvature(D: np.ndarray, V: np.ndarray, var: float, rule):
-    """g_VV, g_Vu and g_uu of the log-Normal cluster terms: central
-    differences of _lognormal_clusters' g_V and g_u, in V by a step relative
-    to V and in u = log var. g_VV is 0 where V is 0, since it multiplies
-    d V / d vec, which is 0 there too."""
-    h = _V_STEP
-    _, g_V_up, _ = _lognormal_clusters(D, V * (1.0 + h), var, rule)
-    _, g_V_down, _ = _lognormal_clusters(D, V * (1.0 - h), var, rule)
-    step = 2.0 * h * V
-    g_VV = np.divide(g_V_up - g_V_down, step, out=np.zeros_like(V), where=step > 0)
-    hu = _U_STEP * (1.0 + abs(np.log(var)))
-    _, g_Vu_up, g_u_up = _lognormal_clusters(D, V, var * np.exp(hu), rule)
-    _, g_Vu_down, g_u_down = _lognormal_clusters(D, V, var * np.exp(-hu), rule)
-    return g_VV, (g_Vu_up - g_Vu_down) / (2.0 * hu), (g_u_up - g_u_down) / (2.0 * hu)
+    g_uu = np.concatenate(([0.0], np.cumsum(jv / one_jv**2)))[Di] + V_gap + g_Vu * V
+    return cluster_logs, g_V, g_u, g_VV, g_Vu, g_uu
 
 
 def _cluster_terms(spec: ModelSpec, D: np.ndarray, V: np.ndarray, var: float,
-                   d_range: np.ndarray):
+                   d_range: np.ndarray, curvature: bool = False):
     """Each cluster's log marginal term given its event count D and
-    cumulative hazard V, with its derivatives g_V in V and g_u in log var."""
+    cumulative hazard V, with its derivatives g_V in V and g_u in log var,
+    and with curvature=True also g_VV, g_Vu and g_uu."""
     if spec.frailty is FrailtyFamily.GAMMA:
-        return _gamma_clusters(D, V, var, d_range)
-    return _lognormal_clusters(D, V, var, gh_rule(spec.gh_nodes))
+        return _gamma_clusters(D, V, var, d_range, curvature)
+    return _lognormal_clusters(D, V, var, gh_rule(spec.gh_nodes), curvature)
 
 
-def _cluster_curvature(spec: ModelSpec, D: np.ndarray, V: np.ndarray, var: float,
-                       d_range: np.ndarray):
-    """The second derivatives g_VV, g_Vu and g_uu of _cluster_terms."""
-    if spec.frailty is FrailtyFamily.GAMMA:
-        return _gamma_curvature(D, V, var, d_range)
-    return _lognormal_curvature(D, V, var, gh_rule(spec.gh_nodes))
+def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
+                 information: bool = False):
+    """Marginal log-likelihood and its score (gradient in vec), and with
+    information=True also the observed information (the Hessian of the
+    negated log-likelihood), all from one pass over the rows and clusters.
 
+    A non-finite log-likelihood reads -inf, with a score and information of
+    NaNs. A score or information that overflowed where a V underflowed is
+    returned as it is; the optimizer treats such a point as infeasible.
 
-def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> tuple[float, np.ndarray]:
-    """Marginal log-likelihood and its score (gradient in vec).
-
-    A non-finite log-likelihood reads -inf, with a score of NaNs.
-    """
-    infeasible = -np.inf, np.full(vec.size, np.nan)
-    log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, spec, vec)
-    if not (np.isfinite(log_h_sum) and np.isfinite(H).all()):
-        return infeasible
-    V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
-    cluster_logs, g_V, g_u = _cluster_terms(spec, prep.events_per_cluster, V,
-                                            np.exp(vec[-1]), prep.d_range)
-    ll = log_h_sum + float(cluster_logs.sum())
-    # optimizer excursions (an extreme log variance, every H underflowing)
-    # can leave non-finite cluster terms; they are infeasible points
-    if not np.isfinite(ll):
-        return infeasible
-    score = np.empty(vec.size)
-    score[:-1] = dlog_h_sum + (g_V[prep.cluster] * H) @ dlog_H
-    score[-1] = g_u.sum()
-    return ll, score
-
-
-def _observed_information(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> np.ndarray:
-    """Hessian of the negated marginal log-likelihood at vec, all NaN at an
-    infeasible point.
-
-    One pass over the rows, by the chain rule through each cluster's
+    The information follows by the chain rule through each cluster's
     cumulative hazard V_i = sum of its H_r. With theta the baseline and
     beta, the theta block of the log-likelihood's Hessian is
     sum_events d2 log h + sum_r g_V H (dlog H dlog H' + d2 log H)
@@ -565,27 +598,33 @@ def _observed_information(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> 
     coefficient block for rp. The log-variance row is sum_i g_Vu dV_i and
     sum_i g_uu.
     """
-    nb = spec.n_baseline_params
     k = vec.size
-    hess = np.full((k, k), np.nan)
-    log_h_sum, H, _, dlog_H = _log_h_and_H(prep, spec, vec)
-    if not (np.isfinite(log_h_sum) and np.isfinite(H).all()):
-        return hess
-    V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
-    D, var = prep.events_per_cluster, np.exp(vec[-1])
-    cluster_logs, g_V, _ = _cluster_terms(spec, D, V, var, prep.d_range)
-    if not np.isfinite(cluster_logs.sum()):
-        return hess
-    w = g_V[prep.cluster] * H
-    # dV_i, one row per cluster: a single bincount over (cluster, column)
-    cells = prep.cluster[:, None] * (k - 1) + np.arange(k - 1)
-    dV = np.bincount(cells.ravel(), weights=(dlog_H * H[:, None]).ravel(),
-                     minlength=prep.n_clusters * (k - 1)).reshape(prep.n_clusters, k - 1)
-    # a score that overflowed where a V underflowed leaves a non-finite
-    # matrix, which the caller reads as not positive definite
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_VV, g_Vu, g_uu = _cluster_curvature(spec, D, V, var, prep.d_range)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, spec, vec)
+        ll = -np.inf
+        if np.isfinite(log_h_sum) and np.isfinite(H).all():
+            V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
+            terms = _cluster_terms(spec, prep.events_per_cluster, V, np.exp(vec[-1]),
+                                   prep.d_range, information)
+            ll = log_h_sum + float(terms[0].sum())
+        # optimizer excursions (an extreme log variance, every H underflowing)
+        # can leave non-finite cluster terms; they are infeasible points
+        if not np.isfinite(ll):
+            nan = np.full(k, np.nan)
+            return (-np.inf, nan, np.full((k, k), np.nan)) if information else (-np.inf, nan)
+        g_V, g_u = terms[1:3]
+        w = g_V[prep.cluster] * H
+        score = np.empty(k)
+        score[:-1] = dlog_h_sum + w @ dlog_H
+        score[-1] = g_u.sum()
+        if not information:
+            return ll, score
+        g_VV, g_Vu, g_uu = terms[3:]
+        # dV_i, one row per cluster: a single bincount over (cluster, column)
+        dV = np.bincount(prep.cells, weights=(dlog_H * H[:, None]).ravel(),
+                         minlength=prep.n_clusters * (k - 1)).reshape(prep.n_clusters, k - 1)
         block = (dlog_H * w[:, None]).T @ dlog_H + (dV * g_VV[:, None]).T @ dV
+        nb = spec.n_baseline_params
         if spec.baseline == "wei":
             block[1, 1] += np.exp(vec[1]) * (prep.event_design[1] + w @ prep.logt)
         elif spec.baseline == "gom":
@@ -593,10 +632,11 @@ def _observed_information(prep: _Prepared, spec: ModelSpec, vec: np.ndarray) -> 
         elif spec.baseline == "rp":
             q = prep.event_Bd / (prep.event_Bd @ vec[1:nb])[:, None]
             block[1:nb, 1:nb] -= q.T @ q
+        hess = np.empty((k, k))
         hess[:-1, :-1] = block
         hess[-1, :-1] = hess[:-1, -1] = g_Vu @ dV
         hess[-1, -1] = g_uu.sum()
-    return -hess
+    return ll, score, -hess
 
 
 def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
@@ -667,16 +707,18 @@ class FitResult:
     the raw transformed scale of ``trans_raw``; ``params``, ``se_natural``
     and ``cov_natural`` are on the reporting scales.
     ``n_evaluations`` counts the optimizer's evaluations over the starts
-    that ran (one, or all three after a fallback), each one of the
-    log-likelihood and its score together; the observed information taken
-    at each start's optimum is not counted; ``n_iterations`` counts the
-    BFGS steps accepted. ``grad_inf_norm`` is the largest absolute score
-    entry at the optimum. ``message`` joins the distinct reasons the starts
-    that ran stopped: the relative score rule of ``fit`` ("score below
-    1e-07*(1+|loglik|)"), or one of ``_bfgs``'s own ("gradient inf-norm at
-    most 1e-07", "line search found no strong-Wolfe step", "max_iter (N)
-    steps taken", "start is infeasible"); after a fallback it also says
-    "first start not converged, fallback starts ran".
+    that ran (one, or all three after a fallback), each one ``_loglik_core``
+    pass that gives the log-likelihood, its score and the observed
+    information together, the start and every trial step included; the
+    Hessian of the fit is the information of its last iterate, so it costs
+    no further pass. ``n_iterations`` counts the Newton steps taken, that
+    is the trials that were not rejected. ``grad_inf_norm`` is the largest
+    absolute score entry at the optimum. ``message`` joins the distinct
+    reasons the starts that ran stopped, those of ``_newton``: "Newton
+    decrement at most 1e-12*(1+|loglik|)", "a step predicted a gain below
+    half the decrement tolerance", "max_iter (N) steps taken" or "start is
+    infeasible"; after a fallback it also says "first start not converged,
+    fallback starts ran".
     """
 
     spec: ModelSpec
@@ -737,144 +779,98 @@ class FitResult:
 
 @dataclass
 class _Run:
-    """Where one BFGS run ended: the point, the objective and its gradient
-    there (inf at an infeasible point), the objective calls and accepted
-    steps it took, and why it stopped."""
+    """Where one Newton run ended: the point, the objective, its gradient
+    and its Hessian there (f = inf at an infeasible point), the objective
+    calls and accepted steps it took, and why it stopped."""
 
     x: np.ndarray
     fun: float
     jac: np.ndarray
+    hess: np.ndarray
     nfev: int
     nit: int
     message: str
 
 
-class _Stopped(Exception):
-    """Raised by _bfgs's evaluation when stop() gives a reason; args are
-    (reason, x, f, g)."""
-
-
-def _cubic_step(lo: tuple, hi: tuple) -> float:
-    """The minimizer of the cubic through two (alpha, phi, dphi) triples
-    (Nocedal & Wright eq. 3.59), or their midpoint when that minimizer does
-    not exist or lies outside the middle 80% of the interval."""
-    (a0, f0, d0), (a1, f1, d1) = lo, hi
-    mid = 0.5 * (a0 + a1)
-    if not (math.isfinite(f1) and math.isfinite(d1) and a0 != a1):
-        return mid
-    e = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
-    disc = e * e - d0 * d1
-    if not 0.0 <= disc < math.inf:
-        return mid
-    root = math.copysign(math.sqrt(disc), a1 - a0)
-    denom = d1 - d0 + 2.0 * root
-    if denom == 0.0:
-        return mid
-    alpha = a1 - (a1 - a0) * (d1 + root - e) / denom
-    margin = 0.1 * abs(a1 - a0)
-    return alpha if min(a0, a1) + margin <= alpha <= max(a0, a1) - margin else mid
-
-
-def _line_search(evaluate, x: np.ndarray, f: float, g: np.ndarray, p: np.ndarray,
-                 f_prev: float):
-    """A step along p from x (objective f, gradient g) that meets the strong
-    Wolfe conditions with _C1 and _C2: (alpha, x + alpha p, its f and g), or
-    None when p is not a descent direction or _LS_TRIALS trials find none.
-
-    Nocedal & Wright, Numerical Optimization (2nd ed.), Algorithms 3.5 and
-    3.6: double the step until a trial brackets a minimizer, then zoom in
-    by safeguarded cubic interpolation. An infeasible trial (f = inf) ends
-    the bracket, so the search bisects back toward the last good step. The
-    first trial is scipy's min(1, 2.02 (f - f_prev) / g'p), or 1 when that
-    is not positive; f_prev is the previous iterate's objective.
-    """
-    slope0 = float(g @ p)
-    if not slope0 < 0.0:
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of a, or None when a is not positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         return None
-    alpha = 2.02 * (f - f_prev) / slope0
-    alpha = min(1.0, alpha) if alpha > 0.0 else 1.0
-    lo, hi = (0.0, f, slope0), None
-    for _ in range(_LS_TRIALS):
-        x_new = x + alpha * p
-        f_new, g_new = evaluate(x_new)
-        slope = float(g_new @ p) if np.isfinite(f_new) else np.nan
-        if f_new > f + _C1 * alpha * slope0 or f_new >= lo[1]:
-            hi = (alpha, f_new, slope)
-        else:
-            if abs(slope) <= -_C2 * slope0:
-                return alpha, x_new, f_new, g_new
-            if slope * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
-                hi = lo
-            lo = (alpha, f_new, slope)
-        if hi is None:
-            alpha *= 2.0
-        else:
-            alpha = _cubic_step(lo, hi)
-            if alpha in (lo[0], hi[0]):
-                return None
-    return None
 
 
-def _bfgs(fun, x0: np.ndarray, *, max_iter: int, stop) -> _Run:
-    """Minimize fun(x) -> (f, g) by BFGS from x0.
+def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
+    """Minimize fun(x) -> (f, g, H) by Newton steps in Levenberg-Marquardt
+    form from x0, with H the Hessian.
 
-    A dense inverse Hessian starts at the identity and takes the BFGS
-    update after each step from _line_search, skipped when s'y <= 0. A
-    point where f or g is not finite is infeasible and reads f = inf. The
-    run ends, with its own message, when stop(f, g), asked at every
-    feasible point evaluated (iterate or line-search trial), returns a
-    reason; when an iterate's gradient inf-norm is at most _GTOL; when the
-    line search fails; or after max_iter steps. A failed search along an
-    updated direction is retried once along -g, with the inverse Hessian
-    reset to the identity, as scipy's BFGS retries with a second line
-    search; only when that fails too does the run end.
+    Each trial step p solves (H + lam I) p = -g, with lam such that H + lam
+    I has a Cholesky factor, and is taken when rho, the actual fall f(x) -
+    f(x + p) over the predicted one -(g'p + p'Hp/2), exceeds _MIN_RATIO.
+    lam starts at 0 and follows the
+    ratio (Nielsen's rule; Madsen, Nielsen & Tingleff, Methods for
+    Non-Linear Least Squares Problems, 2004): a taken step scales it by
+    max(1/3, 1 - (2 rho - 1)^3), and a rejected one by 2, 4, 8, ... in
+    turn, from at least _LAM_FLOOR times H's largest diagonal entry, which
+    is also where lam doubles from while H + lam I is not positive definite.
+    A point where f, g or H is not finite is infeasible (f = inf), so its
+    trial is rejected. The run ends when an iterate's Newton decrement
+    g'H^-1 g, at lam = 0, is at most tol = _DECREMENT (1 + |f|); when a step
+    predicts, before its trial, a fall of at most tol/2 (the Newton step at
+    lam = 0 predicts half the decrement, so only a shifted step can); after
+    max_iter steps; or at once from an infeasible start.
     """
     nfev = nit = 0
 
     def evaluate(x: np.ndarray):
         nonlocal nfev
         nfev += 1
-        f, g = fun(x)
-        if not (np.isfinite(f) and np.isfinite(g).all()):
-            return np.inf, g
-        reason = stop(f, g)
-        if reason:
-            raise _Stopped(reason, x, f, g)
-        return f, g
+        f, g, hess = fun(x)
+        if not (np.isfinite(f) and np.isfinite(g).all() and np.isfinite(hess).all()):
+            f = np.inf
+        return f, g, hess
 
     x = np.array(x0, dtype=float)
-    try:
-        f, g = evaluate(x)
-        f_prev = f + np.linalg.norm(g) / 2.0
-        hess_inv, updated = np.eye(x.size), False
-        while True:
-            if not np.isfinite(f):
-                message = "start is infeasible"
-                break
-            if np.max(np.abs(g)) <= _GTOL:
-                message = f"gradient inf-norm at most {_GTOL:g}"
+    f, g, hess = evaluate(x)
+    if not np.isfinite(f):
+        return _Run(x=x, fun=f, jac=g, hess=hess, nfev=nfev, nit=nit,
+                    message="start is infeasible")
+    eye = np.eye(x.size)
+    lam, nu, new_iterate = 0.0, 2.0, True
+    while True:
+        tol = _DECREMENT * (1.0 + abs(f))
+        if new_iterate:
+            newton = np.linalg.solve(hess, -g) if _cholesky(hess) is not None else None
+            if newton is not None and -(g @ newton) <= tol:
+                message = _DECREMENT_STOP
                 break
             if nit >= max_iter:
                 message = f"max_iter ({max_iter}) steps taken"
                 break
-            step = _line_search(evaluate, x, f, g, -hess_inv @ g, f_prev)
-            if step is None and updated:
-                hess_inv, updated = np.eye(x.size), False
-                step = _line_search(evaluate, x, f, g, -g, f_prev)
-            if step is None:
-                message = "line search found no strong-Wolfe step"
-                break
-            _, x_new, f_new, g_new = step
-            s, y = x_new - x, g_new - g
-            x, f_prev, f, g = x_new, f, f_new, g_new
+            floor = _LAM_FLOOR * (np.max(np.abs(np.diag(hess))) or 1.0)
+        if lam == 0.0 and newton is not None:
+            p = newton
+        else:
+            shifted = hess + lam * eye
+            while lam < np.inf and _cholesky(shifted) is None:
+                lam = max(2.0 * lam, floor)
+                shifted = hess + lam * eye
+            p = np.linalg.solve(shifted, -g)
+        predicted = -(g @ p + 0.5 * (p @ hess @ p))
+        if not predicted > 0.5 * tol:
+            message = _GAIN_STOP
+            break
+        f_new, g_new, hess_new = evaluate(x + p)
+        rho = (f - f_new) / predicted
+        if rho > _MIN_RATIO:
+            x, f, g, hess = x + p, f_new, g_new, hess_new
             nit += 1
-            sy = float(s @ y)
-            if sy > 0.0:
-                a = np.eye(x.size) - np.outer(s, y) / sy
-                hess_inv, updated = a @ hess_inv @ a.T + np.outer(s, s) / sy, True
-    except _Stopped as stopped:
-        message, x, f, g = stopped.args
-    return _Run(x=x, fun=f, jac=g, nfev=nfev, nit=nit, message=message)
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu, new_iterate = 2.0, True
+        else:
+            lam = max(lam * nu, floor)
+            nu, new_iterate = 2.0 * nu, False
+    return _Run(x=x, fun=f, jac=g, hess=hess, nfev=nfev, nit=nit, message=message)
 
 
 def _starting_points(spec: ModelSpec, prep: _Prepared) -> list[np.ndarray]:
@@ -901,16 +897,15 @@ def fit(
 ) -> FitResult:
     """Maximize the marginal log-likelihood; never raises on mere non-convergence.
 
-    BFGS (``_bfgs``, with a strong-Wolfe line search) and the analytic
-    score, from the first of three deterministic starts (one per
-    frailty-variance guess). A start ends at the first point it evaluates,
-    iterate or line-search trial, whose score inf-norm is at most
-    1e-7 (1 + |loglik|) and whose loglik is no lower than the best so far
-    beyond rounding, unless the optimizer's own tests (absolute gtol 1e-7,
-    a failed line search, max_iter) end it first. The Hessian at that optimum
-    is the observed information, by the chain rule through each cluster's
-    cumulative hazard (``_observed_information``). Only when that optimum fails
-    the convergence test (score inf-norm at most 1e-5 (1 + |loglik|) and a
+    Newton steps in Levenberg-Marquardt form (``_newton``) on the analytic
+    score and observed information, from the first of three deterministic
+    starts (one per frailty-variance guess); every evaluation is one
+    ``_loglik_core`` pass that returns all three. A start ends at the first
+    iterate whose Newton decrement g'H^-1 g is at most 1e-12 (1 + |loglik|),
+    unless max_iter steps, an infeasible start or a shifted step that
+    predicts a gain of at most half that end it first. The information of that
+    last iterate is the fit's Hessian. Only when that optimum fails the
+    convergence test (score inf-norm at most 1e-5 (1 + |loglik|) and a
     positive-definite Hessian) do the other two starts run; each is assessed,
     and the converged start with the highest loglik is kept, or the highest
     loglik of all three when none converged. ``start`` replaces the start
@@ -928,42 +923,25 @@ def fit(
         raw_starts = [start]
     starts = [np.linalg.solve(prep.to_raw, s) for s in raw_starts]
 
+    def objective(vec: np.ndarray):
+        ll, score, info = _loglik_core(prep, spec, vec, information=True)
+        return -ll, -score, info
+
     def run(x0: np.ndarray) -> _Run:
-        """One BFGS start, ended at the first point it evaluates whose
-        score meets the relative rule: near such a point the loglik is flat
-        to rounding, so a line search through it can only fail, after
-        dozens of evaluations."""
-        best_f = np.inf
+        return _newton(objective, x0, max_iter=max_iter)
 
-        def flat(f: float, g: np.ndarray) -> str | None:
-            nonlocal best_f
-            done = (np.max(np.abs(g)) <= _GTOL_REL * (1.0 + abs(f))
-                    and f <= best_f + _ROUNDING * (1.0 + abs(f)))
-            best_f = min(best_f, f)
-            return _SCORE_STOP if done else None
-
-        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-            ll, score = _loglik_core(prep, spec, vec)
-            return -ll, -score
-
-        return _bfgs(objective, x0, max_iter=max_iter, stop=flat)
-
-    def assess(res):
+    def assess(res: _Run):
         """(loglik, score inf-norm, covariance or None, condition number,
         converged) at the optimum of one start."""
         loglik = -res.fun
         grad_inf_norm = float(np.max(np.abs(res.jac)))
         grad_ok = np.isfinite(loglik) and grad_inf_norm <= 1e-5 * (1.0 + abs(loglik))
-        hessian = _observed_information(prep, spec, res.x)
         cov, cond = None, np.nan
-        if np.isfinite(hessian).all():
-            try:
-                inv_chol = np.linalg.inv(np.linalg.cholesky(hessian))
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                cov = inv_chol.T @ inv_chol
-                cov, cond = 0.5 * (cov + cov.T), float(np.linalg.cond(hessian))
+        chol = _cholesky(res.hess) if np.isfinite(res.hess).all() else None
+        if chol is not None:
+            inv_chol = np.linalg.inv(chol)
+            cov = inv_chol.T @ inv_chol
+            cov, cond = 0.5 * (cov + cov.T), float(np.linalg.cond(res.hess))
         return loglik, grad_inf_norm, cov, cond, bool(grad_ok and cov is not None)
 
     runs = [run(starts[0])]

@@ -77,15 +77,17 @@ def _columns(basis: SplineBasis, z: np.ndarray, derivative: bool) -> np.ndarray:
     span = k_max - k_min
     out = np.empty(z.shape + (basis.df,))
     out[..., 0] = 1.0 if derivative else z
-    lo_cube = np.maximum(z - k_min, 0.0)
-    hi_cube = np.maximum(z - k_max, 0.0)
+    # the boundary terms' powers are the same for every knot
+    power = 2 if derivative else 3
+    lo = np.maximum(z - k_min, 0.0) ** power
+    hi = np.maximum(z - k_max, 0.0) ** power
     for idx, knot in enumerate(basis.interior_knots, start=1):
         lam = (k_max - knot) / span
         mid = np.maximum(z - knot, 0.0)
         if derivative:
-            out[..., idx] = 3.0 * (mid**2 - lam * lo_cube**2 - (1.0 - lam) * hi_cube**2)
+            out[..., idx] = 3.0 * (mid**2 - lam * lo - (1.0 - lam) * hi)
         else:
-            out[..., idx] = mid**3 - lam * lo_cube**3 - (1.0 - lam) * hi_cube**3
+            out[..., idx] = mid**3 - lam * lo - (1.0 - lam) * hi
     return out
 
 

@@ -187,8 +187,8 @@ def test_adaptive_gh_in_place_equals_the_expression_form_bit_for_bit():
 
 
 def test_adaptive_gh_calls_log_f_once_on_the_nodes_it_returns():
-    """fitting._lognormal_clusters keeps exp(eta + log V) from its log_f for
-    the score, which is right only if log_f saw the eta returned, once."""
+    """A caller may keep what its log_f computed on the nodes for its own
+    derivatives, which is right only if log_f saw the eta returned, once."""
     D, V, mean, var = _random_clusters(30, seed=19)
     inner = _lognormal_log_f(D, V, mean, var)
     seen = []
