@@ -547,23 +547,28 @@ def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarra
     var*V) are O(V); their difference is taken as V * _log1p_gap(var*V),
     so that it keeps its relative precision at a frailty variance near 0.
     """
-    # log Gamma(1/v + D) - log Gamma(1/v) + D log v telescopes to
-    # sum_{j<D} log(1 + j v), which is stable for every v > 0
     jv = var * d_range[:-1]
     one_jv = 1.0 + jv
     Di = D.astype(np.int64)
+
+    def below_D(terms: np.ndarray) -> np.ndarray:
+        """sum_{j<D} terms_j for each cluster."""
+        return np.concatenate(([0.0], np.cumsum(terms)))[Di]
+
+    var_D = var * D
     vV = var * V
     one_vV = 1.0 + vV
     V_gap = V * _log1p_gap(vV)
-    cluster_logs = (np.concatenate(([0.0], np.cumsum(np.log1p(jv))))[Di]
-                    - (1.0 / var + D) * np.log1p(vV))
-    g_V = -(1.0 + var * D) / one_vV
-    g_u = np.concatenate(([0.0], np.cumsum(jv / one_jv)))[Di] - V_gap - var * D * V / one_vV
+    # log Gamma(1/v + D) - log Gamma(1/v) + D log v telescopes to
+    # sum_{j<D} log(1 + j v), which is stable for every v > 0
+    cluster_logs = below_D(np.log1p(jv)) - (1.0 / var + D) * np.log1p(vV)
+    g_V = -(1.0 + var_D) / one_vV
+    g_u = below_D(jv / one_jv) - V_gap - var_D * V / one_vV
     if not curvature:
         return cluster_logs, g_V, g_u
     g_VV = -var * g_V / one_vV
     g_Vu = -var * (D - V) / one_vV**2
-    g_uu = np.concatenate(([0.0], np.cumsum(jv / one_jv**2)))[Di] + V_gap + g_Vu * V
+    g_uu = below_D(jv / one_jv**2) + V_gap + g_Vu * V
     return cluster_logs, g_V, g_u, g_VV, g_Vu, g_uu
 
 
