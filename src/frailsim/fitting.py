@@ -905,18 +905,18 @@ def fit(
     Newton steps in Levenberg-Marquardt form (``_newton``) on the analytic
     score and observed information, from the first of three deterministic
     starts (one per frailty-variance guess); every evaluation is one
-    ``_loglik_core`` pass that returns all three. A start ends at the first
-    iterate whose Newton decrement g'H^-1 g is at most 1e-12 (1 + |loglik|),
-    unless max_iter steps, an infeasible start or a shifted step that
-    predicts a gain of at most half that end it first. The information of that
-    last iterate is the fit's Hessian. Only when that optimum fails the
-    convergence test (score inf-norm at most 1e-5 (1 + |loglik|) and a
-    positive-definite Hessian) do the other two starts run; each is assessed,
-    and the converged start with the highest loglik is kept, or the highest
-    loglik of all three when none converged. ``start`` replaces the start
-    list with a single vector on the raw transformed scale (a FitResult's
-    ``trans_raw``), which is how warm starts such as bootstrap refits are
-    done.
+    ``_loglik_core`` pass that returns the loglik with both. A start ends at
+    the first iterate whose Newton decrement g'H^-1 g is at most
+    1e-12 (1 + |loglik|), unless max_iter steps, an infeasible start or a
+    shifted step that predicts a gain of at most half that end it first.
+    The information of that last iterate is the fit's Hessian. Only when
+    that optimum fails the convergence test (score inf-norm at most
+    1e-5 (1 + |loglik|) and a positive-definite Hessian) do the other two
+    starts run; each is assessed, and the converged start with the highest
+    loglik is kept, or the highest loglik of all three when none converged.
+    ``start`` replaces the start list with a single vector on the raw
+    transformed scale (a FitResult's ``trans_raw``), which is how warm
+    starts such as bootstrap refits are done.
     """
     prep = _prepare(spec, data)
     if start is None:
