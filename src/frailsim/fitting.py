@@ -18,7 +18,6 @@ form on them (``_newton``).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,14 +263,6 @@ class _Prepared:
 
     def __post_init__(self):
         self.d_range = np.arange(int(self.events_per_cluster.max()) + 1, dtype=float)
-
-    @functools.cached_property
-    def cells(self) -> np.ndarray:
-        """The flat index of (cluster, column) for each entry of a row-wise
-        array shaped like design, so that one bincount gives the sums of
-        its columns over each cluster."""
-        width = self.design.shape[1]
-        return (self.cluster[:, None] * width + np.arange(width)).ravel()
 
 
 def _rows(spec: ModelSpec, t: np.ndarray, logt: np.ndarray, x: np.ndarray,
@@ -525,16 +516,14 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule,
 
 def _log1p_gap(x: np.ndarray) -> np.ndarray:
     """1/(1 + x) - log1p(x)/x for x >= 0; below x = 0.01, where that
-    difference cancels, its series -x/2 + 2x^2/3 - 3x^3/4 + ..."""
+    difference cancels, its series -x/2 + 2x^2/3 - 3x^3/4 + ... The
+    series is evaluated at every x and may overflow at a large one, so the
+    caller enters np.errstate."""
     small = x < 0.01
     safe = np.where(small, 1.0, x)
-    out = 1.0 / (1.0 + safe) - np.log1p(safe) / safe
-    # the test only skips work: in most fits no x is that small
-    if small.any():
-        xs = x[small]
-        out[small] = xs * (-1.0 / 2.0 + xs * (2.0 / 3.0 + xs * (-3.0 / 4.0 + xs * (
-            4.0 / 5.0 + xs * (-5.0 / 6.0 + xs * (6.0 / 7.0 + xs * (-7.0 / 8.0 + xs * 8.0 / 9.0)))))))
-    return out
+    return np.where(small, x * (-1.0 / 2.0 + x * (2.0 / 3.0 + x * (-3.0 / 4.0 + x * (
+        4.0 / 5.0 + x * (-5.0 / 6.0 + x * (6.0 / 7.0 + x * (-7.0 / 8.0 + x * 8.0 / 9.0))))))),
+                    1.0 / (1.0 + safe) - np.log1p(safe) / safe)
 
 
 def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarray,
@@ -626,7 +615,8 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
             return ll, score
         g_VV, g_Vu, g_uu = terms[3:]
         # dV_i, one row per cluster: a single bincount over (cluster, column)
-        dV = np.bincount(prep.cells, weights=(dlog_H * H[:, None]).ravel(),
+        cells = prep.cluster[:, None] * (k - 1) + np.arange(k - 1)
+        dV = np.bincount(cells.ravel(), weights=(dlog_H * H[:, None]).ravel(),
                          minlength=prep.n_clusters * (k - 1)).reshape(prep.n_clusters, k - 1)
         block = (dlog_H * w[:, None]).T @ dlog_H + (dV * g_VV[:, None]).T @ dV
         nb = spec.n_baseline_params
