@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -228,10 +229,10 @@ def _resolve_models(spec_text: str, gh_nodes: int | None) -> list[ModelSpec]:
     for model_id in ids:
         try:
             spec = model_from_id(model_id)
+            if gh_nodes is not None:
+                spec = dataclasses.replace(spec, gh_nodes=gh_nodes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if gh_nodes is not None:
-            spec = dataclasses.replace(spec, gh_nodes=gh_nodes)
         specs.append(spec)
     return specs
 
@@ -313,8 +314,12 @@ def _format_cell(payload: dict | None) -> str:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    dataset = read_dataset_csv(args.dataset)
+    if not 0.0 < args.horizon < math.inf:
+        raise ConfigError(f"--horizon must be positive and finite, got {args.horizon}")
+    if args.max_iter < 1:
+        raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
     specs = _resolve_models(args.model, args.gh_nodes)
+    dataset = read_dataset_csv(args.dataset)
     records = [_fit_one(spec, dataset, args.horizon, args.max_iter) for spec in specs]
     header = (f"{'model':<14s} {'conv':<5s} {'HR (SE)':<18s} "
               f"{'frailty var (SE)':<18s} {'LLE (SE)':<18s} {'AIC':>10s} {'BIC':>10s}")

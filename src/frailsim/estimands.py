@@ -348,13 +348,13 @@ def lle_functional(
 
 
 @functools.lru_cache(maxsize=None)
-def true_estimands(scenario: Scenario, horizon: float | None = None) -> tuple[float, float]:
-    """(true log hazard ratio, true LLE) for a data-generating scenario.
+def true_estimands(scenario: Scenario) -> tuple[float, float]:
+    """(true log hazard ratio, true LLE over the scenario's censoring time)
+    for a data-generating scenario.
 
     The LLE side reuses the marginal-survival machinery at tightened
     settings: 4000 outer grid points and 63 GH nodes.
     """
     model = MarginalModel.from_scenario(scenario, gh_nodes=TRUTH_GH_NODES)
-    h = scenario.censor_time if horizon is None else horizon
-    true_lle = lle(model, h, n_grid=TRUTH_GRID)
+    true_lle = lle(model, scenario.censor_time, n_grid=TRUTH_GRID)
     return scenario.beta, true_lle

@@ -26,7 +26,7 @@ from .exceptions import DomainError, FitSetupError
 from .hazards import FrailtyFamily
 from .simulate import ClusteredDataset
 from .splines import SplineBasis, basis_derivative, basis_eval, place_knots
-from .quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace
+from .quadrature import MAX_GH_NODES, adaptive_gh_batch, gh_rule, lognormal_laplace
 
 __all__ = [
     "ModelSpec",
@@ -83,8 +83,8 @@ class ModelSpec:
                 raise ValueError(f"rp baseline needs df in {RP_DF}, got {self.df}")
         elif self.df is not None:
             raise ValueError("df applies only to the rp baseline")
-        if not self.gh_nodes >= 7:
-            raise ValueError(f"gh_nodes must be at least 7, got {self.gh_nodes}")
+        if not 7 <= self.gh_nodes <= MAX_GH_NODES:
+            raise ValueError(f"gh_nodes must be in [7, {MAX_GH_NODES}], got {self.gh_nodes}")
 
     @property
     def id(self) -> str:
@@ -300,44 +300,38 @@ def _rows(spec: ModelSpec, t: np.ndarray, logt: np.ndarray, x: np.ndarray,
     )
 
 
-def _prepare(spec: ModelSpec, data: ClusteredDataset,
-             basis: SplineBasis | None = None,
-             orthogonalize: bool = True,
-             require_events: bool = True) -> _Prepared:
+def _prepare(spec: ModelSpec, data: ClusteredDataset) -> _Prepared:
+    """The _Prepared of a dataset on the optimizer scale of a fit."""
     t = np.asarray(data.time, dtype=float)
     if (t <= 0).any():
         raise FitSetupError("all times must be positive")
     d = np.asarray(data.event, dtype=bool)
-    if require_events and not d.any():
+    if not d.any():
         raise FitSetupError("cannot fit with zero events")
     logt = np.log(t)
     to_raw = np.eye(spec.n_params)
-    B = Bd = None
+    basis = B = Bd = None
     if spec.baseline == "rp":
-        if basis is None:
-            basis = place_knots(logt[d], spec.df)
+        basis = place_knots(logt[d], spec.df)
         B = basis_eval(basis, logt)
         Bd = basis_derivative(basis, logt)
-        if orthogonalize:
-            # Optimizer scale only; plain likelihood evaluation at fixed
-            # parameters works on the raw columns and has no rank demands.
-            center = B.mean(axis=0)
-            root_n = np.sqrt(B.shape[0])
-            q, r = np.linalg.qr(B - center)
-            if (np.abs(np.diag(r)) / root_n < 1e-10).any():
-                raise FitSetupError("spline basis columns are numerically collinear")
-            transform = r / root_n
-            B = q * root_n
-            # Bd T^-1 by substitution, one column at a time: T is upper
-            # triangular and has at most 9 columns
-            raw_Bd, Bd = Bd, np.empty_like(Bd)
-            for j in range(Bd.shape[1]):
-                Bd[:, j] = (raw_Bd[:, j] - Bd[:, :j] @ transform[:j, j]) / transform[j, j]
-            # T's LU makes no row swaps, so this inverse is a back substitution
-            inverse = np.linalg.inv(transform)
-            nb = spec.n_baseline_params
-            to_raw[1:nb, 1:nb] = inverse
-            to_raw[0, 1:nb] = -center @ inverse
+        center = B.mean(axis=0)
+        root_n = np.sqrt(B.shape[0])
+        q, r = np.linalg.qr(B - center)
+        if (np.abs(np.diag(r)) / root_n < 1e-10).any():
+            raise FitSetupError("spline basis columns are numerically collinear")
+        transform = r / root_n
+        B = q * root_n
+        # Bd T^-1 by substitution, one column at a time: T is upper
+        # triangular and has at most 9 columns
+        raw_Bd, Bd = Bd, np.empty_like(Bd)
+        for j in range(Bd.shape[1]):
+            Bd[:, j] = (raw_Bd[:, j] - Bd[:, :j] @ transform[:j, j]) / transform[j, j]
+        # T's LU makes no row swaps, so this inverse is a back substitution
+        inverse = np.linalg.inv(transform)
+        nb = spec.n_baseline_params
+        to_raw[1:nb, 1:nb] = inverse
+        to_raw[0, 1:nb] = -center @ inverse
     return _rows(spec, t, logt, np.asarray(data.treat, dtype=float), d,
                  np.asarray(data.cluster, dtype=np.int64), basis, to_raw, B, Bd)
 
@@ -676,8 +670,13 @@ def _marginal_loglik(family: FrailtyFamily, spec: ModelSpec, params: ModelParams
                      data: ClusteredDataset) -> float:
     if spec.frailty is not family:
         raise ValueError(f"spec must have {family.value} frailty")
-    prep = _prepare(spec, data, basis=params.basis, orthogonalize=False,
-                    require_events=False)
+    t = np.asarray(data.time, dtype=float)
+    if (t <= 0).any():
+        raise FitSetupError("all times must be positive")
+    # the raw columns on the raw transformed scale: no rank check, no events needed
+    prep = _rows(spec, t, np.log(t), np.asarray(data.treat, dtype=float),
+                 np.asarray(data.event, dtype=bool), np.asarray(data.cluster, dtype=np.int64),
+                 params.basis, np.eye(spec.n_params))
     return _loglik_core(prep, spec, pack_params(params))[0]
 
 
@@ -700,20 +699,23 @@ class FitResult:
     ``trans`` and ``cov_trans`` live on the optimizer scale (orthogonalized
     spline coefficients for rp baselines), which ``to_raw`` maps linearly to
     the raw transformed scale of ``trans_raw``; ``params``, ``se_natural``
-    and ``cov_natural`` are on the reporting scales.
-    ``n_evaluations`` counts the optimizer's evaluations over the starts
-    that ran (one, or all three after a fallback), each one ``_loglik_core``
-    pass that gives the log-likelihood, its score and the observed
-    information together, the start and every trial step included; the
-    Hessian of the fit is the information of its last iterate, so it costs
-    no further pass. ``n_iterations`` counts the Newton steps taken, that
-    is the trials that were not rejected. ``grad_inf_norm`` is the largest
-    absolute score entry at the optimum. ``message`` joins the distinct
-    reasons the starts that ran stopped, those of ``_newton``: "Newton
-    decrement at most 1e-12*(1+|loglik|)", "a step predicted a gain below
-    half the decrement tolerance", "max_iter (N) steps taken" or "start is
-    infeasible"; after a fallback it also says "first start not converged,
-    fallback starts ran".
+    and ``cov_natural`` are on the reporting scales. ``converged`` is true
+    exactly when the kept start's Newton run ended on the decrement rule,
+    which implies ``hessian_pd``. ``n_evaluations`` counts the optimizer's
+    evaluations over the starts that ran (one, or all three after a
+    fallback), each one ``_loglik_core`` pass that gives the
+    log-likelihood, its score and the observed information together, the
+    start and every trial step included; the Hessian of the fit is the
+    information of its last iterate, so it costs no further pass.
+    ``n_iterations`` counts the Newton steps taken, that is the trials that
+    were not rejected. ``grad_inf_norm`` is the largest absolute score
+    entry at the kept iterate, a diagnostic that decides nothing.
+    ``message`` joins the distinct reasons the starts that ran stopped,
+    those of ``_newton``: "Newton decrement at most 1e-12*(1+|loglik|)"
+    (converged), "a step predicted a gain below half the decrement
+    tolerance", "max_iter (N) steps taken" or "start is infeasible"; after
+    a fallback it also says "first start not converged, fallback starts
+    ran".
     """
 
     spec: ModelSpec
@@ -776,7 +778,8 @@ class FitResult:
 class _Run:
     """Where one Newton run ended: the point, the objective, its gradient
     and its Hessian there (f = inf at an infeasible point), the objective
-    calls and accepted steps it took, and why it stopped."""
+    calls and accepted steps it took, why it stopped, and whether that was
+    the decrement rule, the one test of convergence."""
 
     x: np.ndarray
     fun: float
@@ -785,6 +788,7 @@ class _Run:
     nfev: int
     nit: int
     message: str
+    converged: bool
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -809,10 +813,11 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
     turn, from at least _LAM_FLOOR times H's largest diagonal entry, which
     is also where lam doubles from while H + lam I is not positive definite.
     A point where f, g or H is not finite is infeasible (f = inf), so its
-    trial is rejected. The run ends when an iterate's Newton decrement
-    g'H^-1 g, at lam = 0, is at most tol = _DECREMENT (1 + |f|); when a step
-    predicts, before its trial, a fall of at most tol/2 (the Newton step at
-    lam = 0 predicts half the decrement, so only a shifted step can); after
+    trial is rejected. The run converges when an iterate's Newton decrement
+    g'H^-1 g, at lam = 0 and with H positive definite, is at most tol =
+    _DECREMENT (1 + |f|). It ends without converging when a step predicts,
+    before its trial, a fall of at most tol/2 (the Newton step at lam = 0
+    predicts half the decrement, so only a shifted step can); after
     max_iter steps; or at once from an infeasible start.
     """
     nfev = nit = 0
@@ -829,7 +834,7 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
     f, g, hess = evaluate(x)
     if not np.isfinite(f):
         return _Run(x=x, fun=f, jac=g, hess=hess, nfev=nfev, nit=nit,
-                    message="start is infeasible")
+                    message="start is infeasible", converged=False)
     eye = np.eye(x.size)
     lam, nu, new_iterate = 0.0, 2.0, True
     while True:
@@ -865,7 +870,8 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
         else:
             lam = max(lam * nu, floor)
             nu, new_iterate = 2.0 * nu, False
-    return _Run(x=x, fun=f, jac=g, hess=hess, nfev=nfev, nit=nit, message=message)
+    return _Run(x=x, fun=f, jac=g, hess=hess, nfev=nfev, nit=nit, message=message,
+                converged=message == _DECREMENT_STOP)
 
 
 def _starting_points(spec: ModelSpec, prep: _Prepared) -> list[np.ndarray]:
@@ -895,18 +901,18 @@ def fit(
     Newton steps in Levenberg-Marquardt form (``_newton``) on the analytic
     score and observed information, from the first of three deterministic
     starts (one per frailty-variance guess); every evaluation is one
-    ``_loglik_core`` pass that returns the loglik with both. A start ends at
-    the first iterate whose Newton decrement g'H^-1 g is at most
-    1e-12 (1 + |loglik|), unless max_iter steps, an infeasible start or a
-    shifted step that predicts a gain of at most half that end it first.
-    The information of that last iterate is the fit's Hessian. Only when
-    that optimum fails the convergence test (score inf-norm at most
-    1e-5 (1 + |loglik|) and a positive-definite Hessian) do the other two
-    starts run; each is assessed, and the converged start with the highest
-    loglik is kept, or the highest loglik of all three when none converged.
-    ``start`` replaces the start list with a single vector on the raw
-    transformed scale (a FitResult's ``trans_raw``), which is how warm
-    starts such as bootstrap refits are done.
+    ``_loglik_core`` pass that returns the loglik with both. A start
+    converges at the first iterate whose information is positive definite
+    and whose Newton decrement g'H^-1 g is at most 1e-12 (1 + |loglik|);
+    max_iter steps, an infeasible start or a shifted step that predicts a
+    gain of at most half that end it first without converging. The
+    information of that last iterate is the fit's Hessian. Only when the
+    first start does not converge do the other two run, and the converged
+    start with the highest loglik is kept, or the highest loglik of all
+    three when none converged. ``start`` replaces the start list with a
+    single vector on the raw transformed scale (a FitResult's
+    ``trans_raw``), which is how warm starts such as bootstrap refits are
+    done.
     """
     prep = _prepare(spec, data)
     if start is None:
@@ -922,36 +928,21 @@ def fit(
         ll, score, info = _loglik_core(prep, spec, vec, information=True)
         return -ll, -score, info
 
-    def run(x0: np.ndarray) -> _Run:
-        return _newton(objective, x0, max_iter=max_iter)
-
-    def assess(res: _Run):
-        """(loglik, score inf-norm, covariance or None, condition number,
-        converged) at the optimum of one start."""
-        loglik = -res.fun
-        grad_inf_norm = float(np.max(np.abs(res.jac)))
-        grad_ok = np.isfinite(loglik) and grad_inf_norm <= 1e-5 * (1.0 + abs(loglik))
-        cov, cond = None, np.nan
-        chol = _cholesky(res.hess) if np.isfinite(res.hess).all() else None
-        if chol is not None:
-            inv_chol = np.linalg.inv(chol)
-            cov = inv_chol.T @ inv_chol
-            cov, cond = 0.5 * (cov + cov.T), float(np.linalg.cond(res.hess))
-        return loglik, grad_inf_norm, cov, cond, bool(grad_ok and cov is not None)
-
-    runs = [run(starts[0])]
-    assessed = [assess(runs[0])]
-    if not assessed[0][-1] and len(starts) > 1:
-        runs += [run(x0) for x0 in starts[1:]]
-        assessed += [assess(res) for res in runs[1:]]
-    # the best converged start by loglik, else the best by loglik; the
-    # earlier start on a tie
-    pick = max(range(len(runs)), key=lambda i: (assessed[i][-1], -runs[i].fun))
-    best = runs[pick]
-    loglik, grad_inf_norm, cov_trans, cond, converged = assessed[pick]
+    runs = [_newton(objective, starts[0], max_iter=max_iter)]
+    if not runs[0].converged and len(starts) > 1:
+        runs += [_newton(objective, x0, max_iter=max_iter) for x0 in starts[1:]]
+    # the best converged start by loglik, else the best by loglik; max
+    # keeps the earlier start on a tie
+    best = max(runs, key=lambda res: (res.converged, -res.fun))
     messages = [str(res.message) for res in runs]
     if len(runs) > 1:
         messages.append(_FALLBACK)
+    cov_trans, cond = None, np.nan
+    chol = _cholesky(best.hess) if np.isfinite(best.hess).all() else None
+    if chol is not None:
+        inv_chol = np.linalg.inv(chol)
+        cov_trans = inv_chol.T @ inv_chol
+        cov_trans, cond = 0.5 * (cov_trans + cov_trans.T), float(np.linalg.cond(best.hess))
     hessian_pd = cov_trans is not None
     params = unpack_params(spec, prep.to_raw @ best.x, basis=prep.basis)
     if hessian_pd:
@@ -971,13 +962,13 @@ def fit(
         trans=best.x,
         param_names=spec.param_names(),
         natural_names=spec.natural_names(),
-        loglik=float(loglik),
-        converged=converged,
+        loglik=float(-best.fun),
+        converged=best.converged,
         se_trans=se_trans,
         se_natural=se_natural,
         cov_trans=cov_trans,
         cov_natural=cov_natural,
-        grad_inf_norm=grad_inf_norm,
+        grad_inf_norm=float(np.max(np.abs(best.jac))),
         hessian_pd=hessian_pd,
         condition_number=cond,
         n_evaluations=sum(int(res.nfev) for res in runs),

@@ -217,8 +217,19 @@ def test_fit_two_models_two_rows(demo_dataset, capsys):
                if line.startswith(("exp_gamma", "wei_gamma"))) == 2
 
 
-def test_fit_exit_codes(tmp_path, demo_dataset, capsys, monkeypatch):
-    assert main(["fit", demo_dataset, "--model", "cox"]) == 2
+@pytest.mark.parametrize("bad_option", [
+    ["--model", "cox"],
+    ["--model", "exp_lognormal", "--gh-nodes", "3"],
+    ["--model", "exp_lognormal", "--gh-nodes", "200"],
+    ["--horizon", "0"],
+    ["--horizon", "-1"],
+    ["--horizon", "nan"],
+    ["--horizon", "inf"],
+    ["--max-iter", "-3"],
+], ids=lambda option: " ".join(option))
+def test_fit_exit_codes(tmp_path, demo_dataset, capsys, monkeypatch, bad_option):
+    assert main(["fit", demo_dataset, *bad_option]) == 2
+    assert "error:" in capsys.readouterr().err
     assert main(["fit", str(tmp_path / "absent.csv")]) == 3
     garbled = tmp_path / "garbled.csv"
     garbled.write_text("time,event\n1.0,1\n")
@@ -309,6 +320,10 @@ def test_summarize_round_trips_mc_output(tmp_path, capsys):
     ["mc", "--scenarios", "all", "--models", "exp_gamma", "--nsim", "0"],
     ["mc", "--scenarios", "all", "--models", "exp_gamma", "--nsim", "2",
      "--workers", "0"],
+    ["mc", "--scenarios", "all", "--models", "exp_lognormal", "--nsim", "2",
+     "--gh-nodes", "3"],
+    ["mc", "--scenarios", "all", "--models", "exp_lognormal", "--nsim", "2",
+     "--gh-nodes", "200"],
 ])
 def test_mc_config_errors(tmp_path, argv, capsys):
     rc = main(argv + ["--out", str(tmp_path / "x")])

@@ -65,6 +65,9 @@ def test_model_spec_validation():
         ModelSpec("exp", FrailtyFamily.MIXTURE_NORMAL)  # not a fitting family
     with pytest.raises(ValueError):
         ModelSpec("rp", FrailtyFamily.GAMMA, df=4)
+    for nodes in (6, 129):
+        with pytest.raises(ValueError, match=r"gh_nodes must be in \[7, 128\]"):
+            ModelSpec("exp", FrailtyFamily.LOG_NORMAL, gh_nodes=nodes)
 
 
 def _tiny_cluster():
@@ -337,11 +340,12 @@ def test_misspecified_lognormal_fit_converges_at_a_stationary_point(model_id):
 
 @pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
 def test_study_fits_stop_at_the_newton_decrement(size):
-    """Every study fit ends on the decrement rule: at its optimum g'H^-1 g,
-    with g the score and H the information, is at most 1e-12 (1 + |loglik|)."""
+    """Every study fit ends on the decrement rule, which is what converged
+    means: at its optimum g'H^-1 g, with g the score and H the information,
+    is at most 1e-12 (1 + |loglik|)."""
     for model_id in all_model_ids():
         prep, spec, res = _study_fit(model_id, size)
-        assert res.message == fitting._DECREMENT_STOP
+        assert res.converged and res.message == fitting._DECREMENT_STOP
         ll, score, info = fitting._loglik_core(prep, spec, res.trans, information=True)
         assert score @ np.linalg.solve(info, score) <= fitting._DECREMENT * (1.0 + abs(ll))
 
@@ -620,7 +624,7 @@ def test_fallback_that_fails_runs_every_start(monkeypatch):
     res = fit(model_from_id("wei_lognormal"), _study_data((20, 150)),
               max_iter=1)
     assert len(runs) == 3
-    assert not res.converged
+    assert not res.converged and not any(r.converged for r in runs)
     assert fitting._FALLBACK in res.message.split("; ")
     assert res.n_evaluations == sum(r.nfev for r in runs)
     assert res.n_iterations == sum(r.nit for r in runs)
@@ -628,12 +632,12 @@ def test_fallback_that_fails_runs_every_start(monkeypatch):
 
 @pytest.mark.parametrize("model_id", ["wei_lognormal", "rp5_gamma"])
 def test_fallback_recovers_from_a_failed_first_start(monkeypatch, model_id):
-    """The first start gets no iteration, so it fails the convergence test;
-    the other two starts run and reach the three-start optimum."""
+    """The first start gets no iteration, so it does not converge; the
+    other two starts run and reach the three-start optimum."""
     runs = _record_runs(monkeypatch, first_max_iter=0)
     size = (20, 150)
     res = fit(model_from_id(model_id), _study_data(size))
-    assert len(runs) == 3 and runs[0].nit == 0
+    assert len(runs) == 3 and runs[0].nit == 0 and not runs[0].converged
     assert res.converged
     assert fitting._FALLBACK in res.message.split("; ")
     _assert_same_optimum(res, _best_of_three_starts(model_id, size))
@@ -641,8 +645,8 @@ def test_fallback_recovers_from_a_failed_first_start(monkeypatch, model_id):
 
 def test_fit_keeps_a_converged_start_over_a_higher_non_converged_first_start(monkeypatch):
     """The first start is made to end above every other start's loglik but
-    with a score 100 times the convergence test's bound: the fallback runs,
-    and the fit keeps a converged start, not the highest loglik."""
+    not converged: the fallback runs, and the fit keeps a converged start,
+    not the highest loglik."""
     newton = fitting._newton
     first = []
 
@@ -650,9 +654,7 @@ def test_fit_keeps_a_converged_start_over_a_higher_non_converged_first_start(mon
         if first:
             return newton(*args, **kwargs)
         res = newton(*args, **kwargs)
-        loglik = 1.0 - res.fun
-        first.append(dataclasses.replace(
-            res, fun=-loglik, jac=np.full_like(res.jac, 1e-3 * (1.0 + abs(loglik)))))
+        first.append(dataclasses.replace(res, fun=res.fun - 1.0, converged=False))
         return first[0]
 
     monkeypatch.setattr(fitting, "_newton", first_start_high_but_not_converged)
@@ -660,7 +662,6 @@ def test_fit_keeps_a_converged_start_over_a_higher_non_converged_first_start(mon
     assert fitting._FALLBACK in res.message.split("; ")
     assert res.converged
     assert res.loglik < -first[0].fun
-    assert res.grad_inf_norm <= 1e-5 * (1.0 + abs(res.loglik))
 
 
 def test_a_dataset_whose_first_bfgs_start_failed_converges_from_one_start(tmp_path):
@@ -771,7 +772,7 @@ def test_newton_reaches_the_minimizer(problem):
         return fun(x)
 
     run = fitting._newton(counted, x0, max_iter=500)
-    assert run.message == fitting._DECREMENT_STOP
+    assert run.message == fitting._DECREMENT_STOP and run.converged
     np.testing.assert_allclose(run.x, want, atol=1e-6)
     assert run.nfev == len(calls)
     # the iterates are the calls that lowered the best objective so far
@@ -794,7 +795,7 @@ def test_newton_from_an_indefinite_hessian_reaches_a_minimizer():
                 np.diag([3.0 * x * x - 1.0, 1.0]))
 
     run = fitting._newton(fun, np.array([0.1, 1.0]), max_iter=100)
-    assert run.message == fitting._DECREMENT_STOP
+    assert run.message == fitting._DECREMENT_STOP and run.converged
     np.testing.assert_allclose(run.x, [1.0, 0.0], atol=1e-6)
 
 
@@ -819,7 +820,7 @@ def test_an_infeasible_trial_is_rejected_and_the_shift_grows():
     assert all(a > b for a, b in zip(steps, steps[1:]))
     assert all(x > 1.5 for x in steps[:-1]) and 0.0 < steps[-1] <= 1.5
     assert (run.nit, run.nfev, float(run.x[0])) == (1, len(trials), steps[-1])
-    assert run.message == "max_iter (1) steps taken"
+    assert run.message == "max_iter (1) steps taken" and not run.converged
 
 
 def test_newton_at_max_iter_zero_returns_the_start():
@@ -828,6 +829,7 @@ def test_newton_at_max_iter_zero_returns_the_start():
     assert (run.nit, run.nfev) == (0, 1)
     np.testing.assert_array_equal(run.x, x0)
     assert (run.fun, run.message) == (_rosenbrock(x0)[0], "max_iter (0) steps taken")
+    assert not run.converged
 
 
 def test_newton_from_an_infeasible_start_stops_there():
@@ -835,6 +837,7 @@ def test_newton_from_an_infeasible_start_stops_there():
         lambda x: (np.inf, np.full_like(x, np.nan), np.full((x.size, x.size), np.nan)),
         np.zeros(3), max_iter=10)
     assert (run.nit, run.nfev, run.fun, run.message) == (0, 1, np.inf, "start is infeasible")
+    assert not run.converged
 
 
 def test_newton_at_a_saddle_point_stops_on_the_gain_rule():
@@ -847,6 +850,7 @@ def test_newton_at_a_saddle_point_stops_on_the_gain_rule():
 
     run = fitting._newton(fun, np.zeros(2), max_iter=10)
     assert (run.nit, run.nfev, run.message) == (0, 1, fitting._GAIN_STOP)
+    assert not run.converged
 
 
 @pytest.mark.parametrize("model_id", ["wei_lognormal", "rp9_gamma"])
