@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -152,7 +153,8 @@ def _custom_scenarios(config: dict[str, str]) -> dict[str, Scenario]:
 
     A custom scenario is declared as scenario.<id>.<field> = <value> with
     fields baseline, frailty, frailty_var, n_clusters, cluster_size and
-    optionally beta, treat_prob, censor_time.
+    optionally beta, treat_prob, censor_time. The id names output files and
+    fills a CSV field, so it takes only letters, digits, '_' and '-'.
     """
     staged: dict[str, dict[str, str]] = {}
     for key, value in config.items():
@@ -162,6 +164,9 @@ def _custom_scenarios(config: dict[str, str]) -> dict[str, Scenario]:
         if len(parts) != 3 or not parts[1] or not parts[2]:
             raise ConfigError(f"bad scenario key {key!r}; use scenario.<id>.<field>")
         _, sid, field = parts
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", sid):
+            raise ConfigError(f"bad scenario id {sid!r} in {key!r}; "
+                              "use letters, digits, '_' and '-'")
         if field not in _SCENARIO_FIELDS:
             raise ConfigError(
                 f"unknown scenario field {field!r} in {key!r}; "

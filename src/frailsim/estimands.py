@@ -34,6 +34,7 @@ from .fitting import (
 from .hazards import FrailtyFamily, FrailtySpec, gamma_marginal_survival
 from .quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace
 from .simulate import Scenario
+from .splines import natural_spline_weights
 
 __all__ = [
     "Z95",
@@ -211,36 +212,8 @@ def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
 def _spline_weights(n_grid: int) -> np.ndarray:
     """Weights w such that the integral over [0, 1] of the natural cubic
     spline through (u_i^2, S_i), u uniform on [0, 1] with n_grid points,
-    is w @ S. On the grid horizon * u^2 the weights are horizon * w.
-
-    On each interval the spline integrates to h (S_i + S_i+1) / 2 minus
-    h^3 (M_i + M_i+1) / 24, with M its second derivatives, zero at both
-    ends and A M = R S inside (A tridiagonal and symmetric, R the second
-    divided differences). So w is the trapezoid weights minus R' z, where
-    A z = c and c_i = (h_i-1^3 + h_i^3) / 24: one tridiagonal solve. A is
-    strictly diagonally dominant, so elimination without pivoting (the
-    Thomas algorithm) is stable; it takes LAPACK gtsv's steps in gtsv's
-    order.
-    """
-    if n_grid < 4:
-        raise DomainError(f"need at least 4 grid points, got {n_grid}")
-    h = np.diff(np.linspace(0.0, 1.0, n_grid) ** 2)
-    off = (h[1:-1] / 6.0).tolist()
-    diag = ((h[:-1] + h[1:]) / 3.0).tolist()
-    # z[k + 1] is the k-th unknown; off[k] couples it with the next
-    z = [0.0, *((h[:-1] ** 3 + h[1:] ** 3) / 24.0).tolist(), 0.0]
-    n = len(diag)
-    for k in range(1, n):
-        fact = off[k - 1] / diag[k - 1]
-        diag[k] -= fact * off[k - 1]
-        z[k + 1] -= fact * z[k]
-    z[n] /= diag[n - 1]
-    for k in range(n - 2, -1, -1):
-        z[k + 1] = (z[k + 1] - off[k] * z[k + 2]) / diag[k]
-    z = np.array(z)
-    slope = np.concatenate(([0.0], np.diff(z) / h, [0.0]))
-    trapezoid = 0.5 * (np.concatenate(([0.0], h)) + np.concatenate((h, [0.0])))
-    w = trapezoid - np.diff(slope)
+    is w @ S. On the grid horizon * u^2 the weights are horizon * w."""
+    w = natural_spline_weights(np.linspace(0.0, 1.0, n_grid) ** 2)
     w.setflags(write=False)
     return w
 

@@ -41,6 +41,13 @@ def _ret(arr: np.ndarray, scalar: bool):
     return float(arr[0]) if scalar else arr
 
 
+def _check_positive(**params: float) -> None:
+    """Raise ValueError unless every named parameter is positive and finite."""
+    for name, value in params.items():
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class BaselineHazard(abc.ABC):
     """Interface shared by every baseline hazard family."""
 
@@ -78,8 +85,7 @@ class Exponential(BaselineHazard):
     kind = "exponential"
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        _check_positive(rate=self.rate)
 
     def hazard(self, t):
         arr, scalar = _prep_times(t)
@@ -107,10 +113,7 @@ class Weibull(BaselineHazard):
     kind = "weibull"
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if not self.shape > 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
+        _check_positive(rate=self.rate, shape=self.shape)
 
     def hazard(self, t):
         arr, scalar = _prep_times(t)
@@ -142,8 +145,7 @@ class Gompertz(BaselineHazard):
     kind = "gompertz"
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        _check_positive(rate=self.rate)
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
 
@@ -195,10 +197,8 @@ class WeibullMixture(BaselineHazard):
     kind = "weibull_mixture"
 
     def __post_init__(self):
-        for label, val in (("rate1", self.rate1), ("shape1", self.shape1),
-                           ("rate2", self.rate2), ("shape2", self.shape2)):
-            if not val > 0:
-                raise ValueError(f"{label} must be positive, got {val}")
+        _check_positive(rate1=self.rate1, shape1=self.shape1,
+                        rate2=self.rate2, shape2=self.shape2)
         if not 0.0 < self.mix < 1.0:
             raise ValueError(f"mix must lie strictly in (0, 1), got {self.mix}")
 
@@ -336,8 +336,7 @@ class FrailtySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", FrailtyFamily(self.family))
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        _check_positive(variance=self.variance)
 
     @property
     def mixture_means(self) -> tuple[float, float]:

@@ -1,15 +1,15 @@
 """Numerical integration kernels.
 
-Three tools live here:
+Two tools live here:
 
-* plain Gauss-Hermite rules (physicists' convention, weight exp(-x^2)),
+* plain Gauss-Hermite rules (physicists' convention, weight exp(-x^2)), and
 * adaptive Gauss-Hermite in log space, for marginalizing log-Normal
   cluster frailties whose integrands are sharply peaked: each integrand
   is recentred at its closed-form (Wright omega) mode and scaled by its
   exact curvature there, with the real Wright omega function computed
-  here, and
-* tanh-sinh (double-exponential) quadrature on finite intervals, kept as
-  a high-accuracy oracle.
+  here.
+
+The tests check both against a tanh-sinh quadrature that lives with them.
 """
 from __future__ import annotations
 
@@ -20,14 +20,11 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .exceptions import DomainError, QuadratureError
-
 __all__ = [
     "GHRule",
     "gh_rule",
     "adaptive_gh_batch",
     "lognormal_laplace",
-    "tanh_sinh",
     "wright_omega",
 ]
 
@@ -167,80 +164,3 @@ def adaptive_gh_batch(
         log_sum = top + np.log(total)
         shifted /= total
         return log_sum + np.log(scale), eta, shifted
-
-
-_T_MAX = 4.0
-_MAX_LEVEL = 12
-
-
-def tanh_sinh(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-) -> float:
-    """Integrate f over the finite interval [a, b] by tanh-sinh quadrature.
-
-    The trapezoid step is halved (one level per halving, cap 12) until two
-    successive estimates agree to tol * (1 + |estimate|). Abscissae are formed
-    as offsets from the endpoints, so integrable endpoint singularities are
-    handled without evaluating f at a or b themselves.
-
-    The stop rule can pass before any node lands on a narrow peak inside a
-    wide interval, and the estimate is then wrong without an error: at tol
-    1e-14, a log-Normal mixture density times exp(-e^eta H) over mean +- 12
-    sd read 1e-7 off. Split the interval at the peak and integrate the
-    pieces apart.
-    """
-    a = float(a)
-    b = float(b)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError(f"integration limits must be finite, got [{a}, {b}]")
-    if not a < b:
-        raise DomainError(f"integration limits must satisfy a < b, got [{a}, {b}]")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-
-    def eval_nodes(x: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != x.shape:
-            vals = np.broadcast_to(vals, x.shape).astype(float)
-        if not np.isfinite(vals).all():
-            bad = x[~np.isfinite(vals)]
-            raise QuadratureError(
-                f"integrand returned a non-finite value at x={bad[0]!r}"
-            )
-        return vals
-
-    # running sum of w(t) * f(x(t)) over all abscissae seen so far
-    weighted_sum = 0.5 * np.pi * eval_nodes(np.array([mid]))[0]
-    estimate = None
-    for level in range(_MAX_LEVEL + 1):
-        h = 2.0 ** (-level)
-        if level == 0:
-            j = np.arange(1, int(_T_MAX / h) + 1)
-        else:
-            j = np.arange(1, int(_T_MAX / h) + 1, 2)
-        t = j * h
-        w = 0.5 * np.pi * np.sinh(t)
-        # 1 - tanh(w) without cancellation
-        delta = 2.0 / (np.expm1(2.0 * w) + 2.0)
-        dxdt = 0.5 * np.pi * np.cosh(t) / np.cosh(w) ** 2
-        x_lo = a + half * delta
-        x_hi = b - half * delta
-        keep_lo = x_lo > a
-        keep_hi = x_hi < b
-        if keep_lo.any():
-            weighted_sum += np.sum(dxdt[keep_lo] * eval_nodes(x_lo[keep_lo]))
-        if keep_hi.any():
-            weighted_sum += np.sum(dxdt[keep_hi] * eval_nodes(x_hi[keep_hi]))
-        new_estimate = half * h * weighted_sum
-        if estimate is not None and abs(new_estimate - estimate) <= tol * (1.0 + abs(new_estimate)):
-            return float(new_estimate)
-        estimate = new_estimate
-    raise QuadratureError(
-        f"tanh-sinh did not converge to tol={tol} within {_MAX_LEVEL} levels on [{a}, {b}]"
-    )

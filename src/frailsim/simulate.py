@@ -81,8 +81,10 @@ class Scenario:
             raise ValueError("n_clusters and cluster_size must be positive")
         if not 0.0 <= self.treat_prob <= 1.0:
             raise ValueError(f"treat_prob must lie in [0, 1], got {self.treat_prob}")
-        if not self.censor_time > 0:
-            raise ValueError(f"censor_time must be positive, got {self.censor_time}")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not 0.0 < self.censor_time < np.inf:
+            raise ValueError(f"censor_time must be positive and finite, got {self.censor_time}")
         if not self.id:
             raise ValueError("scenario id must be a nonempty string")
         if not self.baseline_label:
@@ -284,18 +286,7 @@ def _cluster_keys(seed: int, scenario_id: str, clusters) -> np.ndarray:
     return _seed_sequence_keys(entropy)
 
 
-def cluster_rng(seed: int, scenario_id: str, cluster_index: int) -> np.random.Generator:
-    """The dedicated random stream of one cluster of one dataset."""
-    key = _cluster_keys(seed, scenario_id, [cluster_index])[0]
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def generate_dataset(
-    scenario: Scenario,
-    seed: int,
-    *,
-    return_frailties: bool = False,
-):
+def generate_dataset(scenario: Scenario, seed: int) -> ClusteredDataset:
     """Draw one clustered dataset under the scenario.
 
     Per cluster: one shared frailty, then per subject a Bernoulli treatment
@@ -348,7 +339,7 @@ def generate_dataset(
                            scenario.beta, uniforms)
     time = np.minimum(latent, scenario.censor_time)
     event = (latent < scenario.censor_time).astype(np.int8)
-    dataset = ClusteredDataset(
+    return ClusteredDataset(
         cluster=cluster,
         time=time,
         event=event,
@@ -356,9 +347,6 @@ def generate_dataset(
         scenario_id=scenario.id,
         seed=int(seed),
     )
-    if return_frailties:
-        return dataset, frailties
-    return dataset
 
 
 DATASET_HEADER = ("cluster", "time", "event", "treat")

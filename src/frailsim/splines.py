@@ -1,11 +1,11 @@
-"""Restricted cubic splines of log time, and natural-spline interpolation.
+"""Restricted cubic splines of log time, and the natural-spline integral.
 
 Two unrelated spline jobs share this module. The restricted (natural) cubic
-basis parameterizes a flexible log cumulative hazard; the interpolating
-natural spline turns a dense grid of values into a piecewise cubic,
-integrated exactly. Life expectancy integrates that same spline through a
-cached weight vector (estimands); bench/probes.py still times
-interp_integrate.
+basis parameterizes a flexible log cumulative hazard. The natural cubic
+spline through values on a grid integrates exactly to a weighted sum of the
+values, with weights from one tridiagonal solve on the grid's abscissae:
+life expectancy caches them for its fixed grid (estimands), and
+interp_integrate applies them to one set of values.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ __all__ = [
     "place_knots",
     "basis_eval",
     "basis_derivative",
-    "InterpolatingSpline",
+    "natural_spline_weights",
     "interp_integrate",
 ]
 
@@ -101,40 +101,57 @@ def basis_derivative(basis: SplineBasis, z) -> np.ndarray:
     return _columns(basis, np.asarray(z, dtype=float), derivative=True)
 
 
-class InterpolatingSpline:
-    """Natural cubic spline through given points, integrated exactly."""
+def natural_spline_weights(times) -> np.ndarray:
+    """Weights w such that w @ values is the integral over [times[0],
+    times[-1]] of the natural cubic spline through (times, values).
 
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        # imported here: scipy.interpolate loads scipy.optimize, which no
-        # CLI path otherwise needs
-        from scipy.interpolate import CubicSpline
-
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be one-dimensional and equally long")
-        if times.size < 4:
-            raise ValueError(f"need at least 4 points, got {times.size}")
-        if (np.diff(times) <= 0).any():
-            raise ValueError("abscissae must be strictly increasing")
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
-            raise ValueError("points must be finite")
-        self._spline = CubicSpline(times, values, bc_type="natural")
-        self.times = times
-        self.values = values
-
-    def __call__(self, t):
-        return self._spline(t)
-
-    def integrate(self, a: float, b: float) -> float:
-        if not (self.times[0] <= a < b <= self.times[-1]):
-            raise DomainError(
-                f"[{a}, {b}] must lie within the interpolation range "
-                f"[{self.times[0]}, {self.times[-1]}]"
-            )
-        return float(self._spline.integrate(a, b))
+    On each interval of width h the spline integrates to h (S_i + S_i+1) / 2
+    minus h^3 (M_i + M_i+1) / 24, with M its second derivatives, zero at both
+    ends and A M = R S inside (A tridiagonal and symmetric, R the second
+    divided differences). So w is the trapezoid weights minus R' z, where
+    A z = c and c_i = (h_i-1^3 + h_i^3) / 24: one tridiagonal solve. A is
+    strictly diagonally dominant, so elimination without pivoting (the
+    Thomas algorithm) is stable; it takes LAPACK gtsv's steps in gtsv's
+    order.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 4:
+        raise DomainError(f"need at least 4 abscissae in one dimension, "
+                          f"got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise DomainError("abscissae must be finite")
+    h = np.diff(times)
+    if not (h > 0).all():
+        raise DomainError("abscissae must be strictly increasing")
+    off = (h[1:-1] / 6.0).tolist()
+    diag = ((h[:-1] + h[1:]) / 3.0).tolist()
+    # z[k + 1] is the k-th unknown; off[k] couples it with the next
+    z = [0.0, *((h[:-1] ** 3 + h[1:] ** 3) / 24.0).tolist(), 0.0]
+    n = len(diag)
+    for k in range(1, n):
+        fact = off[k - 1] / diag[k - 1]
+        diag[k] -= fact * off[k - 1]
+        z[k + 1] -= fact * z[k]
+    z[n] /= diag[n - 1]
+    for k in range(n - 2, -1, -1):
+        z[k + 1] = (z[k + 1] - off[k] * z[k + 2]) / diag[k]
+    z = np.array(z)
+    slope = np.concatenate(([0.0], np.diff(z) / h, [0.0]))
+    trapezoid = 0.5 * (np.concatenate(([0.0], h)) + np.concatenate((h, [0.0])))
+    return trapezoid - np.diff(slope)
 
 
 def interp_integrate(times, values, a: float, b: float) -> float:
-    """Interpolate (times, values) with a natural spline and integrate over [a, b]."""
-    return InterpolatingSpline(times, values).integrate(a, b)
+    """Integrate the natural cubic spline through (times, values) over [a, b],
+    which must be the whole range [times[0], times[-1]]."""
+    times = np.asarray(times, dtype=float)
+    weights = natural_spline_weights(times)
+    values = np.asarray(values, dtype=float)
+    if values.shape != weights.shape:
+        raise DomainError("times and values must be equally long")
+    if not np.isfinite(values).all():
+        raise DomainError("values must be finite")
+    if not (a == times[0] and b == times[-1]):
+        raise DomainError(f"[{a}, {b}] must be the interpolation range "
+                          f"[{times[0]}, {times[-1]}]")
+    return float(weights @ values)

@@ -39,7 +39,6 @@ from frailsim.hazards import (
     FrailtySpec,
     gamma_marginal_survival,
 )
-from frailsim.quadrature import tanh_sinh
 from frailsim.simulate import (
     ClusteredDataset,
     Scenario,
@@ -48,6 +47,8 @@ from frailsim.simulate import (
     scenario_grid,
 )
 from frailsim.splines import place_knots
+
+from oracles import tanh_sinh
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -92,6 +92,8 @@ def test_parse_baseline_tags_and_custom():
     "weibull:rate=0.5",               # missing field
     "weibull:rate=abc,shape=1",       # non-numeric
     "exponential:rate=-2",            # invalid parameter value
+    "exponential:rate=inf",           # non-finite parameter value
+    "weibull:rate=0.5,shape=inf",
 ])
 def test_parse_baseline_rejects(text):
     with pytest.raises(ConfigError):
@@ -115,6 +117,15 @@ def test_scenario_catalog_grid_plus_custom(demo_config):
     "scenario.demo2.baseline.kind = exp",
     "scenario.demo2.n_sites = 4",
     "scenario.demo2.baseline = exp",  # missing the other required fields
+    # non-finite values
+    pytest.param(CUSTOM_SCENARIO.replace("frailty_var = 0.25", "frailty_var = inf"),
+                 id="frailty_var=inf"),
+    pytest.param(CUSTOM_SCENARIO + "scenario.demo.beta = nan", id="beta=nan"),
+    pytest.param(CUSTOM_SCENARIO + "scenario.demo.censor_time = inf", id="censor_time=inf"),
+    pytest.param(CUSTOM_SCENARIO.replace("rate=0.4", "rate=inf"), id="rate=inf"),
+    # ids that would break a CSV field or a file name
+    pytest.param(CUSTOM_SCENARIO.replace("demo", "a,b"), id="id=a,b"),
+    pytest.param(CUSTOM_SCENARIO.replace("demo", "a/b"), id="id=a/b"),
 ])
 def test_scenario_catalog_rejects_bad_custom_keys(tmp_path, extra):
     path = tmp_path / "bad.cfg"
@@ -422,17 +433,25 @@ def test_every_cli_command_runs_with_scipy_blocked(tmp_path):
         tmp_path / "mc" / "summary.csv").read_bytes()
 
 
-def test_importing_the_cli_loads_no_scipy_and_interp_integrate_still_works():
-    """splines imports CubicSpline only when an InterpolatingSpline is built,
-    so interp_integrate works, here on a line, where scipy is installed."""
-    code = ("import json, sys, frailsim.cli; "
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-            "from frailsim.splines import interp_integrate; "
-            "area = interp_integrate([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0], 0.5, 2.5); "
-            "print(json.dumps([loaded, area]))")
-    loaded, area = json.loads(_python(code))
-    assert loaded == []
-    assert abs(area - 8.0) <= 1e-12
+# imports every module of the package, then integrates a line, where
+# importing scipy fails
+_MODULES_WITHOUT_SCIPY = """
+import importlib, json, pkgutil, sys
+sys.modules["scipy"] = None
+import frailsim
+names = sorted(m.name for m in pkgutil.iter_modules(frailsim.__path__, "frailsim."))
+for name in names:
+    importlib.import_module(name)
+from frailsim.splines import interp_integrate
+area = interp_integrate([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0], 0.0, 3.0)
+print(json.dumps([names, area]))
+"""
+
+
+def test_every_module_imports_and_interp_integrate_runs_with_scipy_blocked():
+    names, area = json.loads(_python(_MODULES_WITHOUT_SCIPY))
+    assert len(names) == 10 and "frailsim.splines" in names
+    assert abs(area - 12.0) <= 1e-12
 
 
 def test_importing_the_package_loads_no_numpy_and_sets_nothing():

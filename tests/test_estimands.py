@@ -25,8 +25,11 @@ from frailsim.estimands import (
 from frailsim.exceptions import DomainError, EstimandError, QuadratureError
 from frailsim.fitting import ModelParams, fit, model_from_id
 from frailsim.hazards import FrailtyFamily, FrailtySpec
-from frailsim.quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace, tanh_sinh
+from frailsim.quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace
 from frailsim.simulate import generate_dataset, make_scenario
+from frailsim.splines import natural_spline_weights
+
+from oracles import tanh_sinh
 
 
 def test_estimand_names_are_the_csv_labels():
@@ -203,12 +206,18 @@ def test_life_expectancy_unit_variance_log_form():
 @pytest.mark.parametrize("n_grid", [1000, 4000])
 @pytest.mark.parametrize("horizon", [1.0, 5.0, 7.3])
 def test_spline_weights_integrate_the_natural_spline(n_grid, horizon):
-    grid = horizon * np.linspace(0.0, 1.0, n_grid) ** 2
+    """On the life-expectancy grid, and on random grids through the same
+    weights of the abscissae (natural_spline_weights)."""
     rng = np.random.default_rng(n_grid)
-    for values in (np.exp(-0.4 * grid) / (1.0 + grid), rng.uniform(size=n_grid)):
-        want = CubicSpline(grid, values, bc_type="natural").integrate(0.0, horizon)
-        got = horizon * (_spline_weights(n_grid) @ values)
-        assert abs(got - want) <= 1e-12 * abs(want)
+    random_grid = np.sort(rng.uniform(0.0, horizon, n_grid))
+    random_grid[[0, -1]] = 0.0, horizon
+    for grid, weights in (
+        (horizon * np.linspace(0.0, 1.0, n_grid) ** 2, horizon * _spline_weights(n_grid)),
+        (random_grid, natural_spline_weights(random_grid)),
+    ):
+        for values in (np.exp(-0.4 * grid) / (1.0 + grid), rng.uniform(size=n_grid)):
+            want = CubicSpline(grid, values, bc_type="natural").integrate(0.0, horizon)
+            assert abs(weights @ values - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n_grid", [4, 5, 1000, 4000])

@@ -27,7 +27,7 @@ from frailsim.fitting import (
 )
 from frailsim.harness import derive_seed
 from frailsim.hazards import FrailtyFamily
-from frailsim.quadrature import gh_rule, tanh_sinh
+from frailsim.quadrature import gh_rule
 from frailsim.splines import basis_derivative, basis_eval, place_knots
 from frailsim.simulate import (
     ClusteredDataset,
@@ -36,6 +36,8 @@ from frailsim.simulate import (
     read_dataset_csv,
     write_dataset_csv,
 )
+
+from oracles import tanh_sinh
 
 
 def test_model_id_catalog():

@@ -13,9 +13,10 @@ from frailsim.quadrature import (
     adaptive_gh_batch,
     gh_rule,
     lognormal_laplace,
-    tanh_sinh,
     wright_omega,
 )
+
+from oracles import tanh_sinh
 
 
 # A Gauss-Hermite rule with n nodes integrates x^d e^{-x^2} exactly for

@@ -15,7 +15,6 @@ from frailsim.simulate import (
     Scenario,
     _cluster_keys,
     _scenario_key,
-    cluster_rng,
     generate_dataset,
     make_scenario,
     study_baselines,
@@ -25,6 +24,8 @@ from frailsim.simulate import (
     write_dataset_csv,
     write_manifest,
 )
+
+from oracles import cluster_rng
 
 
 def test_scenario_grid_dimensions():
@@ -165,16 +166,6 @@ def test_generate_dataset_deterministic():
     assert not np.array_equal(a.time, c.time)
 
 
-def test_generate_dataset_frailties_returned_per_cluster():
-    sc = make_scenario("exp", "gamma", 0.75, 30, 4)
-    data, frailties = generate_dataset(sc, 7, return_frailties=True)
-    assert frailties.shape == (30,)
-    assert np.all(frailties > 0)
-    # same seed without the flag gives the identical dataset
-    plain = generate_dataset(sc, 7)
-    np.testing.assert_array_equal(plain.time, data.time)
-
-
 def test_cluster_rng_streams_are_stable_and_distinct():
     a = cluster_rng(5, "some_scenario", 3).random(4)
     b = cluster_rng(5, "some_scenario", 3).random(4)
@@ -247,12 +238,21 @@ def _oracle_dataset(scenario, seed):
     return cluster, time, event, treat, frailties
 
 
+def _stream_frailties(scenario, seed):
+    """Each cluster's frailty, drawn first from that cluster's own stream."""
+    frailty = scenario.frailty
+    variates = [frailty.standard_variates(cluster_rng(seed, scenario.id, c))
+                for c in range(scenario.n_clusters)]
+    return frailty.from_standard(*np.array(variates).T)
+
+
 def test_generate_dataset_equals_the_per_cluster_generator_oracle():
     for scenario in scenario_grid():
         for rep in range(2):
             seed = derive_seed(20250317, scenario.id, rep)
-            data, frailties = generate_dataset(scenario, seed, return_frailties=True)
-            got = (data.cluster, data.time, data.event, data.treat, frailties)
+            data = generate_dataset(scenario, seed)
+            got = (data.cluster, data.time, data.event, data.treat,
+                   _stream_frailties(scenario, seed))
             for name, a, b in zip(("cluster", "time", "event", "treat", "frailties"),
                                   got, _oracle_dataset(scenario, seed)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
@@ -282,7 +282,7 @@ class _ZeroingGenerator:
 def test_zero_inversion_uniform_is_redrawn_from_its_cluster_stream(monkeypatch, family):
     """Force one inversion uniform of one cluster to 0: generate_dataset
     redraws it from the rest of that cluster's stream, as the per-cluster
-    oracle does, and leaves every other row and every frailty unchanged."""
+    oracle does, and leaves every other row unchanged."""
     # no censoring, so that every uniform shows in its time
     scenario = make_scenario("ww2", family, 0.75, 20, 150, censor_time=1e300)
     seed, forced_cluster, forced_row = 11, 7, 42
@@ -290,14 +290,14 @@ def test_zero_inversion_uniform_is_redrawn_from_its_cluster_stream(monkeypatch, 
     rng = cluster_rng(seed, scenario.id, forced_cluster)
     scenario.frailty.standard_variates(rng)
     value = rng.random(2 * m)[m + forced_row]
-    clean, clean_frailties = generate_dataset(scenario, seed, return_frailties=True)
+    clean = generate_dataset(scenario, seed)
 
     generator = np.random.Generator
     monkeypatch.setattr(np.random, "Generator",
                         lambda bit_generator: _ZeroingGenerator(generator(bit_generator), value))
-    data, frailties = generate_dataset(scenario, seed, return_frailties=True)
-    got = (data.cluster, data.time, data.event, data.treat, frailties)
-    for name, a, b in zip(("cluster", "time", "event", "treat", "frailties"),
+    data = generate_dataset(scenario, seed)
+    got = (data.cluster, data.time, data.event, data.treat)
+    for name, a, b in zip(("cluster", "time", "event", "treat"),
                           got, _oracle_dataset(scenario, seed)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
@@ -307,7 +307,6 @@ def test_zero_inversion_uniform_is_redrawn_from_its_cluster_stream(monkeypatch, 
     assert data.time[others].tobytes() == clean.time[others].tobytes()
     assert data.event[others].tobytes() == clean.event[others].tobytes()
     assert data.treat.tobytes() == clean.treat.tobytes()
-    assert frailties.tobytes() == clean_frailties.tobytes()
 
 
 @pytest.mark.parametrize("family", list(FrailtyFamily))
@@ -325,7 +324,8 @@ def test_frailty_shifts_cluster_hazards():
     """Clusters with larger sampled frailty should die earlier on average,
     a cheap end-to-end sanity check of the shared-frailty construction."""
     sc = make_scenario("exp", "gamma", 1.25, 200, 40)
-    data, frailties = generate_dataset(sc, 31415, return_frailties=True)
+    data = generate_dataset(sc, 31415)
+    frailties = _stream_frailties(sc, 31415)
     mean_time = np.array([
         data.time[data.cluster == g].mean() for g in range(200)
     ])

@@ -1,4 +1,4 @@
-"""Tests for restricted cubic spline bases and monotone-grid interpolation."""
+"""Tests for restricted cubic spline bases and the natural-spline integral."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,11 +7,11 @@ import pytest
 from frailsim.exceptions import DomainError, FitSetupError
 from frailsim.splines import (
     ALLOWED_DF,
-    InterpolatingSpline,
     SplineBasis,
     basis_derivative,
     basis_eval,
     interp_integrate,
+    natural_spline_weights,
     place_knots,
 )
 
@@ -107,42 +107,61 @@ def test_spline_basis_validates_knot_ordering():
         SplineBasis(np.array([5.0]), (0.0, 4.0))
 
 
-def test_interpolating_spline_linear_exact_on_coarse_grid():
+def test_interp_integrate_linear_exact_on_coarse_grid():
     # natural end conditions are exact for straight lines on any grid
     t = np.array([0.0, 1.0, 3.0, 7.0, 10.0])
-    sp = InterpolatingSpline(t, 2.0 * t + 1.0)
-    assert abs(sp.integrate(0.5, 9.5) - 99.0) <= 1e-10
+    assert abs(interp_integrate(t, 2.0 * t + 1.0, 0.0, 10.0) - 110.0) <= 1e-12
 
 
-def test_interpolating_spline_cubic_on_dense_grid():
+def test_interp_integrate_cubic_on_dense_grid():
     t = np.linspace(0.0, 10.0, 2001)
-    sp = InterpolatingSpline(t, t**3)
     exact = 10.0**4 / 4.0
-    assert abs(sp.integrate(0.0, 10.0) - exact) <= 1e-6 * exact
+    assert abs(interp_integrate(t, t**3, 0.0, 10.0) - exact) <= 1e-6 * exact
 
 
-def test_interpolating_spline_needs_four_points():
-    t = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        InterpolatingSpline(t, t)
+def test_interp_integrate_matches_scipy_on_non_uniform_grids():
+    """An oracle: scipy's natural CubicSpline, imported here only."""
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(20)
+    for n in (4, 5, 9, 100, 1000, 4000):
+        for _ in range(5):
+            t = np.cumsum(rng.uniform(0.01, 1.0, n)) * rng.uniform(0.1, 10.0)
+            values = rng.uniform(size=n) + np.exp(-t)
+            want = CubicSpline(t, values, bc_type="natural").integrate(t[0], t[-1])
+            got = interp_integrate(t, values, t[0], t[-1])
+            assert abs(got - want) <= 1e-12 * abs(want), n
 
 
-def test_interpolating_spline_needs_increasing_times():
-    t = np.array([0.0, 2.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        InterpolatingSpline(t, t)
-    tied = np.array([0.0, 1.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        InterpolatingSpline(tied, tied)
+def test_natural_spline_weights_need_four_points():
+    with pytest.raises(DomainError):
+        natural_spline_weights([0.0, 1.0, 2.0])
 
 
-def test_interpolating_spline_integrate_outside_range():
+@pytest.mark.parametrize("times", [
+    [0.0, 2.0, 1.0, 3.0],
+    [0.0, 1.0, 1.0, 3.0],
+    [0.0, 1.0, np.inf, 3.0],
+    [[0.0, 1.0], [2.0, 3.0]],
+])
+def test_natural_spline_weights_need_increasing_finite_abscissae(times):
+    with pytest.raises(DomainError):
+        natural_spline_weights(times)
+
+
+def test_interp_integrate_rejects_bad_values():
     t = np.linspace(0.0, 5.0, 20)
-    sp = InterpolatingSpline(t, np.exp(-t))
     with pytest.raises(DomainError):
-        sp.integrate(-1.0, 3.0)
+        interp_integrate(t, np.exp(-t[:-1]), 0.0, 5.0)
     with pytest.raises(DomainError):
-        sp.integrate(0.0, 5.5)
+        interp_integrate(t, np.where(t > 2.0, np.nan, 1.0), 0.0, 5.0)
+
+
+@pytest.mark.parametrize("a,b", [(-1.0, 5.0), (0.0, 5.5), (0.5, 5.0), (0.0, 3.0)])
+def test_interp_integrate_only_over_the_whole_range(a, b):
+    t = np.linspace(0.0, 5.0, 20)
+    with pytest.raises(DomainError):
+        interp_integrate(t, np.exp(-t), a, b)
 
 
 def test_interp_integrate_matches_exponential_decay():
