@@ -21,12 +21,13 @@ import sys
 import warnings
 from pathlib import Path
 
-from .estimands import EstimandName, EstimandResult
+from .estimands import EstimandName, EstimandResult, true_estimands
 # unused here, but bench/tracing.py patches both names on this module
 from .estimands import delta_method_se, lle_functional  # noqa: F401
 from .exceptions import (
     ConfigError,
     DataError,
+    DomainError,
     FitSetupError,
     NumericError,
 )
@@ -38,6 +39,7 @@ from .fitting import (
     model_from_id,
 )
 from .harness import (
+    ReplicationRecord,
     derive_seed,
     estimate,
     filter_convergence,
@@ -154,7 +156,9 @@ def _custom_scenarios(config: dict[str, str]) -> dict[str, Scenario]:
     A custom scenario is declared as scenario.<id>.<field> = <value> with
     fields baseline, frailty, frailty_var, n_clusters, cluster_size and
     optionally beta, treat_prob, censor_time. The id names output files and
-    fills a CSV field, so it takes only letters, digits, '_' and '-'.
+    fills a CSV field, so it takes only letters, digits, '_' and '-'. Each
+    scenario's true estimands are computed (and cached) here, so a scenario
+    whose truth cannot be computed fails before any dataset is fitted.
     """
     staged: dict[str, dict[str, str]] = {}
     for key, value in config.items():
@@ -195,6 +199,11 @@ def _custom_scenarios(config: dict[str, str]) -> dict[str, Scenario]:
             )
         except ValueError as exc:
             raise ConfigError(f"scenario {sid!r}: {exc}") from None
+        try:
+            true_estimands(out[sid])
+        except (DomainError, NumericError) as exc:
+            raise ConfigError(f"scenario {sid!r}: its true estimands cannot be "
+                              f"computed: {exc}") from None
     return out
 
 
@@ -304,9 +313,9 @@ def _fit_one(spec: ModelSpec, dataset, horizon: float, max_iter: int) -> dict:
         "grad_inf_norm": result.grad_inf_norm,
         "condition_number": result.condition_number,
         "params": {name: float(val) for name, val in
-                   zip(result.natural_names, result.params.natural_vector())},
+                   zip(spec.natural_names(), result.params.natural_vector())},
         "se": {name: float(val) for name, val in
-               zip(result.natural_names, result.se_natural)},
+               zip(spec.natural_names(), result.se_natural)},
         "estimands": {name.value: None if res is None else _estimand_payload(res)
                       for name, res in values.items()},
     }
@@ -364,38 +373,37 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
     records = run_cell(scenarios, models, n_sim, seed, workers=workers)
     records = filter_convergence(records)
-    id_map = {s.id: s for s in scenarios}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        summaries = summarize(records, id_map)
-    rows = plot_rows(summaries, records, id_map)
     write_results_csv(records, out / "results.csv")
-    write_summary_csv(summaries, out / "summary.csv")
-    write_plot_csv(rows, out / "plot_data.csv")
-
+    n_warnings = _write_summaries(records, {s.id: s for s in scenarios}, out)
     n_failed = sum(1 for r in records if not r.converged)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
     print(f"wrote {out / 'results.csv'}, {out / 'summary.csv'}, {out / 'plot_data.csv'}")
     print(f"{len(records)} records ({n_failed} non-converged, "
           f"{sum(1 for r in records if r.filtered)} filtered, "
-          f"{len(caught)} warning(s))")
+          f"{n_warnings} warning(s))")
     return 0
+
+
+def _write_summaries(records: list[ReplicationRecord], scenarios: dict[str, Scenario],
+                     out: Path) -> int:
+    """Summarize records into out/summary.csv and out/plot_data.csv and
+    print the summary's warnings on stderr; returns how many there were."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        summaries = summarize(records, scenarios)
+    rows = plot_rows(summaries, records, scenarios)
+    write_summary_csv(summaries, out / "summary.csv")
+    write_plot_csv(rows, out / "plot_data.csv")
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return len(caught)
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     config = read_config(args.config) if args.config else {}
     catalog = scenario_catalog(config)
     records = read_results_csv(args.results)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        summaries = summarize(records, catalog)
-    rows = plot_rows(summaries, records, catalog)
     out = _out_dir(args.out)
-    write_summary_csv(summaries, out / "summary.csv")
-    write_plot_csv(rows, out / "plot_data.csv")
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    _write_summaries(records, catalog, out)
     print(f"wrote {out / 'summary.csv'} and {out / 'plot_data.csv'}")
     return 0
 
@@ -424,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--gh-nodes", type=int, default=None,
                        help="Gauss-Hermite node count override")
     p_fit.add_argument("--max-iter", type=int, default=500,
-                       help="optimizer iteration cap per start")
+                       help="Newton step cap per fit")
     p_fit.add_argument("--out", default=None,
                        help="directory for the machine-readable record")
     p_fit.set_defaults(func=cmd_fit)

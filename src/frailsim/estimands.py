@@ -114,6 +114,10 @@ class MarginalModel:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, gh_nodes: int = TRUTH_GH_NODES) -> MarginalModel:
+        if not scenario.beta < np.log(np.finfo(float).max):
+            # the treated arm's exp(beta) would overflow, and H(0) exp(beta) be NaN
+            raise DomainError(f"hazard ratio exp(beta) overflows at beta = {scenario.beta}")
+
         def cumhaz(t: np.ndarray, x: float) -> np.ndarray:
             return scenario.baseline.cumulative_hazard(t) * np.exp(x * scenario.beta)
 
@@ -262,7 +266,7 @@ def delta_method_se(result: FitResult, gradient: np.ndarray) -> float:
     """Delta-method SE sqrt(g' cov g) of a functional of the optimizer-scale
     parameters, where g is the functional's gradient at result.trans and cov
     is the fit's covariance on that scale."""
-    if result.cov_trans is None or not result.hessian_pd:
+    if result.cov_trans is None:
         raise EstimandError("fit has no positive-definite covariance")
     grad = np.asarray(gradient, dtype=float)
     var = float(grad @ result.cov_trans @ grad)

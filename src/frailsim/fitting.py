@@ -46,14 +46,13 @@ __all__ = [
 MODEL_BASELINES = ("exp", "wei", "gom", "rp")
 RP_DF = (3, 5, 9)
 
-# a start ends when its Newton decrement g'H^-1 g is at most this times
+# a run ends when its Newton decrement g'H^-1 g is at most this times
 # 1 + |loglik|: the loglik is then within half of it of the quadratic
 # model's maximum. A shifted step that predicts no more gain than that ends
 # it too.
 _DECREMENT = 1e-12
 _DECREMENT_STOP = f"Newton decrement at most {_DECREMENT:g}*(1+|loglik|)"
 _GAIN_STOP = "a step predicted a gain below half the decrement tolerance"
-_FALLBACK = "first start not converged, fallback starts ran"
 # the smallest ratio of actual to predicted fall that takes a Newton step,
 # and the least Levenberg-Marquardt shift after a rejected step, relative
 # to the Hessian's largest diagonal entry
@@ -343,7 +342,7 @@ def _grid_prepared(result: FitResult, t: np.ndarray, x: np.ndarray) -> _Prepared
     gives H(t, x) and d log H / d trans."""
     n = t.size
     return _rows(result.spec, t, np.log(t), np.asarray(x, dtype=float),
-                 np.zeros(n, dtype=bool), np.arange(n), result.basis, result.to_raw)
+                 np.zeros(n, dtype=bool), np.arange(n), result.params.basis, result.to_raw)
 
 
 def _dlog_expm1_over(v: np.ndarray) -> np.ndarray:
@@ -699,45 +698,38 @@ class FitResult:
 
     ``trans`` and ``cov_trans`` live on the optimizer scale (orthogonalized
     spline coefficients for rp baselines), which ``to_raw`` maps linearly to
-    the raw transformed scale of ``trans_raw``; ``params``, ``se_natural``
-    and ``cov_natural`` are on the reporting scales. ``converged`` is true
-    exactly when the kept start's Newton run ended on the decrement rule,
-    which implies ``hessian_pd``. ``n_evaluations`` counts the optimizer's
-    evaluations over the starts that ran (one, or all three after a
-    fallback), each one ``_loglik_core`` pass that gives the
+    the raw transformed scale of ``trans_raw``; ``params`` and
+    ``se_natural`` are on the reporting scales, named by
+    ``spec.natural_names()``. ``cov_trans`` is None, and the SEs are NaN,
+    when the Hessian at the fit is not positive definite. ``converged`` is
+    true exactly when the fit's one Newton run ended on the decrement rule,
+    which implies a ``cov_trans``. ``n_evaluations`` counts that run's
+    evaluations, each one ``_loglik_core`` pass that gives the
     log-likelihood, its score and the observed information together, the
     start and every trial step included; the Hessian of the fit is the
     information of its last iterate, so it costs no further pass.
     ``n_iterations`` counts the Newton steps taken, that is the trials that
     were not rejected. ``grad_inf_norm`` is the largest absolute score
-    entry at the kept iterate, a diagnostic that decides nothing.
-    ``message`` joins the distinct reasons the starts that ran stopped,
-    those of ``_newton``: "Newton decrement at most 1e-12*(1+|loglik|)"
-    (converged), "a step predicted a gain below half the decrement
-    tolerance", "max_iter (N) steps taken" or "start is infeasible"; after
-    a fallback it also says "first start not converged, fallback starts
-    ran".
+    entry at the last iterate, a diagnostic that decides nothing.
+    ``message`` is why the run stopped, one of ``_newton``'s reasons:
+    "Newton decrement at most 1e-12*(1+|loglik|)" (converged), "a step
+    predicted a gain below half the decrement tolerance", "max_iter (N)
+    steps taken" or "start is infeasible".
     """
 
     spec: ModelSpec
     params: ModelParams
     trans: np.ndarray
-    param_names: list[str]
-    natural_names: list[str]
     loglik: float
     converged: bool
     se_trans: np.ndarray
     se_natural: np.ndarray
     cov_trans: np.ndarray | None
-    cov_natural: np.ndarray | None
     grad_inf_norm: float
-    hessian_pd: bool
     condition_number: float
     n_evaluations: int
     n_iterations: int
     n_obs: int
-    n_events: int
-    basis: SplineBasis | None
     message: str
     to_raw: np.ndarray
 
@@ -752,7 +744,7 @@ class FitResult:
     def params_from_trans(self, vec: np.ndarray) -> ModelParams:
         """Rebuild natural-scale parameters from an optimizer-scale vector."""
         return unpack_params(self.spec, self.to_raw @ np.asarray(vec, dtype=float),
-                             basis=self.basis)
+                             basis=self.params.basis)
 
     @property
     def beta_index(self) -> int:
@@ -875,7 +867,9 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
                 converged=message == _DECREMENT_STOP)
 
 
-def _starting_points(spec: ModelSpec, prep: _Prepared) -> list[np.ndarray]:
+def _starting_point(spec: ModelSpec, prep: _Prepared) -> np.ndarray:
+    """The default start on the raw transformed scale: the crude event rate,
+    unit shapes, no treatment effect and a frailty variance of 0.1."""
     rate0 = float(prep.d.sum() / prep.t.sum())
     log_rate0 = np.log(rate0)
     if spec.baseline == "exp":
@@ -884,10 +878,7 @@ def _starting_points(spec: ModelSpec, prep: _Prepared) -> list[np.ndarray]:
         head = [log_rate0, 0.0]
     else:
         head = [log_rate0, 1.0] + [0.0] * (spec.df - 1)
-    starts = []
-    for var0 in (0.1, 0.5, 1.0):
-        starts.append(np.array(head + [0.0, np.log(var0)], dtype=float))
-    return starts
+    return np.array(head + [0.0, np.log(0.1)], dtype=float)
 
 
 def fit(
@@ -899,85 +890,56 @@ def fit(
 ) -> FitResult:
     """Maximize the marginal log-likelihood; never raises on mere non-convergence.
 
-    Newton steps in Levenberg-Marquardt form (``_newton``) on the analytic
-    score and observed information, from the first of three deterministic
-    starts (one per frailty-variance guess); every evaluation is one
-    ``_loglik_core`` pass that returns the loglik with both. A start
-    converges at the first iterate whose information is positive definite
-    and whose Newton decrement g'H^-1 g is at most 1e-12 (1 + |loglik|);
-    max_iter steps, an infeasible start or a shifted step that predicts a
-    gain of at most half that end it first without converging. The
-    information of that last iterate is the fit's Hessian. Only when the
-    first start does not converge do the other two run, and the converged
-    start with the highest loglik is kept, or the highest loglik of all
-    three when none converged. ``start`` replaces the start list with a
-    single vector on the raw transformed scale (a FitResult's
-    ``trans_raw``), which is how warm starts such as bootstrap refits are
-    done.
+    One run of Newton steps in Levenberg-Marquardt form (``_newton``) on
+    the analytic score and observed information, from ``_starting_point``;
+    every evaluation is one ``_loglik_core`` pass that returns the loglik
+    with both. The run converges at the first iterate whose information is
+    positive definite and whose Newton decrement g'H^-1 g is at most 1e-12
+    (1 + |loglik|); max_iter steps, an infeasible start or a shifted step
+    that predicts a gain of at most half that end it first without
+    converging. The information of that last iterate is the fit's Hessian.
+    ``start`` replaces the default start with a vector on the raw
+    transformed scale (a FitResult's ``trans_raw``), which is how warm
+    starts such as bootstrap refits are done.
     """
     prep = _prepare(spec, data)
-    if start is None:
-        raw_starts = _starting_points(spec, prep)
-    else:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (spec.n_params,):
-            raise ValueError(f"start must have {spec.n_params} entries, got {start.shape}")
-        raw_starts = [start]
-    starts = [np.linalg.solve(prep.to_raw, s) for s in raw_starts]
+    start = _starting_point(spec, prep) if start is None else np.asarray(start, dtype=float)
+    if start.shape != (spec.n_params,):
+        raise ValueError(f"start must have {spec.n_params} entries, got {start.shape}")
 
     def objective(vec: np.ndarray):
         ll, score, info = _loglik_core(prep, spec, vec, information=True)
         return -ll, -score, info
 
-    runs = [_newton(objective, starts[0], max_iter=max_iter)]
-    if not runs[0].converged and len(starts) > 1:
-        runs += [_newton(objective, x0, max_iter=max_iter) for x0 in starts[1:]]
-    # the best converged start by loglik, else the best by loglik; max
-    # keeps the earlier start on a tie
-    best = max(runs, key=lambda res: (res.converged, -res.fun))
-    messages = [str(res.message) for res in runs]
-    if len(runs) > 1:
-        messages.append(_FALLBACK)
+    run = _newton(objective, np.linalg.solve(prep.to_raw, start), max_iter=max_iter)
+    params = unpack_params(spec, prep.to_raw @ run.x, basis=prep.basis)
     cov_trans, cond = None, np.nan
-    chol = _cholesky(best.hess) if np.isfinite(best.hess).all() else None
+    se_trans, se_natural = np.full((2, spec.n_params), np.nan)
+    chol = _cholesky(run.hess) if np.isfinite(run.hess).all() else None
     if chol is not None:
         inv_chol = np.linalg.inv(chol)
         cov_trans = inv_chol.T @ inv_chol
-        cov_trans, cond = 0.5 * (cov_trans + cov_trans.T), float(np.linalg.cond(best.hess))
-    hessian_pd = cov_trans is not None
-    params = unpack_params(spec, prep.to_raw @ best.x, basis=prep.basis)
-    if hessian_pd:
+        cov_trans, cond = 0.5 * (cov_trans + cov_trans.T), float(np.linalg.cond(run.hess))
         # d natural / d trans: the log entries' chain factor times to_raw
         jac = np.where(spec.log_scale, params.natural_vector(), 1.0)[:, None] * prep.to_raw
         se_trans = np.sqrt(np.diag(cov_trans))
-        cov_natural = jac @ cov_trans @ jac.T
-        se_natural = np.sqrt(np.diag(cov_natural))
-    else:
-        se_trans = np.full(spec.n_params, np.nan)
-        se_natural = np.full(spec.n_params, np.nan)
-        cov_natural = None
+        se_natural = np.sqrt(np.diag(jac @ cov_trans @ jac.T))
 
     return FitResult(
         spec=spec,
         params=params,
-        trans=best.x,
-        param_names=spec.param_names(),
-        natural_names=spec.natural_names(),
-        loglik=float(-best.fun),
-        converged=best.converged,
+        trans=run.x,
+        loglik=float(-run.fun),
+        converged=run.converged,
         se_trans=se_trans,
         se_natural=se_natural,
         cov_trans=cov_trans,
-        cov_natural=cov_natural,
-        grad_inf_norm=float(np.max(np.abs(best.jac))),
-        hessian_pd=hessian_pd,
+        grad_inf_norm=float(np.max(np.abs(run.jac))),
         condition_number=cond,
-        n_evaluations=sum(int(res.nfev) for res in runs),
-        n_iterations=sum(int(res.nit) for res in runs),
+        n_evaluations=run.nfev,
+        n_iterations=run.nit,
         n_obs=data.n_subjects,
-        n_events=data.n_events,
-        basis=prep.basis,
-        message="; ".join(dict.fromkeys(messages)),
+        message=run.message,
         to_raw=prep.to_raw,
     )
 

@@ -123,6 +123,11 @@ def test_scenario_catalog_grid_plus_custom(demo_config):
     pytest.param(CUSTOM_SCENARIO + "scenario.demo.beta = nan", id="beta=nan"),
     pytest.param(CUSTOM_SCENARIO + "scenario.demo.censor_time = inf", id="censor_time=inf"),
     pytest.param(CUSTOM_SCENARIO.replace("rate=0.4", "rate=inf"), id="rate=inf"),
+    # finite values whose true estimands cannot be computed
+    pytest.param(CUSTOM_SCENARIO + "scenario.demo.beta = 1e300", id="beta=1e300"),
+    pytest.param(CUSTOM_SCENARIO.replace("frailty = gamma", "frailty = lognormal")
+                 .replace("frailty_var = 0.25", "frailty_var = 1e300"),
+                 id="lognormal_frailty_var=1e300"),
     # ids that would break a CSV field or a file name
     pytest.param(CUSTOM_SCENARIO.replace("demo", "a,b"), id="id=a,b"),
     pytest.param(CUSTOM_SCENARIO.replace("demo", "a/b"), id="id=a/b"),
