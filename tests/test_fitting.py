@@ -639,6 +639,35 @@ def test_a_fit_is_one_newton_run(monkeypatch):
     assert res.n_iterations == runs[0].nit == 1
 
 
+@pytest.mark.parametrize("model_id", ["wei_lognormal", "rp5_gamma"])
+def test_a_warm_start_from_a_stopped_fit_reaches_the_optimum(model_id):
+    """A fit stopped before its first step does not converge and reports
+    that; a refit from its trans_raw, the warm start that bootstrap refits
+    use, converges to the optimum of the default fit."""
+    size = (20, 150)
+    _, spec, ref = _study_fit(model_id, size)
+    stopped = fit(spec, _study_data(size), max_iter=0)
+    assert not stopped.converged
+    assert stopped.message == "max_iter (0) steps taken"
+    assert (stopped.n_evaluations, stopped.n_iterations) == (1, 0)
+    res = fit(spec, _study_data(size), start=stopped.trans_raw)
+    assert res.converged
+    _assert_same_optimum(res, ref)
+
+
+def test_the_default_start_is_a_frailty_variance_of_one_tenth():
+    """fit without a start is fit from _starting_point: the crude event
+    rate, no treatment effect and a frailty variance of 0.1, bit for bit."""
+    prep, spec, res = _study_fit("wei_gamma", (20, 150))
+    start = fitting._starting_point(spec, prep)
+    assert start[0] == np.log(prep.d.sum() / prep.t.sum())
+    assert start[-2:].tolist() == [0.0, np.log(0.1)]
+    warm = fit(spec, _study_data((20, 150)), start=start)
+    assert warm.trans.tobytes() == res.trans.tobytes()
+    assert (warm.loglik, warm.message, warm.n_evaluations) == \
+        (res.loglik, res.message, res.n_evaluations)
+
+
 def test_a_dataset_whose_first_bfgs_start_failed_converges_from_one_start(tmp_path):
     """wei_gamma on a ww2_mixturenormal_t075_20x150 dataset read back from
     CSV, found among 7,200 fits (the fit_all datasets of the benchmark's
