@@ -73,12 +73,7 @@ from .simulate import (
 DEFAULT_SEED = 20240901
 DEFAULT_NSIM = 100
 
-_BASELINE_KINDS = {
-    "exponential": (Exponential, ("rate",)),
-    "weibull": (Weibull, ("rate", "shape")),
-    "gompertz": (Gompertz, ("rate", "gamma")),
-    "weibull_mixture": (WeibullMixture, ("rate1", "shape1", "rate2", "shape2", "mix")),
-}
+_BASELINE_KINDS = {cls.kind: cls for cls in (Exponential, Weibull, Gompertz, WeibullMixture)}
 
 _SCENARIO_FIELDS = (
     "baseline", "frailty", "frailty_var", "n_clusters", "cluster_size",
@@ -127,7 +122,8 @@ def _parse_baseline(text: str):
         raise ConfigError(
             f"unknown baseline kind {kind!r}; expected one of {sorted(_BASELINE_KINDS)}"
         )
-    cls, fields = _BASELINE_KINDS[kind]
+    cls = _BASELINE_KINDS[kind]
+    fields = tuple(f.name for f in dataclasses.fields(cls))
     kwargs = {}
     for piece in body.split(","):
         piece = piece.strip()

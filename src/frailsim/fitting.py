@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, FitSetupError
-from .hazards import FrailtyFamily
+from .hazards import Exponential, FrailtyFamily, Gompertz, Weibull
 from .simulate import ClusteredDataset
-from .splines import SplineBasis, basis_derivative, basis_eval, place_knots
+from .splines import ALLOWED_DF, SplineBasis, basis_derivative, basis_eval, place_knots
 from .quadrature import MAX_GH_NODES, adaptive_gh_batch, gh_rule, lognormal_laplace
 
 __all__ = [
@@ -43,8 +43,10 @@ __all__ = [
     "pack_params",
 ]
 
-MODEL_BASELINES = ("exp", "wei", "gom", "rp")
-RP_DF = (3, 5, 9)
+# the hazards class of each parametric baseline, built from its natural
+# parameters in order
+_PARAMETRIC = {"exp": Exponential, "wei": Weibull, "gom": Gompertz}
+MODEL_BASELINES = (*_PARAMETRIC, "rp")
 
 # a run ends when its Newton decrement g'H^-1 g is at most this times
 # 1 + |loglik|: the loglik is then within half of it of the quadratic
@@ -78,8 +80,8 @@ class ModelSpec:
         if self.frailty not in (FrailtyFamily.GAMMA, FrailtyFamily.LOG_NORMAL):
             raise ValueError("fit frailty must be gamma or lognormal")
         if self.baseline == "rp":
-            if self.df not in RP_DF:
-                raise ValueError(f"rp baseline needs df in {RP_DF}, got {self.df}")
+            if self.df not in ALLOWED_DF:
+                raise ValueError(f"rp baseline needs df in {ALLOWED_DF}, got {self.df}")
         elif self.df is not None:
             raise ValueError("df applies only to the rp baseline")
         if not 7 <= self.gh_nodes <= MAX_GH_NODES:
@@ -144,11 +146,8 @@ def model_from_id(model_id: str) -> ModelSpec:
 
 
 def all_model_ids() -> list[str]:
-    ids = []
-    for frail in ("gamma", "lognormal"):
-        for base in ("exp", "wei", "gom", "rp3", "rp5", "rp9"):
-            ids.append(f"{base}_{frail}")
-    return ids
+    bases = (*_PARAMETRIC, *(f"rp{df}" for df in ALLOWED_DF))
+    return [f"{base}_{frail}" for frail in ("gamma", "lognormal") for base in bases]
 
 
 @dataclass(frozen=True)
@@ -631,9 +630,14 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
 def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
     """Conditional (frailty = 1) hazard and cumulative hazard at (t, x).
 
-    For the rp baseline a nonpositive spline slope shows up as h <= 0: the
-    returned hazard carries the slope's sign as a non-monotonicity flag, and
-    the likelihood treats such a value at an event time as -inf.
+    The exp, wei and gom baselines are the hazards classes built from
+    params.baseline, times exp(x beta); a rate or shape that is not positive
+    and finite raises the class's ValueError. A ModelParams from
+    unpack_params is always positive, so only an overflowed exp reaches
+    that check. For the rp baseline a nonpositive spline slope shows up as
+    h <= 0: the returned hazard carries the slope's sign as a
+    non-monotonicity flag, and the likelihood treats such a value at an
+    event time as -inf.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -642,25 +646,18 @@ def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
         raise DomainError("times must be positive")
     x_arr = np.broadcast_to(np.asarray(x, dtype=float), t_arr.shape)
     xb = x_arr * params.beta
-    if spec.baseline == "exp":
-        rate = params.baseline[0]
-        h = rate * np.exp(xb)
-        H = h * t_arr
-    elif spec.baseline == "wei":
-        rate, shape = params.baseline
-        h = rate * shape * t_arr ** (shape - 1.0) * np.exp(xb)
-        H = rate * t_arr**shape * np.exp(xb)
-    elif spec.baseline == "gom":
-        rate, gamma = params.baseline
-        h = rate * np.exp(gamma * t_arr + xb)
-        H = rate * np.exp(xb) * t_arr * _expm1_over(gamma * t_arr)
-    else:
+    if spec.baseline == "rp":
         z = np.log(t_arr)
         coef = params.baseline[1:]
         s = params.baseline[0] + basis_eval(params.basis, z) @ coef
         sp = basis_derivative(params.basis, z) @ coef
         H = np.exp(s + xb)
         h = sp * H / t_arr
+    else:
+        baseline = _PARAMETRIC[spec.baseline](*params.baseline)
+        ratio = np.exp(xb)
+        h = baseline.hazard(t_arr) * ratio
+        H = baseline.cumulative_hazard(t_arr) * ratio
     if scalar:
         return float(h[0]), float(H[0])
     return h, H

@@ -5,6 +5,11 @@ All hazard families implement the same triple of vectorized operations:
 input gives scalar output; arrays give arrays of the same shape. Negative
 times are rejected; t = 0 is valid exactly when the hazard has a finite limit
 there.
+
+Each family is a frozen dataclass whose fields are its parameters:
+manifests write ``dataclasses.asdict`` of it, the CLI's baseline parser
+reads ``dataclasses.fields``, and the fitted exp, wei and gom curves are
+these classes.
 """
 from __future__ import annotations
 
@@ -28,12 +33,14 @@ __all__ = [
 ]
 
 
-def _prep_times(t) -> tuple[np.ndarray, bool]:
+def _prep_times(t, what: str = "times") -> tuple[np.ndarray, bool]:
+    """t as a 1-d float array and whether it was a scalar; raises
+    DomainError, naming ``what``, on a negative or NaN entry."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if np.isnan(arr).any() or (arr < 0).any():
-        raise DomainError("times must be nonnegative")
+        raise DomainError(f"{what} must be nonnegative")
     return arr, scalar
 
 
@@ -65,18 +72,6 @@ class BaselineHazard(abc.ABC):
     def inverse_cumulative_hazard(self, u):
         """Smallest t with H0(t) = u. Returns inf where u exceeds sup H0."""
 
-    @abc.abstractmethod
-    def params_dict(self) -> dict[str, float]:
-        """Parameter values keyed by name, for manifests and reports."""
-
-    def _check_targets(self, u) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.isnan(arr).any() or (arr < 0).any():
-            raise DomainError("cumulative-hazard targets must be nonnegative")
-        return arr, scalar
-
 
 @dataclass(frozen=True)
 class Exponential(BaselineHazard):
@@ -96,11 +91,8 @@ class Exponential(BaselineHazard):
         return _ret(self.rate * arr, scalar)
 
     def inverse_cumulative_hazard(self, u):
-        arr, scalar = self._check_targets(u)
+        arr, scalar = _prep_times(u, "cumulative-hazard targets")
         return _ret(arr / self.rate, scalar)
-
-    def params_dict(self) -> dict[str, float]:
-        return {"rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -128,11 +120,8 @@ class Weibull(BaselineHazard):
         return _ret(self.rate * arr**self.shape, scalar)
 
     def inverse_cumulative_hazard(self, u):
-        arr, scalar = self._check_targets(u)
+        arr, scalar = _prep_times(u, "cumulative-hazard targets")
         return _ret((arr / self.rate) ** (1.0 / self.shape), scalar)
-
-    def params_dict(self) -> dict[str, float]:
-        return {"rate": self.rate, "shape": self.shape}
 
 
 @dataclass(frozen=True)
@@ -160,7 +149,7 @@ class Gompertz(BaselineHazard):
         return _ret(self.rate * np.expm1(self.gamma * arr) / self.gamma, scalar)
 
     def inverse_cumulative_hazard(self, u):
-        arr, scalar = self._check_targets(u)
+        arr, scalar = _prep_times(u, "cumulative-hazard targets")
         if self.gamma == 0.0:
             return _ret(arr / self.rate, scalar)
         inner = self.gamma * arr / self.rate
@@ -171,9 +160,6 @@ class Gompertz(BaselineHazard):
         feasible = inner > -1.0
         out[feasible] = np.log1p(inner[feasible]) / self.gamma
         return _ret(out, scalar)
-
-    def params_dict(self) -> dict[str, float]:
-        return {"rate": self.rate, "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
@@ -259,7 +245,7 @@ class WeibullMixture(BaselineHazard):
         return total
 
     def inverse_cumulative_hazard(self, u):
-        arr, scalar = self._check_targets(u)
+        arr, scalar = _prep_times(u, "cumulative-hazard targets")
         out = np.zeros_like(arr)
         out[np.isinf(arr)] = np.inf
         solve = np.isfinite(arr) & (arr > 0)
@@ -309,10 +295,6 @@ class WeibullMixture(BaselineHazard):
         if not (np.abs(resid) <= 1e-10).all():
             raise NumericError("inversion residual above tolerance")
         return t
-
-    def params_dict(self) -> dict[str, float]:
-        return {"rate1": self.rate1, "shape1": self.shape1,
-                "rate2": self.rate2, "shape2": self.shape2, "mix": self.mix}
 
 
 class FrailtyFamily(str, Enum):
@@ -395,10 +377,6 @@ def gamma_marginal_survival(cumulative_hazard, variance: float):
     """
     if not variance > 0:
         raise DomainError(f"variance must be positive, got {variance}")
-    arr = np.asarray(cumulative_hazard, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.isnan(arr).any() or (arr < 0).any():
-        raise DomainError("cumulative hazard must be nonnegative")
+    arr, scalar = _prep_times(cumulative_hazard, "cumulative hazard")
     vals = np.exp(-np.log1p(variance * arr) / variance)
     return _ret(vals, scalar)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,9 @@ __all__ = [
 DEFAULT_BETA = -0.5
 DEFAULT_TREAT_PROB = 0.5
 DEFAULT_CENSOR_TIME = 5.0
+# |beta| below log of the largest double keeps exp(x * beta) finite and
+# nonzero in both arms
+MAX_ABS_BETA = float(np.log(np.finfo(float).max))
 
 GRID_SIZES = ((750, 2), (20, 150))
 GRID_VARIANCES = (0.25, 0.75, 1.25)
@@ -81,8 +84,8 @@ class Scenario:
             raise ValueError("n_clusters and cluster_size must be positive")
         if not 0.0 <= self.treat_prob <= 1.0:
             raise ValueError(f"treat_prob must lie in [0, 1], got {self.treat_prob}")
-        if not np.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not abs(self.beta) < MAX_ABS_BETA:
+            raise ValueError(f"|beta| must be below {MAX_ABS_BETA:.6g}, got {self.beta}")
         if not 0.0 < self.censor_time < np.inf:
             raise ValueError(f"censor_time must be positive and finite, got {self.censor_time}")
         if not self.id:
@@ -118,10 +121,6 @@ class ClusteredDataset:
     @property
     def n_clusters(self) -> int:
         return int(self.cluster.max()) + 1 if self.n_subjects else 0
-
-    @property
-    def n_events(self) -> int:
-        return int(self.event.sum())
 
 
 def _theta_tag(variance: float) -> str:
@@ -449,7 +448,7 @@ def write_manifest(path: str | Path, scenario: Scenario, seed: int) -> None:
     payload = {
         "scenario_id": scenario.id,
         "seed": int(seed),
-        "baseline": {"kind": scenario.baseline.kind, **scenario.baseline.params_dict()},
+        "baseline": {"kind": scenario.baseline.kind, **asdict(scenario.baseline)},
         "frailty": {"family": scenario.frailty.family.value,
                     "variance": scenario.frailty.variance},
         "n_clusters": scenario.n_clusters,

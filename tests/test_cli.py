@@ -1,6 +1,7 @@
 """Command-line interface tests: config parsing, subcommands, exit codes."""
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -21,9 +22,9 @@ from frailsim.cli import (
 from frailsim.exceptions import ConfigError, NumericError, QuadratureError
 from frailsim.fitting import fit, model_from_id
 from frailsim.harness import derive_seed
-from frailsim.hazards import Exponential, Weibull
+from frailsim.hazards import BaselineHazard, Exponential, Weibull
 from frailsim.__main__ import THREAD_VARIABLES
-from frailsim.simulate import read_dataset_csv
+from frailsim.simulate import make_scenario, read_dataset_csv, study_baselines, write_manifest
 
 
 CUSTOM_SCENARIO = """\
@@ -100,6 +101,24 @@ def test_parse_baseline_rejects(text):
         _parse_baseline(text)
 
 
+def test_baseline_kinds_cover_every_hazard_family():
+    concrete = {cls for cls in BaselineHazard.__subclasses__() if not inspect.isabstract(cls)}
+    assert set(cli._BASELINE_KINDS.values()) == concrete
+    assert all(kind == cls.kind for kind, cls in cli._BASELINE_KINDS.items())
+
+
+@pytest.mark.parametrize("tag", sorted(study_baselines()))
+def test_manifest_baseline_parses_back(tmp_path, tag):
+    """A manifest's baseline entry, written as 'kind:field=value,...', is the
+    study baseline again."""
+    path = tmp_path / "m.json"
+    write_manifest(path, make_scenario(tag, "gamma", 0.25, 20, 150), 1)
+    entry = json.loads(path.read_text())["baseline"]
+    kind = entry.pop("kind")
+    text = kind + ":" + ",".join(f"{name}={value!r}" for name, value in entry.items())
+    assert _parse_baseline(text) == study_baselines()[tag]
+
+
 def test_scenario_catalog_grid_plus_custom(demo_config):
     catalog = scenario_catalog(read_config(demo_config))
     assert len(catalog) == 91
@@ -123,8 +142,9 @@ def test_scenario_catalog_grid_plus_custom(demo_config):
     pytest.param(CUSTOM_SCENARIO + "scenario.demo.beta = nan", id="beta=nan"),
     pytest.param(CUSTOM_SCENARIO + "scenario.demo.censor_time = inf", id="censor_time=inf"),
     pytest.param(CUSTOM_SCENARIO.replace("rate=0.4", "rate=inf"), id="rate=inf"),
-    # finite values whose true estimands cannot be computed
+    # finite values whose exp(beta) or true estimands cannot be computed
     pytest.param(CUSTOM_SCENARIO + "scenario.demo.beta = 1e300", id="beta=1e300"),
+    pytest.param(CUSTOM_SCENARIO + "scenario.demo.beta = -1e300", id="beta=-1e300"),
     pytest.param(CUSTOM_SCENARIO.replace("frailty = gamma", "frailty = lognormal")
                  .replace("frailty_var = 0.25", "frailty_var = 1e300"),
                  id="lognormal_frailty_var=1e300"),

@@ -933,12 +933,21 @@ def test_fitted_params_give_the_hazards_of_the_optimizer_rows(model_id):
     np.testing.assert_allclose(H, want, rtol=1e-10)
 
 
-def test_conditional_pieces_exponential():
-    spec = model_from_id("exp_gamma")
-    params = ModelParams(spec, np.array([0.4]), -0.3, 0.6)
+@pytest.mark.parametrize("model_id,baseline,want_h,want_H", [
+    ("exp_gamma", [0.4], 0.4 * math.exp(-0.3), 0.8 * math.exp(-0.3)),
+    ("wei_gamma", [0.5, 2.0], 2.0 * math.exp(-0.3), 2.0 * math.exp(-0.3)),
+    ("gom_gamma", [0.4, -0.5], 0.4 * math.exp(-1.3), 0.8 * (1.0 - math.exp(-1.0)) * math.exp(-0.3)),
+    ("gom_gamma", [0.4, 0.0], 0.4 * math.exp(-0.3), 0.8 * math.exp(-0.3)),
+    ("gom_gamma", [0.4, 0.5], 0.4 * math.exp(0.7), 0.8 * (math.e - 1.0) * math.exp(-0.3)),
+], ids=["exp", "wei", "gom_decreasing", "gom_flat", "gom_increasing"])
+def test_conditional_pieces_closed_forms(model_id, baseline, want_h, want_H):
+    """h and H at t = 2 in the treated arm, beta = -0.3, written out by
+    hand; gamma = 0 is the Gompertz default start."""
+    spec = model_from_id(model_id)
+    params = ModelParams(spec, np.array(baseline), -0.3, 0.6)
     h, H = conditional_pieces(spec, params, 2.0, 1.0)
-    assert abs(h - 0.4 * math.exp(-0.3)) <= 1e-15
-    assert abs(H - 0.8 * math.exp(-0.3)) <= 1e-15
+    assert abs(h - want_h) <= 4e-15 * want_h
+    assert abs(H - want_H) <= 4e-15 * want_H
 
 
 def test_fit_recovers_exponential_gamma_truth():

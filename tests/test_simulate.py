@@ -11,6 +11,7 @@ from frailsim.harness import derive_seed
 from frailsim.hazards import Exponential, FrailtyFamily, FrailtySpec, WeibullMixture
 from frailsim.simulate import (
     DATASET_HEADER,
+    MAX_ABS_BETA,
     ClusteredDataset,
     Scenario,
     _cluster_keys,
@@ -98,6 +99,17 @@ def test_scenario_validation():
         Scenario(baseline, frailty, 5, 5, censor_time=0.0, id="bad")
     with pytest.raises(ValueError):
         Scenario(baseline, frailty, 5, 5, id="")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_scenario_bounds_beta_so_that_exp_beta_is_finite_and_nonzero(sign):
+    frailty = FrailtySpec(FrailtyFamily.GAMMA, 0.25)
+    for beta in (MAX_ABS_BETA, 1e300, np.inf):
+        with pytest.raises(ValueError):
+            Scenario(Exponential(0.5), frailty, 5, 5, beta=sign * beta, id="edge")
+    edge = Scenario(Exponential(0.5), frailty, 5, 5,
+                    beta=sign * np.nextafter(MAX_ABS_BETA, 0.0), id="edge")
+    assert 0.0 < np.exp(edge.beta) < np.inf
 
 
 def test_simulate_time_exponential_closed_form():
