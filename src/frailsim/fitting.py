@@ -631,13 +631,13 @@ def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
     """Conditional (frailty = 1) hazard and cumulative hazard at (t, x).
 
     The exp, wei and gom baselines are the hazards classes built from
-    params.baseline, times exp(x beta); a rate or shape that is not positive
-    and finite raises the class's ValueError. A ModelParams from
-    unpack_params is always positive, so only an overflowed exp reaches
-    that check. For the rp baseline a nonpositive spline slope shows up as
-    h <= 0: the returned hazard carries the slope's sign as a
-    non-monotonicity flag, and the likelihood treats such a value at an
-    event time as -inf.
+    params.baseline, times exp(x beta). A rate or shape that is not positive
+    and finite, which unpack_params gives only from an overflowed or
+    underflowed exp or a NaN, raises the class's ValueError; _log_h_and_H,
+    on the log scale, takes the S = 0 limit there instead. For the rp
+    baseline a nonpositive spline slope shows up as h <= 0: the returned
+    hazard carries the slope's sign as a non-monotonicity flag, and the
+    likelihood treats such a value at an event time as -inf.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0

@@ -8,8 +8,9 @@ there.
 
 Each family is a frozen dataclass whose fields are its parameters:
 manifests write ``dataclasses.asdict`` of it, the CLI's baseline parser
-reads ``dataclasses.fields``, and the fitted exp, wei and gom curves are
-these classes.
+reads ``dataclasses.fields``, and ``fitting.conditional_pieces`` evaluates
+fitted exp, wei and gom curves with these classes. The likelihood keeps
+its own log-scale forms of those curves, for their derivatives.
 """
 from __future__ import annotations
 

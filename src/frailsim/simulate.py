@@ -195,8 +195,10 @@ def simulate_time(b: BaselineHazard, alpha, x, beta: float, u):
         raise DomainError("u must lie strictly inside (0, 1)")
     if (alpha_arr <= 0.0).any():
         raise DomainError("frailty values must be positive")
-    target = -np.log(u_arr) / (alpha_arr * np.exp(x_arr * beta))
-    return b.inverse_cumulative_hazard(target)
+    # near |beta| = MAX_ABS_BETA a target or root may overflow to its limit
+    with np.errstate(over="ignore", divide="ignore"):
+        target = -np.log(u_arr) / (alpha_arr * np.exp(x_arr * beta))
+        return b.inverse_cumulative_hazard(target)
 
 
 def _scenario_key(scenario_id: str) -> int:

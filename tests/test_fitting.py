@@ -946,8 +946,8 @@ def test_conditional_pieces_closed_forms(model_id, baseline, want_h, want_H):
     spec = model_from_id(model_id)
     params = ModelParams(spec, np.array(baseline), -0.3, 0.6)
     h, H = conditional_pieces(spec, params, 2.0, 1.0)
-    assert abs(h - want_h) <= 4e-15 * want_h
-    assert abs(H - want_H) <= 4e-15 * want_H
+    assert abs(h - want_h) <= 1e-15
+    assert abs(H - want_H) <= 1e-15
 
 
 def test_fit_recovers_exponential_gamma_truth():

@@ -1,6 +1,7 @@
 """Tests for scenario construction, data generation, and dataset IO."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -99,17 +100,27 @@ def test_scenario_validation():
         Scenario(baseline, frailty, 5, 5, censor_time=0.0, id="bad")
     with pytest.raises(ValueError):
         Scenario(baseline, frailty, 5, 5, id="")
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_scenario_bounds_beta_so_that_exp_beta_is_finite_and_nonzero(sign):
-    frailty = FrailtySpec(FrailtyFamily.GAMMA, 0.25)
-    for beta in (MAX_ABS_BETA, 1e300, np.inf):
+    for beta in (MAX_ABS_BETA, -MAX_ABS_BETA, 1e300, -1e300, np.inf, np.nan):
         with pytest.raises(ValueError):
-            Scenario(Exponential(0.5), frailty, 5, 5, beta=sign * beta, id="edge")
-    edge = Scenario(Exponential(0.5), frailty, 5, 5,
-                    beta=sign * np.nextafter(MAX_ABS_BETA, 0.0), id="edge")
-    assert 0.0 < np.exp(edge.beta) < np.inf
+            Scenario(baseline, frailty, 5, 5, beta=beta, id="bad")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tag", ["exp", "wei", "gom"])
+def test_beta_just_inside_the_negative_bound_censors_the_treated_arm(tag):
+    """At beta = -nextafter(MAX_ABS_BETA, 0), exp(beta) is 7.4e-309 and a
+    treated subject's inversion target may overflow to inf: each treated
+    subject is censored, with no overflow warning, and the control arm is
+    the one drawn at the default beta."""
+    sc = make_scenario(tag, "gamma", 0.75, 20, 50)
+    edge = dataclasses.replace(sc, beta=-np.nextafter(MAX_ABS_BETA, 0.0))
+    data, ref = generate_dataset(edge, 11), generate_dataset(sc, 11)
+    treated = data.treat == 1
+    assert 0 < treated.sum() < treated.size
+    assert (data.time[treated] == sc.censor_time).all()
+    assert not data.event[treated].any()
+    np.testing.assert_array_equal(data.time[~treated], ref.time[~treated])
+    np.testing.assert_array_equal(data.event[~treated], ref.event[~treated])
 
 
 def test_simulate_time_exponential_closed_form():
