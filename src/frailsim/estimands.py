@@ -23,14 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError, EstimandError, QuadratureError
-from .fitting import (
-    FitResult,
-    ModelParams,
-    _cluster_terms,
-    _grid_prepared,
-    _log_h_and_H,
-    conditional_pieces,
-)
+from .fitting import FitResult, _cluster_terms, _grid_prepared, _log_h_and_H
 from .hazards import FrailtyFamily, FrailtySpec, gamma_marginal_survival
 from .quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace
 from .simulate import Scenario
@@ -120,24 +113,23 @@ class MarginalModel:
         return cls(frailty=scenario.frailty, cumulative_hazard=cumhaz, gh_nodes=gh_nodes)
 
     @classmethod
-    def from_params(cls, params: ModelParams, gh_nodes: int | None = None) -> MarginalModel:
+    def from_fit(cls, result: FitResult, gh_nodes: int | None = None) -> MarginalModel:
+        """The fitted model: H(t, x) from _log_h_and_H on the likelihood's own
+        rows at result.trans, the rows lle_functional evaluates, and 0 at t = 0."""
         def cumhaz(t: np.ndarray, x: float) -> np.ndarray:
             positive = t > 0
             out = np.zeros_like(t)
             if positive.any():
-                _, H = conditional_pieces(params.spec, params, t[positive], x)
-                out[positive] = H
+                prep = _grid_prepared(result, t[positive], np.full(positive.sum(), x))
+                with np.errstate(over="ignore"):
+                    out[positive] = _log_h_and_H(prep, result.spec, result.trans)[1]
             return out
 
         return cls(
-            frailty=FrailtySpec(params.spec.frailty, params.frailty_var),
+            frailty=FrailtySpec(result.spec.frailty, result.params.frailty_var),
             cumulative_hazard=cumhaz,
-            gh_nodes=gh_nodes if gh_nodes is not None else params.spec.gh_nodes,
+            gh_nodes=gh_nodes if gh_nodes is not None else result.spec.gh_nodes,
         )
-
-    @classmethod
-    def from_fit(cls, result: FitResult, gh_nodes: int | None = None) -> MarginalModel:
-        return cls.from_params(result.params, gh_nodes=gh_nodes)
 
 
 def _lognormal_marginal(H: np.ndarray, variance: float, mean: float, nodes: int) -> np.ndarray:

@@ -18,11 +18,11 @@ form on them (``_newton``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .exceptions import DomainError, FitSetupError
+from .exceptions import FitSetupError
 from .hazards import Exponential, FrailtyFamily, Gompertz, Weibull
 from .simulate import ClusteredDataset
 from .splines import ALLOWED_DF, SplineBasis, basis_derivative, basis_eval, place_knots
@@ -34,7 +34,6 @@ __all__ = [
     "FitResult",
     "model_from_id",
     "MODEL_BASELINES",
-    "conditional_pieces",
     "gamma_marginal_loglik",
     "lognormal_marginal_loglik",
     "fit",
@@ -43,10 +42,12 @@ __all__ = [
     "pack_params",
 ]
 
-# the hazards class of each parametric baseline, built from its natural
-# parameters in order
+# the hazards class of each parametric baseline, whose fields are its
+# natural parameters in order
 _PARAMETRIC = {"exp": Exponential, "wei": Weibull, "gom": Gompertz}
 MODEL_BASELINES = (*_PARAMETRIC, "rp")
+# the positive parameters, fitted as their logs
+_POSITIVE = ("rate", "shape", "frailty_var")
 
 # a run ends when its Newton decrement g'H^-1 g is at most this times
 # 1 + |loglik|: the loglik is then within half of it of the quadratic
@@ -92,38 +93,33 @@ class ModelSpec:
         tag = f"rp{self.df}" if self.baseline == "rp" else self.baseline
         return f"{tag}_{self.frailty.value}"
 
-    @property
-    def n_baseline_params(self) -> int:
-        if self.baseline == "exp":
-            return 1
-        if self.baseline in ("wei", "gom"):
-            return 2
-        return self.df + 1
+    def natural_names(self) -> list[str]:
+        """The parameters: the fields of the baseline's hazards class, or
+        the spline coefficients s0, ..., s{df}, then beta and frailty_var."""
+        if self.baseline == "rp":
+            head = [f"s{k}" for k in range(self.df + 1)]
+        else:
+            head = [f.name for f in fields(_PARAMETRIC[self.baseline])]
+        return head + ["beta", "frailty_var"]
+
+    def param_names(self) -> list[str]:
+        """The entries of the transformed vector: log_ before each positive
+        parameter."""
+        return [f"log_{name}" if name in _POSITIVE else name for name in self.natural_names()]
 
     @property
     def n_params(self) -> int:
-        return self.n_baseline_params + 2
+        return len(self.natural_names())
 
-    def param_names(self) -> list[str]:
-        if self.baseline == "exp":
-            names = ["log_rate"]
-        elif self.baseline == "wei":
-            names = ["log_rate", "log_shape"]
-        elif self.baseline == "gom":
-            names = ["log_rate", "gamma"]
-        else:
-            names = [f"s{k}" for k in range(self.df + 1)]
-        return names + ["beta", "log_frailty_var"]
+    @property
+    def n_baseline_params(self) -> int:
+        return self.n_params - 2
 
     @property
     def log_scale(self) -> np.ndarray:
         """Which entries of the transformed vector are logs of their
         natural values: those of param_names() named log_*."""
-        return np.array([name.startswith("log_") for name in self.param_names()])
-
-    def natural_names(self) -> list[str]:
-        return [name[4:] if name.startswith("log_") else name
-                for name in self.param_names()]
+        return np.array([name in _POSITIVE for name in self.natural_names()])
 
 
 def model_from_id(model_id: str) -> ModelSpec:
@@ -307,6 +303,12 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset) -> _Prepared:
     d = np.asarray(data.event, dtype=bool)
     if not d.any():
         raise FitSetupError("cannot fit with zero events")
+    x = np.asarray(data.treat, dtype=float)
+    for value, arm in ((0.0, "untreated"), (1.0, "treated")):
+        if not d[x == value].any():
+            # the likelihood then rises without bound as beta goes to -inf
+            # or +inf
+            raise FitSetupError(f"cannot fit with zero events in the {arm} arm")
     logt = np.log(t)
     to_raw = np.eye(spec.n_params)
     basis = B = Bd = None
@@ -331,8 +333,8 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset) -> _Prepared:
         nb = spec.n_baseline_params
         to_raw[1:nb, 1:nb] = inverse
         to_raw[0, 1:nb] = -center @ inverse
-    return _rows(spec, t, logt, np.asarray(data.treat, dtype=float), d,
-                 np.asarray(data.cluster, dtype=np.int64), basis, to_raw, B, Bd)
+    return _rows(spec, t, logt, x, d, np.asarray(data.cluster, dtype=np.int64),
+                 basis, to_raw, B, Bd)
 
 
 def _grid_prepared(result: FitResult, t: np.ndarray, x: np.ndarray) -> _Prepared:
@@ -627,42 +629,6 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
     return ll, score, -hess
 
 
-def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
-    """Conditional (frailty = 1) hazard and cumulative hazard at (t, x).
-
-    The exp, wei and gom baselines are the hazards classes built from
-    params.baseline, times exp(x beta). A rate or shape that is not positive
-    and finite, which unpack_params gives only from an overflowed or
-    underflowed exp or a NaN, raises the class's ValueError; _log_h_and_H,
-    on the log scale, takes the S = 0 limit there instead. For the rp
-    baseline a nonpositive spline slope shows up as h <= 0: the returned
-    hazard carries the slope's sign as a non-monotonicity flag, and the
-    likelihood treats such a value at an event time as -inf.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if (t_arr <= 0).any():
-        raise DomainError("times must be positive")
-    x_arr = np.broadcast_to(np.asarray(x, dtype=float), t_arr.shape)
-    xb = x_arr * params.beta
-    if spec.baseline == "rp":
-        z = np.log(t_arr)
-        coef = params.baseline[1:]
-        s = params.baseline[0] + basis_eval(params.basis, z) @ coef
-        sp = basis_derivative(params.basis, z) @ coef
-        H = np.exp(s + xb)
-        h = sp * H / t_arr
-    else:
-        baseline = _PARAMETRIC[spec.baseline](*params.baseline)
-        ratio = np.exp(xb)
-        h = baseline.hazard(t_arr) * ratio
-        H = baseline.cumulative_hazard(t_arr) * ratio
-    if scalar:
-        return float(h[0]), float(H[0])
-    return h, H
-
-
 def _marginal_loglik(family: FrailtyFamily, spec: ModelSpec, params: ModelParams,
                      data: ClusteredDataset) -> float:
     if spec.frailty is not family:
@@ -866,16 +832,14 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
 
 def _starting_point(spec: ModelSpec, prep: _Prepared) -> np.ndarray:
     """The default start on the raw transformed scale: the crude event rate,
-    unit shapes, no treatment effect and a frailty variance of 0.1."""
-    rate0 = float(prep.d.sum() / prep.t.sum())
-    log_rate0 = np.log(rate0)
-    if spec.baseline == "exp":
-        head = [log_rate0]
-    elif spec.baseline in ("wei", "gom"):
-        head = [log_rate0, 0.0]
-    else:
-        head = [log_rate0, 1.0] + [0.0] * (spec.df - 1)
-    return np.array(head + [0.0, np.log(0.1)], dtype=float)
+    a unit shape, a flat Gompertz hazard or a unit spline slope, no
+    treatment effect and a frailty variance of 0.1."""
+    start = np.zeros(spec.n_params)
+    start[0] = np.log(float(prep.d.sum() / prep.t.sum()))
+    if spec.baseline == "rp":
+        start[1] = 1.0
+    start[-1] = np.log(0.1)
+    return start
 
 
 def fit(

@@ -7,10 +7,10 @@ times are rejected; t = 0 is valid exactly when the hazard has a finite limit
 there.
 
 Each family is a frozen dataclass whose fields are its parameters:
-manifests write ``dataclasses.asdict`` of it, the CLI's baseline parser
-reads ``dataclasses.fields``, and ``fitting.conditional_pieces`` evaluates
-fitted exp, wei and gom curves with these classes. The likelihood keeps
-its own log-scale forms of those curves, for their derivatives.
+manifests write ``dataclasses.asdict`` of it, and the CLI's baseline parser
+and ``fitting.ModelSpec``'s parameter names read ``dataclasses.fields``.
+The likelihood keeps its own log-scale forms of the exp, wei and gom
+curves, for their derivatives, and evaluates fitted models with them.
 """
 from __future__ import annotations
 

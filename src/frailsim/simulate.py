@@ -183,11 +183,9 @@ def scenario_grid() -> list[Scenario]:
     return grid
 
 
-def simulate_time(b: BaselineHazard, alpha, x, beta: float, u):
-    """Latent event time by inversion: conditional survival equals u.
-
-    Solves exp(-alpha * e^(x*beta) * H0(t)) = u for t.
-    """
+def _targets(alpha, x, beta: float, u) -> np.ndarray:
+    """The baseline cumulative hazards H0(t) = -log(u) / (alpha e^(x*beta))
+    at which conditional survival equals u."""
     alpha_arr = np.asarray(alpha, dtype=float)
     u_arr = np.asarray(u, dtype=float)
     x_arr = np.asarray(x, dtype=float)
@@ -195,9 +193,19 @@ def simulate_time(b: BaselineHazard, alpha, x, beta: float, u):
         raise DomainError("u must lie strictly inside (0, 1)")
     if (alpha_arr <= 0.0).any():
         raise DomainError("frailty values must be positive")
-    # near |beta| = MAX_ABS_BETA a target or root may overflow to its limit
+    # near |beta| = MAX_ABS_BETA a target may overflow to inf, a censored time
     with np.errstate(over="ignore", divide="ignore"):
-        target = -np.log(u_arr) / (alpha_arr * np.exp(x_arr * beta))
+        return -np.log(u_arr) / (alpha_arr * np.exp(x_arr * beta))
+
+
+def simulate_time(b: BaselineHazard, alpha, x, beta: float, u):
+    """Latent event time by inversion: conditional survival equals u.
+
+    Solves exp(-alpha * e^(x*beta) * H0(t)) = u for t.
+    """
+    target = _targets(alpha, x, beta, u)
+    # a root may overflow to its limit, inf
+    with np.errstate(over="ignore", divide="ignore"):
         return b.inverse_cumulative_hazard(target)
 
 
@@ -335,9 +343,14 @@ def generate_dataset(scenario: Scenario, seed: int) -> ClusteredDataset:
     uniforms = draws[:, m:].reshape(-1)
     cluster = np.repeat(np.arange(n_clusters, dtype=np.int64), m)
     # one batched inversion for the whole dataset (root finding dominates
-    # generation cost for the mixture baselines)
-    latent = simulate_time(scenario.baseline, np.repeat(frailties, m), treat,
-                           scenario.beta, uniforms)
+    # generation cost for the mixture baselines), of only the targets below
+    # H0(censor_time), which may overflow to inf: the others are censored
+    # whatever their root, which a mixture cannot find for a huge target
+    target = _targets(np.repeat(frailties, m), treat, scenario.beta, uniforms)
+    with np.errstate(over="ignore"):
+        early = target < scenario.baseline.cumulative_hazard(scenario.censor_time)
+    latent = np.full(target.shape, np.inf)
+    latent[early] = scenario.baseline.inverse_cumulative_hazard(target[early])
     time = np.minimum(latent, scenario.censor_time)
     event = (latent < scenario.censor_time).astype(np.int8)
     return ClusteredDataset(

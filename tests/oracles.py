@@ -3,7 +3,11 @@
 tanh_sinh integrates a function on a finite interval to high accuracy,
 for closed forms that have none; cluster_rng is one cluster's own random
 stream, as a generator per cluster, against which the re-keyed generator
-of generate_dataset is checked.
+of generate_dataset is checked; conditional_pieces evaluates a model's
+hazard and cumulative hazard from its natural parameters with the hazards
+classes and the raw spline basis, and marginal_model averages that
+cumulative hazard over the frailty, against which the likelihood's own
+log-scale rows and lle_functional are checked.
 """
 from __future__ import annotations
 
@@ -11,14 +15,71 @@ from typing import Callable
 
 import numpy as np
 
+from frailsim.estimands import MarginalModel
 from frailsim.exceptions import DomainError, QuadratureError
+from frailsim.fitting import ModelParams, ModelSpec
+from frailsim.hazards import Exponential, FrailtySpec, Gompertz, Weibull
 from frailsim.simulate import _cluster_keys
+from frailsim.splines import basis_derivative, basis_eval
 
 
 def cluster_rng(seed: int, scenario_id: str, cluster_index: int) -> np.random.Generator:
     """The dedicated random stream of one cluster of one dataset."""
     key = _cluster_keys(seed, scenario_id, [cluster_index])[0]
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_BASELINES = {"exp": Exponential, "wei": Weibull, "gom": Gompertz}
+
+
+def conditional_pieces(spec: ModelSpec, params: ModelParams, t, x):
+    """Conditional (frailty = 1) hazard and cumulative hazard at (t, x).
+
+    The exp, wei and gom baselines are the hazards classes built from
+    params.baseline, times exp(x beta); a rate or shape that is not positive
+    and finite raises the class's ValueError. For the rp baseline the
+    returned hazard carries the sign of the spline slope, so a nonpositive
+    slope shows up as h <= 0.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    scalar = t_arr.ndim == 0
+    t_arr = np.atleast_1d(t_arr)
+    if (t_arr <= 0).any():
+        raise DomainError("times must be positive")
+    x_arr = np.broadcast_to(np.asarray(x, dtype=float), t_arr.shape)
+    xb = x_arr * params.beta
+    if spec.baseline == "rp":
+        z = np.log(t_arr)
+        coef = params.baseline[1:]
+        s = params.baseline[0] + basis_eval(params.basis, z) @ coef
+        sp = basis_derivative(params.basis, z) @ coef
+        H = np.exp(s + xb)
+        h = sp * H / t_arr
+    else:
+        baseline = _BASELINES[spec.baseline](*params.baseline)
+        ratio = np.exp(xb)
+        h = baseline.hazard(t_arr) * ratio
+        H = baseline.cumulative_hazard(t_arr) * ratio
+    if scalar:
+        return float(h[0]), float(H[0])
+    return h, H
+
+
+def marginal_model(params: ModelParams) -> MarginalModel:
+    """The MarginalModel of natural-scale parameters: conditional_pieces'
+    cumulative hazard, 0 at t = 0, under the spec's frailty."""
+    def cumhaz(t: np.ndarray, x: float) -> np.ndarray:
+        positive = t > 0
+        out = np.zeros_like(t)
+        if positive.any():
+            out[positive] = conditional_pieces(params.spec, params, t[positive], x)[1]
+        return out
+
+    return MarginalModel(
+        frailty=FrailtySpec(params.spec.frailty, params.frailty_var),
+        cumulative_hazard=cumhaz,
+        gh_nodes=params.spec.gh_nodes,
+    )
 
 
 _T_MAX = 4.0

@@ -25,7 +25,7 @@ from frailsim.estimands import (
     lle,
     lle_functional,
 )
-from frailsim.fitting import ModelParams, ModelSpec, conditional_pieces, model_from_id
+from frailsim.fitting import ModelParams, ModelSpec, model_from_id
 from frailsim.harness import (
     ReplicationRecord,
     derive_seed,
@@ -48,7 +48,7 @@ from frailsim.simulate import (
 )
 from frailsim.splines import place_knots
 
-from oracles import tanh_sinh
+from oracles import conditional_pieces, tanh_sinh
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -23,13 +23,13 @@ from frailsim.estimands import (
     true_estimands,
 )
 from frailsim.exceptions import DomainError, EstimandError, QuadratureError
-from frailsim.fitting import ModelParams, fit, model_from_id
+from frailsim.fitting import fit, model_from_id
 from frailsim.hazards import FrailtyFamily, FrailtySpec
 from frailsim.quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace
 from frailsim.simulate import generate_dataset, make_scenario
 from frailsim.splines import natural_spline_weights
 
-from oracles import tanh_sinh
+from oracles import marginal_model, tanh_sinh
 
 
 def test_estimand_names_are_the_csv_labels():
@@ -358,7 +358,7 @@ def test_lle_takes_the_zero_survival_limit_where_the_hazard_overflows(model_id):
     vec = np.array([0.0, 710.0, math.log(2.0)])
 
     def reference(v):
-        untreated = MarginalModel.from_params(fitted.params_from_trans(v))
+        untreated = marginal_model(fitted.params_from_trans(v))
         return 5.0 * _spline_weights(1000)[0] - life_expectancy(untreated, 0, 5.0)
 
     want = reference(vec)

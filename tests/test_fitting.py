@@ -16,7 +16,6 @@ from frailsim.fitting import (
     ModelParams,
     ModelSpec,
     all_model_ids,
-    conditional_pieces,
     fit,
     gamma_marginal_loglik,
     information_criteria,
@@ -37,7 +36,7 @@ from frailsim.simulate import (
     write_dataset_csv,
 )
 
-from oracles import tanh_sinh
+from oracles import conditional_pieces, marginal_model, tanh_sinh
 
 
 def test_model_id_catalog():
@@ -322,13 +321,13 @@ def test_loglik_on_the_prepared_design_matches_a_column_stack_reference(model_id
 @pytest.mark.parametrize("model_id", all_model_ids())
 def test_lle_and_its_gradient_match_the_marginal_model_path(model_id, size):
     """One pass over the grid with the likelihood's cluster kernels gives
-    the LLE of MarginalModel.from_params, and its gradient matches central
+    the LLE of the oracle marginal_model, and its gradient matches central
     differences of that independent path, step 1e-5 (1 + |x|)."""
     _, _, res = _study_fit(model_id, size)
     horizon = 5.0
 
     def reference(vec):
-        return lle(MarginalModel.from_params(res.params_from_trans(vec)), horizon)
+        return lle(marginal_model(res.params_from_trans(vec)), horizon)
 
     want = reference(res.trans)
     value, grad = lle_functional(res, horizon)(res.trans)
@@ -876,6 +875,22 @@ def test_each_fit_evaluation_is_one_loglik_call_with_the_information(monkeypatch
     np.testing.assert_array_equal(res.trans, vec)
 
 
+@pytest.mark.parametrize("model_id,natural,transformed", [
+    ("exp_gamma", ["rate"], ["log_rate"]),
+    ("wei_lognormal", ["rate", "shape"], ["log_rate", "log_shape"]),
+    ("gom_gamma", ["rate", "gamma"], ["log_rate", "gamma"]),
+    ("rp3_lognormal", ["s0", "s1", "s2", "s3"], ["s0", "s1", "s2", "s3"]),
+], ids=["exp", "wei", "gom", "rp3"])
+def test_parameter_names_are_the_hazards_fields(model_id, natural, transformed):
+    """The baseline's parameters are the fields of its hazards class (the
+    spline coefficients for rp), then beta and the frailty variance; the
+    positive ones are fitted as logs. These names key the fit JSON."""
+    spec = model_from_id(model_id)
+    assert spec.natural_names() == natural + ["beta", "frailty_var"]
+    assert spec.param_names() == transformed + ["beta", "log_frailty_var"]
+    assert (spec.n_baseline_params, spec.n_params) == (len(natural), len(natural) + 2)
+
+
 @pytest.mark.parametrize("model_id,baseline,logs", [
     ("exp_gamma", [0.45], [True, False, True]),
     ("wei_lognormal", [0.45, 1.3], [True, True, False, True]),
@@ -931,6 +946,21 @@ def test_fitted_params_give_the_hazards_of_the_optimizer_rows(model_id):
     _, H = conditional_pieces(spec, res.params, prep.t, prep.x)
     want = fitting._log_h_and_H(prep, spec, res.trans)[1]
     np.testing.assert_allclose(H, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_marginal_model_from_fit_gives_the_hazards_of_the_fitted_params(model_id):
+    """MarginalModel.from_fit takes H from the fit's own rows at trans, and
+    0 at t = 0; from t = 0 to past the last follow-up, in both arms, that is
+    the oracle's conditional_pieces of the fitted params to 1e-10 relative,
+    the bound of the test above."""
+    _, spec, res = _study_fit(model_id, (20, 150))
+    model = MarginalModel.from_fit(res)
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 6.0, 60)))
+    for x in (0.0, 1.0):
+        want = np.zeros_like(t)
+        want[1:] = conditional_pieces(spec, res.params, t[1:], x)[1]
+        np.testing.assert_allclose(model.cumulative_hazard(t, x), want, rtol=1e-10)
 
 
 @pytest.mark.parametrize("model_id,baseline,want_h,want_H", [
@@ -1014,6 +1044,24 @@ def test_fit_rejects_zero_events():
     )
     with pytest.raises(FitSetupError):
         fit(model_from_id("exp_gamma"), data)
+
+
+@pytest.mark.parametrize("arm", ["untreated", "treated"])
+def test_fit_rejects_an_arm_without_events(arm):
+    """Where one arm has no events the MLE of beta is infinite, so the fit
+    is a setup error rather than a converged fit at a large finite beta."""
+    treat = np.tile(np.array([0, 1], dtype=np.int8), 6)
+    event = np.ones(12, dtype=np.int8)
+    event[treat == (1 if arm == "treated" else 0)] = 0
+    data = ClusteredDataset(
+        cluster=np.repeat(np.arange(4, dtype=np.int64), 3),
+        time=np.linspace(0.5, 5.0, 12),
+        event=event,
+        treat=treat,
+    )
+    for model_id in ("exp_gamma", "rp3_lognormal"):
+        with pytest.raises(FitSetupError, match=f"zero events in the {arm} arm"):
+            fit(model_from_id(model_id), data)
 
 
 def test_fit_rejects_collinear_spline_basis():

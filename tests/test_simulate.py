@@ -123,6 +123,25 @@ def test_beta_just_inside_the_negative_bound_censors_the_treated_arm(tag):
     np.testing.assert_array_equal(data.event[~treated], ref.event[~treated])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [-60.0, -100.0])
+@pytest.mark.parametrize("tag", ["ww1", "ww2"])
+def test_mixture_scenario_at_a_large_negative_beta_censors_the_treated_arm(tag, beta):
+    """A treated subject's target is then far above H0(censor_time), where
+    the mixture inversion can miss its root (ww2 from about 1e16): such a
+    target is not inverted but censored. The control arm has the times of
+    the default-beta draw, to the inversion's precision, and its events."""
+    sc = make_scenario(tag, "gamma", 0.75, 20, 50)
+    data = generate_dataset(dataclasses.replace(sc, beta=beta), 11)
+    ref = generate_dataset(sc, 11)
+    treated = data.treat == 1
+    assert 0 < treated.sum() < treated.size
+    assert (data.time[treated] == sc.censor_time).all()
+    assert not data.event[treated].any()
+    np.testing.assert_allclose(data.time[~treated], ref.time[~treated], rtol=1e-12)
+    np.testing.assert_array_equal(data.event[~treated], ref.event[~treated])
+
+
 def test_simulate_time_exponential_closed_form():
     # t = -log(u) / (alpha * rate * exp(x beta))
     got = simulate_time(Exponential(0.5), 2.0, 1.0, -0.5, 0.3)
@@ -253,8 +272,15 @@ def _oracle_dataset(scenario, seed):
             u[zero] = rng.random(int(zero.sum()))
         treat[c * m:(c + 1) * m] = x
         uniforms[c * m:(c + 1) * m] = u
-    latent = simulate_time(scenario.baseline, np.repeat(frailties, m), treat,
-                           scenario.beta, uniforms)
+    # only the targets below H0(censor_time), which may overflow to inf,
+    # are inverted; the others are censored
+    alpha = np.repeat(frailties, m)
+    with np.errstate(over="ignore"):
+        early = (-np.log(uniforms) / (alpha * np.exp(treat * scenario.beta))
+                 < scenario.baseline.cumulative_hazard(scenario.censor_time))
+    latent = np.full(n, np.inf)
+    latent[early] = simulate_time(scenario.baseline, alpha[early], treat[early],
+                                  scenario.beta, uniforms[early])
     cluster = np.repeat(np.arange(scenario.n_clusters, dtype=np.int64), m)
     time = np.minimum(latent, scenario.censor_time)
     event = (latent < scenario.censor_time).astype(np.int8)
