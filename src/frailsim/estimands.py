@@ -299,7 +299,7 @@ def lle_functional(
                 spec, prep.events_per_cluster[live], H[live], np.exp(vec[-1]), prep.d_range)
             a = signed * np.exp(log_S)
             # 0, not 0 * inf, where S underflowed
-            grad[:-1] = np.where(a != 0.0, a * g_V * H, 0.0) @ dlog_H
+            grad[:-1] = dlog_H @ np.where(a != 0.0, a * g_V * H, 0.0)
             grad[-1] = np.where(a != 0.0, a * g_u, 0.0).sum()
         value = float(a.sum())
         if not (np.isfinite(value) and np.isfinite(grad).all()):

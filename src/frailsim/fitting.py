@@ -15,9 +15,16 @@ Gamma closed form or of the Gauss-Hermite sum in the cluster's cumulative
 hazard V and the log frailty variance; the information follows by the
 chain rule through V. The fit takes Newton steps in Levenberg-Marquardt
 form on them (``_newton``).
+
+The rows are held sorted by cluster, and each per-row array with one value
+per parameter (the design, d log H, the spline columns) as a C-contiguous
+(parameters, rows) array (``_Prepared``): the rows' part of the information
+is then one product (d log H * w) @ d log H', and each cluster's sums run
+over one contiguous run of rows.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -25,7 +32,7 @@ import numpy as np
 from .exceptions import FitSetupError
 from .hazards import Exponential, FrailtyFamily, Gompertz, Weibull
 from .simulate import ClusteredDataset
-from .splines import ALLOWED_DF, SplineBasis, basis_derivative, basis_eval, place_knots
+from .splines import ALLOWED_DF, SplineBasis, _columns, basis_eval, place_knots
 from .quadrature import MAX_GH_NODES, adaptive_gh_batch, gh_rule, lognormal_laplace
 
 __all__ = [
@@ -61,6 +68,9 @@ _GAIN_STOP = "a step predicted a gain below half the decrement tolerance"
 # to the Hessian's largest diagonal entry
 _MIN_RATIO = 1e-4
 _LAM_FLOOR = 1e-3
+# the mean rows per cluster from which _Prepared.cluster_sums takes
+# np.add.reduceat over the cluster starts instead of np.bincount
+_REDUCEAT_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -107,19 +117,23 @@ class ModelSpec:
         parameter."""
         return [f"log_{name}" if name in _POSITIVE else name for name in self.natural_names()]
 
-    @property
+    # the likelihood reads these on every evaluation, so each is computed
+    # once per spec
+    @functools.cached_property
     def n_params(self) -> int:
         return len(self.natural_names())
 
-    @property
+    @functools.cached_property
     def n_baseline_params(self) -> int:
         return self.n_params - 2
 
-    @property
+    @functools.cached_property
     def log_scale(self) -> np.ndarray:
         """Which entries of the transformed vector are logs of their
-        natural values: those of param_names() named log_*."""
-        return np.array([name in _POSITIVE for name in self.natural_names()])
+        natural values: those of param_names() named log_*. Read-only."""
+        out = np.array([name in _POSITIVE for name in self.natural_names()])
+        out.setflags(write=False)
+        return out
 
 
 def model_from_id(model_id: str) -> ModelSpec:
@@ -214,29 +228,50 @@ def _expm1_over(v: np.ndarray) -> np.ndarray:
 class _Prepared:
     """Per-(model, dataset) quantities that do not change across iterations.
 
-    For the rp baseline, B and Bd hold orthogonalized basis columns: the
-    raw columns are centered and QR-rotated so the internal design has
-    orthogonal columns of unit root-mean-square, and the optimizer works on
-    their coefficients. Raw truncated-power columns with nearby knots are
-    nearly collinear. Newton steps do not depend on the basis in exact
-    arithmetic, but the shift of a rejected step and the floating-point
-    solves do: on the raw columns (to_raw the identity, the collinearity
-    check kept), the 540 rp fits of the study grid at rep 0 (seed
-    20240901) kept their flags, estimates within 4.4e-5 SE and logliks
-    within 3.1e-12 relative, but took 15.0 evaluations a fit (at most 47)
-    against 9.1 (at most 22) and 13.6 Newton steps against 7.4, and the
-    median condition number of the observed information rose from 1.3e3
-    to 1.8e7.
+    The rows are sorted by cluster (a stable sort), and the cluster codes
+    renumbered 0, 1, ... in that order, so each cluster is one run of rows;
+    a code without rows, which adds exactly 0 to the log-likelihood, is
+    dropped. Every per-row array of more than one value per row is stored
+    as parameter rows over data columns: a C-contiguous (p, n) array.
+
+    For the rp baseline, B and Bd hold orthogonalized basis columns (as
+    rows): the raw columns are centered and QR-rotated so the internal
+    design has orthogonal columns of unit root-mean-square, and the
+    optimizer works on their coefficients. Raw truncated-power columns with
+    nearby knots are nearly collinear. Newton steps do not depend on the
+    basis in exact arithmetic, but the shift of a rejected step and the
+    floating-point solves do: on the raw columns (to_raw the identity, the
+    collinearity check kept), the 540 rp fits of the study grid at rep 0
+    (seed 20240901) kept their flags, estimates within 4.4e-5 SE and
+    logliks within 3.1e-12 relative, but took 15.0 evaluations a fit (at
+    most 47) against 9.1 (at most 22) and 13.6 Newton steps against 7.4,
+    and the median condition number of the observed information rose from
+    1.3e3 to 1.8e7.
 
     to_raw maps an optimizer-scale vector to the raw transformed vector of
     pack_params and unpack_params: the identity but for the rp coefficient
     block [[1, -center T^-1], [0, T^-1]], with T the QR's R / sqrt(n).
 
-    design is the constant part of d log H / d(baseline, beta), one row per
-    subject: [1, x] (exp), [1, B, x] (rp), and [1, z, x] for wei and gom,
-    whose middle column varies with the parameters and is built from z =
-    log t (wei) or t (gom). event_design is its sum over the event rows,
-    event_logt that of log t, and event_Bd the rows of Bd at the events.
+    design is the constant part of d log H / d(baseline, beta), one column
+    per row: [1, x] (exp), [1, B, x] (rp), and [1, z, x] for wei and gom,
+    whose middle row varies with the parameters and is built from z = log t
+    (wei) or t (gom). event_design is its sum over the event rows,
+    event_logt that of log t, and event_Bd the columns of Bd at the events.
+
+    cluster_sums sums each cluster's rows. It takes np.add.reduceat over the
+    cluster starts (starts) when the mean cluster size is at least
+    _REDUCEAT_SIZE = 8, and otherwise np.bincount over a (row of design,
+    cluster) cell index (cells), built on its first use: reduceat's cost
+    grows with the number of clusters, and bincount's with the number of
+    entries. The dV of k - 1 parameter rows at 3,000 rows, bincount /
+    reduceat in microseconds (best of 7 x 200 calls, 2-CPU host):
+
+        mean cluster size      2       5       8      10      50     150
+        k - 1 = 3          16/67   18/29   20/20   21/17    30/6    33/6
+        k - 1 = 11        55/237  60/103   69/67   73/57  106/22  116/16
+
+    V alone, one row, reads 6/22 at size 2 and 11/3 at size 150. The study's
+    20 x 150 datasets take reduceat and its 750 x 2 ones bincount.
     """
 
     t: np.ndarray
@@ -254,10 +289,29 @@ class _Prepared:
     event_design: np.ndarray
     event_logt: float
     event_Bd: np.ndarray | None
+    starts: np.ndarray | None
     d_range: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.d_range = np.arange(int(self.events_per_cluster.max()) + 1, dtype=float)
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """The (row of design, cluster) cell of each entry of a (k - 1, n)
+        array, flattened: row * n_clusters + cluster."""
+        return (np.arange(self.design.shape[0])[:, None] * self.n_clusters
+                + self.cluster).ravel()
+
+    def cluster_sums(self, values: np.ndarray) -> np.ndarray:
+        """The sum over each cluster's rows of values, shape (n,) -> (G,),
+        or (k - 1, n) -> (k - 1, G) for as many parameter rows as design."""
+        if self.starts is not None:
+            return np.add.reduceat(values, self.starts, axis=-1)
+        if values.ndim == 1:
+            return np.bincount(self.cluster, weights=values, minlength=self.n_clusters)
+        return np.bincount(self.cells, weights=values.ravel(),
+                           minlength=values.shape[0] * self.n_clusters
+                           ).reshape(-1, self.n_clusters)
 
 
 def _rows(spec: ModelSpec, t: np.ndarray, logt: np.ndarray, x: np.ndarray,
@@ -265,17 +319,30 @@ def _rows(spec: ModelSpec, t: np.ndarray, logt: np.ndarray, x: np.ndarray,
           to_raw: np.ndarray, B: np.ndarray | None = None,
           Bd: np.ndarray | None = None) -> _Prepared:
     """The _Prepared of rows at times t (logs logt), arms x, event flags d
-    and clusters, with its constant design and event-row sums. For rp, B
-    and Bd are the basis columns and their derivatives on the optimizer
-    scale; by default those of basis at logt, mapped by to_raw."""
+    and clusters, sorted by cluster, with its constant design and event-row
+    sums. For rp, B and Bd are the basis columns and their derivatives as
+    (df, n) rows on the optimizer scale; by default those of basis at logt,
+    mapped by to_raw."""
+    if (cluster[1:] < cluster[:-1]).any():
+        order = np.argsort(cluster, kind="stable")
+        t, logt, x, d, cluster = t[order], logt[order], x[order], d[order], cluster[order]
+        if B is not None:
+            B, Bd = B[:, order], Bd[:, order]
     if basis is not None and B is None:
         nb = spec.n_baseline_params
-        coefs = to_raw[1:nb, 1:nb]
-        B = basis_eval(basis, logt) @ coefs + to_raw[0, 1:nb]
-        Bd = basis_derivative(basis, logt) @ coefs
-    n_clusters = int(cluster.max()) + 1
+        coefs = to_raw[1:nb, 1:nb].T
+        B = coefs @ _columns(basis, logt, derivative=False) + to_raw[0, 1:nb, None]
+        Bd = coefs @ _columns(basis, logt, derivative=True)
+    first = np.empty(cluster.size, dtype=bool)
+    first[0] = True
+    np.not_equal(cluster[1:], cluster[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    n_clusters = starts.size
+    # sorted codes are 0, ..., n_clusters - 1 unless some code has no rows
+    if cluster[0] != 0 or cluster[-1] != n_clusters - 1:
+        cluster = np.cumsum(first) - 1
     middle = {"exp": (), "wei": (logt,), "gom": (t,), "rp": (B,)}[spec.baseline]
-    design = np.column_stack((np.ones_like(t), *middle, x))
+    design = np.vstack((np.ones_like(t), *middle, x))
     return _Prepared(
         t=t,
         logt=logt,
@@ -289,9 +356,10 @@ def _rows(spec: ModelSpec, t: np.ndarray, logt: np.ndarray, x: np.ndarray,
         Bd=Bd,
         to_raw=to_raw,
         design=design,
-        event_design=design[d].sum(axis=0),
+        event_design=design[:, d].sum(axis=1),
         event_logt=float(logt[d].sum()),
-        event_Bd=None if Bd is None else Bd[d],
+        event_Bd=None if Bd is None else Bd[:, d],
+        starts=starts if t.size >= _REDUCEAT_SIZE * n_clusters else None,
     )
 
 
@@ -314,20 +382,22 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset) -> _Prepared:
     basis = B = Bd = None
     if spec.baseline == "rp":
         basis = place_knots(logt[d], spec.df)
-        B = basis_eval(basis, logt)
-        Bd = basis_derivative(basis, logt)
-        center = B.mean(axis=0)
-        root_n = np.sqrt(B.shape[0])
-        q, r = np.linalg.qr(B - center)
+        # the QR takes the raw columns as (n, df); the derivatives are
+        # mapped as rows
+        raw_B = basis_eval(basis, logt)
+        raw_Bd = _columns(basis, logt, derivative=True)
+        center = raw_B.mean(axis=0)
+        root_n = np.sqrt(t.size)
+        q, r = np.linalg.qr(raw_B - center)
         if (np.abs(np.diag(r)) / root_n < 1e-10).any():
             raise FitSetupError("spline basis columns are numerically collinear")
         transform = r / root_n
-        B = q * root_n
-        # Bd T^-1 by substitution, one column at a time: T is upper
-        # triangular and has at most 9 columns
-        raw_Bd, Bd = Bd, np.empty_like(Bd)
-        for j in range(Bd.shape[1]):
-            Bd[:, j] = (raw_Bd[:, j] - Bd[:, :j] @ transform[:j, j]) / transform[j, j]
+        B = np.ascontiguousarray(q.T * root_n)
+        # T^-T Bd by substitution, one row at a time: T is upper triangular
+        # and has at most 9 columns
+        Bd = np.empty_like(raw_Bd)
+        for j in range(Bd.shape[0]):
+            Bd[j] = (raw_Bd[j] - transform[:j, j] @ Bd[:j]) / transform[j, j]
         # T's LU makes no row swaps, so this inverse is a back substitution
         inverse = np.linalg.inv(transform)
         nb = spec.n_baseline_params
@@ -367,8 +437,10 @@ def _d2log_expm1_over(v: np.ndarray) -> np.ndarray:
 
 def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
     """The sum of log h over the event rows, the row-wise conditional
-    cumulative hazard H, the sum of d log h over the event rows, and the
-    row-wise d log H, the derivatives in vec[:nb + 1] (baseline and beta).
+    cumulative hazard H, the sum of d log h over the event rows, and
+    d log H as a C-contiguous (nb + 1, n) array, one row per derivative in
+    vec[:nb + 1] (baseline and beta) and one column per data row. Its first
+    row, d log H / d vec[0], is 1 for every baseline.
 
     The log h sum may be -inf (flagging a nonpositive RP hazard slope at an
     event) or NaN; H may overflow to inf. Both are handled by the callers.
@@ -384,25 +456,25 @@ def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
     elif spec.baseline == "wei":
         # log h = log rate + log shape + (shape - 1) log t + x beta
         shape = np.exp(vec[1])
-        scale = np.array([1.0, shape, 1.0])
         log_h_sum = (prep.event_design @ [vec[0], shape - 1.0, vec[nb]]
                      + prep.event_design[0] * vec[1])
         H = np.exp(vec[0] + shape * prep.logt + prep.x * vec[nb])
-        dlog_h_sum = prep.event_design * scale + [0.0, prep.event_design[0], 0.0]
-        dlog_H = prep.design * scale
+        dlog_h_sum = prep.event_design * [1.0, shape, 1.0] + [0.0, prep.event_design[0], 0.0]
+        dlog_H = prep.design.copy()
+        dlog_H[1] *= shape
     elif spec.baseline == "gom":
         log_h_sum = prep.event_design @ theta
         H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t * _expm1_over(vec[1] * prep.t)
         dlog_h_sum = prep.event_design
         dlog_H = prep.design.copy()
-        dlog_H[:, 1] *= _dlog_expm1_over(vec[1] * prep.t)
+        dlog_H[1] *= _dlog_expm1_over(vec[1] * prep.t)
     else:
-        sp = prep.event_Bd @ vec[1:nb]
+        sp = vec[1:nb] @ prep.event_Bd
         log_sp = np.where(sp > 0, np.log(np.where(sp > 0, sp, 1.0)), -np.inf)
         log_h_sum = log_sp.sum() - prep.event_logt + prep.event_design @ theta
-        H = np.exp(prep.design @ theta)
+        H = np.exp(theta @ prep.design)
         dlog_h_sum = prep.event_design.copy()
-        dlog_h_sum[1:nb] += (1.0 / sp) @ prep.event_Bd
+        dlog_h_sum[1:nb] += prep.event_Bd @ (1.0 / sp)
         dlog_H = prep.design
     return float(log_h_sum), H, dlog_h_sum, dlog_H
 
@@ -592,7 +664,7 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
         log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, spec, vec)
         ll = -np.inf
         if np.isfinite(log_h_sum) and np.isfinite(H).all():
-            V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
+            V = prep.cluster_sums(H)
             terms = _cluster_terms(spec, prep.events_per_cluster, V, np.exp(vec[-1]),
                                    prep.d_range, information)
             ll = log_h_sum + float(terms[0].sum())
@@ -604,27 +676,25 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
         g_V, g_u = terms[1:3]
         w = g_V[prep.cluster] * H
         score = np.empty(k)
-        score[:-1] = dlog_h_sum + w @ dlog_H
+        score[:-1] = dlog_h_sum + dlog_H @ w
         score[-1] = g_u.sum()
         if not information:
             return ll, score
         g_VV, g_Vu, g_uu = terms[3:]
-        # dV_i, one row per cluster: a single bincount over (cluster, column)
-        cells = prep.cluster[:, None] * (k - 1) + np.arange(k - 1)
-        dV = np.bincount(cells.ravel(), weights=(dlog_H * H[:, None]).ravel(),
-                         minlength=prep.n_clusters * (k - 1)).reshape(prep.n_clusters, k - 1)
-        block = (dlog_H * w[:, None]).T @ dlog_H + (dV * g_VV[:, None]).T @ dV
+        # dV_i, one column per cluster
+        dV = prep.cluster_sums(dlog_H * H)
+        block = (dlog_H * w) @ dlog_H.T + (dV * g_VV) @ dV.T
         nb = spec.n_baseline_params
         if spec.baseline == "wei":
             block[1, 1] += np.exp(vec[1]) * (prep.event_design[1] + w @ prep.logt)
         elif spec.baseline == "gom":
             block[1, 1] += w @ (prep.t**2 * _d2log_expm1_over(vec[1] * prep.t))
         elif spec.baseline == "rp":
-            q = prep.event_Bd / (prep.event_Bd @ vec[1:nb])[:, None]
-            block[1:nb, 1:nb] -= q.T @ q
+            q = prep.event_Bd / (vec[1:nb] @ prep.event_Bd)
+            block[1:nb, 1:nb] -= q @ q.T
         hess = np.empty((k, k))
         hess[:-1, :-1] = block
-        hess[-1, :-1] = hess[:-1, -1] = g_Vu @ dV
+        hess[-1, :-1] = hess[:-1, -1] = dV @ g_Vu
         hess[-1, -1] = g_uu.sum()
     return ll, score, -hess
 
@@ -755,6 +825,18 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _newton_step(g: np.ndarray, hess: np.ndarray) -> np.ndarray | None:
+    """-H^-1 g, or None when H is not positive definite."""
+    return np.linalg.solve(hess, -g) if _cholesky(hess) is not None else None
+
+
+def _meets_decrement(g: np.ndarray, hess: np.ndarray, f: float) -> bool:
+    """Whether a point's Newton decrement g'H^-1 g, with H positive
+    definite, is at most _DECREMENT (1 + |f|)."""
+    step = _newton_step(g, hess)
+    return step is not None and -(g @ step) <= _DECREMENT * (1.0 + abs(f))
+
+
 def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
     """Minimize fun(x) -> (f, g, H) by Newton steps in Levenberg-Marquardt
     form from x0, with H the Hessian.
@@ -771,7 +853,12 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
     A point where f, g or H is not finite is infeasible (f = inf), so its
     trial is rejected. The run converges when an iterate's Newton decrement
     g'H^-1 g, at lam = 0 and with H positive definite, is at most tol =
-    _DECREMENT (1 + |f|). It ends without converging when a step predicts,
+    _DECREMENT (1 + |f|). A trial that meets that rule itself and lies at
+    most tol above f is taken, and the run converges there, whatever rho:
+    near the optimum the predicted fall can be of the order of f's
+    rounding, about 1e-12 where the terms of a log-likelihood near 0 are in
+    the thousands, so rho reads only that rounding. It ends without
+    converging when a step predicts,
     before its trial, a fall of at most tol/2 (the Newton step at lam = 0
     predicts half the decrement, so only a shifted step can); after
     max_iter steps; or at once from an infeasible start.
@@ -796,7 +883,7 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
     while True:
         tol = _DECREMENT * (1.0 + abs(f))
         if new_iterate:
-            newton = np.linalg.solve(hess, -g) if _cholesky(hess) is not None else None
+            newton = _newton_step(g, hess)
             if newton is not None and -(g @ newton) <= tol:
                 message = _DECREMENT_STOP
                 break
@@ -823,6 +910,11 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
             nit += 1
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu, new_iterate = 2.0, True
+        elif f_new <= f + tol and _meets_decrement(g_new, hess_new, f_new):
+            x, f, g, hess = x + p, f_new, g_new, hess_new
+            nit += 1
+            message = _DECREMENT_STOP
+            break
         else:
             lam = max(lam * nu, floor)
             nu, new_iterate = 2.0 * nu, False

@@ -346,7 +346,13 @@ def generate_dataset(scenario: Scenario, seed: int) -> ClusteredDataset:
     # generation cost for the mixture baselines), of only the targets below
     # H0(censor_time), which may overflow to inf: the others are censored
     # whatever their root, which a mixture cannot find for a huge target
-    target = _targets(np.repeat(frailties, m), treat, scenario.beta, uniforms)
+    # a Gamma draw of a small shape can underflow to a frailty of exactly 0,
+    # whose limit is no hazard at all: target +inf, so its subjects are
+    # censored
+    alpha = np.repeat(frailties, m)
+    zero = alpha == 0.0
+    target = _targets(np.where(zero, 1.0, alpha), treat, scenario.beta, uniforms)
+    target[zero] = np.inf
     with np.errstate(over="ignore"):
         early = target < scenario.baseline.cumulative_hazard(scenario.censor_time)
     latent = np.full(target.shape, np.inf)

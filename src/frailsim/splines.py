@@ -73,32 +73,39 @@ def place_knots(log_event_times: np.ndarray, df: int) -> SplineBasis:
 
 
 def _columns(basis: SplineBasis, z: np.ndarray, derivative: bool) -> np.ndarray:
+    """The basis columns (or their derivatives) at z as rows: shape (df,) +
+    z.shape, each row contiguous."""
     k_min, k_max = basis.boundary_knots
     span = k_max - k_min
-    out = np.empty(z.shape + (basis.df,))
-    out[..., 0] = 1.0 if derivative else z
+    out = np.empty((basis.df,) + z.shape)
+    out[0] = 1.0 if derivative else z
+
+    def power(base: np.ndarray) -> np.ndarray:
+        """max(base, 0) to the power 2 (derivative) or 3, by products."""
+        pos = np.maximum(base, 0.0)
+        square = pos * pos
+        return square if derivative else square * pos
+
     # the boundary terms' powers are the same for every knot
-    power = 2 if derivative else 3
-    lo = np.maximum(z - k_min, 0.0) ** power
-    hi = np.maximum(z - k_max, 0.0) ** power
+    lo = power(z - k_min)
+    hi = power(z - k_max)
     for idx, knot in enumerate(basis.interior_knots, start=1):
         lam = (k_max - knot) / span
-        mid = np.maximum(z - knot, 0.0)
-        if derivative:
-            out[..., idx] = 3.0 * (mid**2 - lam * lo - (1.0 - lam) * hi)
-        else:
-            out[..., idx] = mid**3 - lam * lo - (1.0 - lam) * hi
+        row = power(z - knot) - lam * lo - (1.0 - lam) * hi
+        out[idx] = 3.0 * row if derivative else row
     return out
 
 
 def basis_eval(basis: SplineBasis, z) -> np.ndarray:
     """Basis columns at log-time z; output shape is z.shape + (df,)."""
-    return _columns(basis, np.asarray(z, dtype=float), derivative=False)
+    return np.ascontiguousarray(
+        np.moveaxis(_columns(basis, np.asarray(z, dtype=float), derivative=False), 0, -1))
 
 
 def basis_derivative(basis: SplineBasis, z) -> np.ndarray:
     """d/dz of each basis column at z; same shape as basis_eval."""
-    return _columns(basis, np.asarray(z, dtype=float), derivative=True)
+    return np.ascontiguousarray(
+        np.moveaxis(_columns(basis, np.asarray(z, dtype=float), derivative=True), 0, -1))
 
 
 def natural_spline_weights(times) -> np.ndarray:

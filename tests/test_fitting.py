@@ -226,7 +226,7 @@ def test_rp_prepare_matches_triangular_solves(df):
     center = B.mean(axis=0)
     transform = np.linalg.qr(B - center)[1] / np.sqrt(B.shape[0])
     inverse = solve_triangular(transform, np.eye(df), lower=False)
-    want_Bd = solve_triangular(transform, Bd.T, lower=False, trans="T").T
+    want_Bd = solve_triangular(transform, Bd.T, lower=False, trans="T")
     want_to_raw = np.eye(spec.n_params)
     want_to_raw[1:df + 1, 1:df + 1] = inverse
     want_to_raw[0, 1:df + 1] = -center @ inverse
@@ -282,39 +282,105 @@ def _column_stack_loglik(prep, spec, vec):
         dlog_h = np.column_stack((ones, t, x))
     else:
         coef = vec[1:nb]
-        sp = prep.Bd @ coef
-        log_H = vec[0] + prep.B @ coef + xb
+        sp = prep.Bd.T @ coef
+        log_H = vec[0] + prep.B.T @ coef + xb
         log_h = np.log(sp) - logt + log_H
         H = np.exp(log_H)
-        dlog_H = np.column_stack((ones, prep.B, x))
+        dlog_H = np.column_stack((ones, prep.B.T, x))
         dlog_h = dlog_H.copy()
-        dlog_h[:, 1:nb] += prep.Bd / sp[:, None]
+        dlog_h[:, 1:nb] += prep.Bd.T / sp[:, None]
     V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
     logs, g_V, g_u = fitting._cluster_terms(spec, prep.events_per_cluster, V,
                                             np.exp(vec[-1]), prep.d_range)
     score = np.append(dlog_h[prep.d].sum(axis=0) + (g_V[prep.cluster] * H) @ dlog_H, g_u.sum())
-    return log_h[prep.d].sum() + logs.sum(), score
+    dV = np.array([np.bincount(prep.cluster, weights=column * H, minlength=prep.n_clusters)
+                   for column in dlog_H.T])
+    return log_h[prep.d].sum() + logs.sum(), score, dV
 
 
 @pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
 @pytest.mark.parametrize("model_id", all_model_ids())
-def test_loglik_on_the_prepared_design_matches_a_column_stack_reference(model_id, size):
+def test_loglik_on_the_prepared_design_matches_a_column_stack_reference(model_id, size,
+                                                                        monkeypatch):
     """The design built once in _prepare, with its event-row sums, gives the
     log-likelihood of the per-call column_stack reference to 1e-12 relative
     and its score to 1e-10 of the largest entry, at three starts: the
     sums are taken in another order, so not bit for bit. (At the optimum
     the score is rounding, about 1e-12 of its terms, and only the
-    log-likelihood is compared.)"""
-    prep, spec, res = _study_fit(model_id, size)
-    for raw in _three_starts(spec, prep):
-        vec = np.linalg.solve(prep.to_raw, raw)
-        ll, score = fitting._loglik_core(prep, spec, vec)
-        want_ll, want_score = _column_stack_loglik(prep, spec, vec)
+    log-likelihood is compared.) Each cluster-sum method of _Prepared,
+    reduceat and bincount, is checked on both shapes, whichever the mean
+    cluster size selects: its V enters the log-likelihood and score, and
+    its dV matches the reference's per-column bincounts to 1e-12 of the
+    largest entry."""
+    _, spec, res = _study_fit(model_id, size)
+    for reduceat_size in (0.0, np.inf):
+        monkeypatch.setattr(fitting, "_REDUCEAT_SIZE", reduceat_size)
+        prep = fitting._prepare(spec, _study_data(size))
+        assert (prep.starts is None) == (reduceat_size == np.inf)
+        for raw in _three_starts(spec, prep):
+            vec = np.linalg.solve(prep.to_raw, raw)
+            ll, score = fitting._loglik_core(prep, spec, vec)
+            want_ll, want_score, want_dV = _column_stack_loglik(prep, spec, vec)
+            assert abs(ll - want_ll) <= 1e-12 * abs(want_ll)
+            assert np.max(np.abs(score - want_score)) <= 1e-10 * np.max(np.abs(want_score))
+            _, H, _, dlog_H = fitting._log_h_and_H(prep, spec, vec)
+            dV = prep.cluster_sums(dlog_H * H)
+            assert np.max(np.abs(dV - want_dV)) <= 1e-12 * np.max(np.abs(want_dV))
+        ll, _ = fitting._loglik_core(prep, spec, res.trans)
+        want_ll, _, _ = _column_stack_loglik(prep, spec, res.trans)
         assert abs(ll - want_ll) <= 1e-12 * abs(want_ll)
-        assert np.max(np.abs(score - want_score)) <= 1e-10 * np.max(np.abs(want_score))
-    ll, _ = fitting._loglik_core(prep, spec, res.trans)
-    want_ll, _ = _column_stack_loglik(prep, spec, res.trans)
-    assert abs(ll - want_ll) <= 1e-12 * abs(want_ll)
+
+
+def _shuffled(data, seed):
+    """data with its rows permuted and its cluster codes relabelled, with
+    codes left unused between them."""
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(data.n_subjects)
+    codes = rng.permutation(3 * data.n_clusters)[:data.n_clusters]
+    return ClusteredDataset(cluster=codes[data.cluster][rows], time=data.time[rows],
+                            event=data.event[rows], treat=data.treat[rows])
+
+
+@pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_fit_does_not_depend_on_row_order_or_cluster_codes(model_id, size):
+    """_prepare sorts the rows by cluster and renumbers the clusters, so a
+    fit to the rows in another order under other cluster codes, with gaps,
+    keeps its flag, message and counts, its log-likelihood to 1e-12
+    relative and its estimates and SEs to 1e-6 SE: only the order of the
+    sums, and for rp the rounding of the basis QR, differ."""
+    _, spec, ref = _study_fit(model_id, size)
+    res = fit(spec, _shuffled(_study_data(size), 5))
+    assert (res.converged, res.message, res.n_evaluations, res.n_iterations) == \
+        (ref.converged, ref.message, ref.n_evaluations, ref.n_iterations)
+    assert abs(res.loglik - ref.loglik) <= 1e-12 * abs(ref.loglik)
+    se = ref.se_natural
+    assert np.max(np.abs(res.params.natural_vector() - ref.params.natural_vector()) / se) <= 1e-6
+    assert np.max(np.abs(res.se_natural - se) / se) <= 1e-6
+
+
+@pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
+@pytest.mark.parametrize("model_id,baseline", [("exp_gamma", [0.4]),
+                                               ("wei_lognormal", [0.5, 0.8])])
+def test_marginal_loglik_sorts_the_rows_by_cluster(model_id, baseline, size):
+    """gamma_marginal_loglik and lognormal_marginal_loglik sort the rows by
+    cluster, stably: on rows that interleave the clusters but keep each
+    cluster's rows in order, under codes with gaps, they equal their values
+    on the sorted rows bit for bit."""
+    data = _study_data(size)
+    spec = model_from_id(model_id)
+    params = ModelParams(spec, np.array(baseline), -0.5, 0.75)
+    # row j of data goes to the j-th position, in order, of a random
+    # interleaving of the cluster codes
+    labels = data.cluster[np.random.default_rng(3).permutation(data.n_subjects)]
+    rows = np.empty(data.n_subjects, dtype=np.int64)
+    rows[np.argsort(labels, kind="stable")] = np.arange(data.n_subjects)
+    unsorted = ClusteredDataset(cluster=3 * data.cluster[rows] + 1, time=data.time[rows],
+                                event=data.event[rows], treat=data.treat[rows])
+    assert (np.diff(unsorted.cluster) < 0).any()
+    loglik = (gamma_marginal_loglik if spec.frailty is FrailtyFamily.GAMMA
+              else lognormal_marginal_loglik)
+    assert loglik(spec, params, unsorted) == loglik(spec, params, data)
 
 
 @pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
@@ -822,6 +888,24 @@ def test_an_infeasible_trial_is_rejected_and_the_shift_grows():
     assert all(x > 1.5 for x in steps[:-1]) and 0.0 < steps[-1] <= 1.5
     assert (run.nit, run.nfev, float(run.x[0])) == (1, len(trials), steps[-1])
     assert run.message == "max_iter (1) steps taken" and not run.converged
+
+
+def test_newton_takes_a_trial_at_the_rounding_floor_that_meets_the_decrement_rule():
+    """f = (x^2 + 1e-4 y^2)/2 from (0, y0), where the decrement 1e-4 y0^2
+    = 3e-12 is above tol = 1e-12 (1 + |f|): the Newton step lands on the
+    minimizer, where f reads 2e-12, as if rounded, 5e-13 above f(start).
+    That trial meets the decrement rule and lies within tol of f, so it is
+    taken and the run converges there; rejected, the shifted step would
+    predict a gain below tol/2 and end the run unconverged."""
+    def fun(v):
+        x, y = v
+        f = 0.5 * (x * x + 1e-4 * y * y) + (2e-12 if abs(y) < 1e-10 else 0.0)
+        return f, np.array([x, 1e-4 * y]), np.diag([1.0, 1e-4])
+
+    y0 = math.sqrt(3e-12 / 1e-4)
+    run = fitting._newton(fun, np.array([0.0, y0]), max_iter=10)
+    assert (run.nit, run.nfev, run.message) == (1, 2, fitting._DECREMENT_STOP)
+    assert run.converged and abs(run.x[1]) < 1e-10
 
 
 def test_newton_at_max_iter_zero_returns_the_start():

@@ -190,6 +190,22 @@ def test_generate_dataset_shapes_and_ranges():
     assert data.seed == 123
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_gamma_frailty_that_underflows_to_zero_censors_its_cluster():
+    """At frailty variance 200 a Gamma frailty is 200 times a standard gamma
+    draw of shape 1/200, which underflows to exactly 0 in many clusters.
+    Such a cluster has no hazard, the limit of its draws: its subjects are
+    censored at censor_time, and the other clusters keep their events."""
+    sc = make_scenario("exp", "gamma", 200.0, 400, 2)
+    data = generate_dataset(sc, 7)
+    zero = np.repeat(_stream_frailties(sc, 7) == 0.0, sc.cluster_size)
+    assert 0 < zero.sum() < zero.size
+    assert (data.time[zero] == sc.censor_time).all()
+    assert not data.event[zero].any()
+    assert data.event[~zero].any()
+    assert (data.time > 0).all()
+
+
 def test_generate_dataset_treatment_assignment_rate():
     sc = make_scenario("exp", "gamma", 0.25, 100, 50)
     data = generate_dataset(sc, 2718)
