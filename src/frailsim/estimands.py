@@ -16,6 +16,7 @@ turns such a gradient into a standard error.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -47,10 +48,14 @@ Z95 = 1.959964
 DEFAULT_GRID = 1000
 TRUTH_GRID = 4000
 TRUTH_GH_NODES = 63
-# elements in one (nodes, block) quadrature temporary, 256 KB of doubles:
-# of budgets from 4k to 128k elements, 32k gave the fastest truths on a host
-# with 2 MB of L2 cache per core
+# elements in one (nodes, block) quadrature array, 256 KB of doubles: for
+# the five mixture-normal truths of the mc_short benchmark, budgets of 16k
+# to 64k elements took 0.039-0.058 s of CPU (medians of 15 rounds), 8k
+# 0.048-0.057 s and 4k 0.070-0.092 s, and 32k the least, on a host with 2 MB
+# of L2 cache per core
 _BLOCK_ELEMENTS = 32768
+# each thread's work array of _BLOCK_ELEMENTS doubles for _lognormal_marginal
+_scratch = threading.local()
 
 
 class EstimandName(str, Enum):
@@ -136,37 +141,56 @@ def _lognormal_marginal(H: np.ndarray, variance: float, mean: float, nodes: int)
     """Survival averaged over a log-Normal frailty with log-mean mean, at
     each cumulative hazard in H, by adaptive Gauss-Hermite quadrature.
 
+    With A = e^m H at the Laplace point m, the log-integrand is l(m + t) =
+    l(m) - A expm1(t) + slope t - t^2/(2 variance), slope = -(m - mean) /
+    variance, so its remainder about m is R(t) = -A expm1(t) + slope t +
+    quad t^2 with quad = 1/s^2 - 1/(2 variance), and the peak l(m) = -A -
+    (m - mean)^2/(2 variance) - log(2 pi variance)/2 is added once per
+    column. The Laplace points and these coefficients are one value per
+    column, computed once for the whole grid: per block, the fixed cost of
+    a Wright omega call would repeat.
+
     The quadrature runs on column blocks of at most _BLOCK_ELEMENTS // nodes
-    values of H, so that each (nodes, block) temporary, 256 KB, stays within
-    one core's L2 cache; on the whole (63, 3999) grid of a truth every
-    temporary is 2 MB and each pass streams from L3. Every column is
-    computed by the same operations in the same order as on the whole
-    batch, so the result does not depend on the block size. The Laplace
-    points are one value per column, computed once for the whole grid:
-    per block, the fixed cost of a Wright omega call would repeat.
+    values of H, so that each (nodes, block) array, 256 KB, stays within
+    one core's L2 cache. A block computes its remainder into two such
+    arrays, the offsets that adaptive_gh_batch allocates, which it
+    overwrites, and a work array that each thread keeps from call to call
+    (_scratch), where the batch exponentiates and sums it. So a block
+    allocates and frees one array, which the next block takes back from the
+    heap. With four temporaries a block, or with a work array per call,
+    more than the C library's trim threshold came free at the top of the
+    heap; it returned that memory to the kernel, and the next block or call
+    faulted it in afresh. Every column is computed by the same operations in
+    the same order as on the whole batch, so the result does not depend on
+    the block size.
     """
     rule = gh_rule(nodes)
-    const = -0.5 * np.log(2.0 * np.pi * variance)
     mode, curv = lognormal_laplace(0.0, H, mean, variance)
-    S = np.empty(H.size)
-    block = max(1, _BLOCK_ELEMENTS // nodes)
-    for start in range(0, H.size, block):
-        H_block = H[start:start + block]
+    # an infinite H or a huge variance gives non-finite remainders, and a
+    # QuadratureError below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        A = np.exp(mode + np.log(H))
+        slope = (mean - mode) / variance
+        quad = 0.5 * curv - 0.5 / variance
+        block = max(1, _BLOCK_ELEMENTS // nodes)
+        if not hasattr(_scratch, "work"):
+            _scratch.work = np.empty(_BLOCK_ELEMENTS)
+        S = np.empty(H.size)
+        for start in range(0, H.size, block):
+            cols = slice(start, start + block)
+            width = min(block, H.size - start)
+            R = _scratch.work[:nodes * width].reshape(nodes, width)
 
-        def log_f(eta: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = np.exp(eta)
-                out *= H_block
-                np.negative(out, out=out)
-                sq = eta - mean
-                np.square(sq, out=sq)
-                sq /= 2.0 * variance
-                out -= sq
-                out += const
-                return out
+            def log_f(t: np.ndarray) -> np.ndarray:
+                np.multiply(t, quad[cols], out=R)
+                np.add(R, slope[cols], out=R)
+                np.multiply(R, t, out=R)
+                np.expm1(t, out=t)
+                t *= A[cols]
+                return np.subtract(R, t, out=R)
 
-        laplace = mode[start:start + block], curv[start:start + block]
-        S[start:start + block] = adaptive_gh_batch(log_f, rule, laplace)[0]
+            S[cols] = adaptive_gh_batch(log_f, rule, (mode[cols], curv[cols]))[0]
+        S -= A + 0.5 * (mode - mean) ** 2 / variance + 0.5 * np.log(2.0 * np.pi * variance)
     np.exp(S, out=S)
     if not np.isfinite(S).all():
         raise QuadratureError("log-Normal marginal survival is not finite "

@@ -489,30 +489,42 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule,
     integral it approximates. The nodes are eta_j = m + t_j, t_j = s*z_j,
     around the mode m of l(eta) = eta*D - e^eta*V - eta^2/(2 var) - log(2 pi
     var)/2, at scale s = sqrt(2 var/(1 + w)), where w = var*V*e^m is the
-    Wright omega of lognormal_laplace. Since l'(m) = 0 and -l''(m) = 2/s^2,
-    l(eta_j) + z_j^2 = l(m) + R_j with R_j = -A psi(t_j), A = e^m*V = w/var
-    and psi(t) = e^t - 1 - t - t^2/2; so the sum is log s + l(m) + log sum_j
-    q_j e^R_j, with q_j the rule's weights, whose normalised terms are the
-    posterior weights p_j. Its first derivatives are (log s)_a + l_a(m) +
-    E_p[R_a], and its second (log s)_ab + l_ab(m) + l_a'(m) m_b + E_p[R_ab]
-    + Cov_p(R_a, R_b). Every term is small where the frailty variance is,
-    so g_u keeps its relative precision as var -> 0, where the derivatives
-    of l(eta_j) would be a difference of O(1) terms.
+    Wright omega of lognormal_laplace. The sum is log s + l(m) + log sum_j
+    q_j e^R_j, with q_j the rule's weights and R_j = l(eta_j) - l(m) + z_j^2
+    the remainder adaptive_gh_batch integrates, here -A expm1(t) + (D -
+    m/var) t + (1/s^2 - 1/(2 var)) t^2 with A = e^m*V, so that the rounding
+    of the computed mode stays in the sum and the loglik is smooth in the
+    parameters; the normalised terms are the posterior weights p_j. At the
+    exact mode l'(m) = 0 and -l''(m) = 2/s^2, so R_j = -A psi(t_j) with A =
+    w/var and psi(t) = e^t - 1 - t - t^2/2, whose derivatives are taken.
+    The sum's first derivatives are (log s)_a + l_a(m) + E_p[R_a], and its
+    second (log s)_ab + l_ab(m) + l_a'(m) m_b + E_p[R_ab] + Cov_p(R_a, R_b).
+    Every term is small where the frailty variance is, so g_u keeps its
+    relative precision as var -> 0, where the derivatives of l(eta_j) would
+    be a difference of O(1) terms.
 
     m and s move with V and u through w, the Wright omega of log(var*V) +
     var*D, whose first and second derivatives in that argument are w/(1 + w)
     and w/(1 + w)^3; w/V enters as var*e^m, so nothing divides by V.
     """
-    const = -0.5 * np.log(2.0 * np.pi * var)
-
-    def log_f(eta: np.ndarray) -> np.ndarray:
-        # e^eta * V as one exponential: 0, not inf * 0, where V underflowed
-        return eta * D - np.exp(eta + log_V) - eta * eta / (2.0 * var) + const
-
-    log_V = np.log(V)
     laplace = lognormal_laplace(D, V, 0.0, var)
-    logs, eta, weight = adaptive_gh_batch(log_f, rule, laplace)
     mode, curv = laplace
+    # e^m * V as one exponential: 0, not inf * 0, where V underflowed
+    A_m = np.exp(mode + np.log(V))
+    slope = D - mode / var
+    quad = 0.5 * curv - 0.5 / var
+    kept = []
+
+    def log_f(t: np.ndarray) -> np.ndarray:
+        em1, t2 = np.expm1(t), t * t
+        kept.extend((t, em1, t2))
+        return slope * t + quad * t2 - A_m * em1
+
+    # weight is e^R at the nodes until it is normalised below
+    logq, weight = adaptive_gh_batch(log_f, rule, laplace)
+    t, em1, t2 = kept
+    logs = logq + (mode * D - A_m - mode * mode / (2.0 * var)
+                   - 0.5 * np.log(2.0 * np.pi * var))
     w = var * curv - 1.0
     one_w = 1.0 + w
     var_D = var * D
@@ -534,11 +546,11 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule,
     # psi'(t) t): each derivative of R is a per-cluster combination of psi,
     # psi'(t) t and psi''(t) t^2, and its posterior moments are those of
     # these three node arrays
-    t = eta - mode
-    em1 = np.expm1(t)
-    t2 = t * t
-    psi1_t = (em1 - t) * t
-    psi = em1 - t - 0.5 * t2
+    em1_t = em1 - t
+    psi1_t = em1_t * t
+    psi = em1_t - 0.5 * t2
+    weight *= rule.weights[:, None]
+    weight /= weight.sum(axis=0)
 
     def mean(x: np.ndarray) -> np.ndarray:
         return (weight * x).sum(axis=0)

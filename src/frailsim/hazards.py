@@ -171,8 +171,9 @@ class WeibullMixture(BaselineHazard):
     One kernel gives log H0 and its slope in log t to relative precision at
     every t > 0: near 0 through 1 - S0 summed from expm1 terms, far out
     through a log-sum-exp of the component log survivals, so that very large
-    cumulative hazards stay finite. The inverse is a bracketed Newton
-    iteration on that kernel.
+    cumulative hazards stay finite, with the slope there from the
+    components' shares of S0 as a softmax of their log survivals. The
+    inverse is a bracketed Newton iteration on that kernel.
     """
 
     rate1: float
@@ -197,12 +198,19 @@ class WeibullMixture(BaselineHazard):
         q = -(w * np.expm1(-h1) + (1.0 - w) * np.expm1(-h2))  # 1 - S0
         # np.where evaluates both branches; each is used only where it is accurate
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_s = np.where(q <= 0.5, np.log1p(-q),
-                             np.logaddexp(np.log(w) - h1, np.log1p(-w) - h2))
+            log_s1, log_s2 = np.log(w) - h1, np.log1p(-w) - h2
+            log_s = np.where(q <= 0.5, np.log1p(-q), np.logaddexp(log_s1, log_s2))
             cumhaz = -log_s
-            # component survivals relative to S0, as exp(log S_i - log S0)
+            # each component's share of S0, exp(log S_i - log S0), whose
+            # exponent is off by about eps * cumhaz; far out, where that
+            # rounds log(1 - mix) away (at a cumhaz of 1e16), the shares are
+            # the softmax of the log S_i shifted by their max
             slope = (self.shape1 * h1 * w * np.exp(cumhaz - h1)
                      + self.shape2 * h2 * (1.0 - w) * np.exp(cumhaz - h2)) / cumhaz
+            top = np.maximum(log_s1, log_s2)
+            e1, e2 = np.exp(log_s1 - top), np.exp(log_s2 - top)
+            slope = np.where(cumhaz > 1e6, (self.shape1 * h1 * e1 + self.shape2 * h2 * e2)
+                             / ((e1 + e2) * cumhaz), slope)
             return np.log(cumhaz), slope
 
     def cumulative_hazard(self, t):

@@ -3,11 +3,13 @@
 Two tools live here:
 
 * plain Gauss-Hermite rules (physicists' convention, weight exp(-x^2)), and
-* adaptive Gauss-Hermite in log space, for marginalizing log-Normal
-  cluster frailties whose integrands are sharply peaked: each integrand
-  is recentred at its closed-form (Wright omega) mode and scaled by its
-  exact curvature there, with the real Wright omega function computed
-  here.
+* adaptive Gauss-Hermite, for marginalizing log-Normal cluster frailties
+  whose integrands are sharply peaked: each integrand is recentred at its
+  closed-form (Wright omega) mode and scaled by its exact curvature there,
+  with the real Wright omega function computed here. The rule sums the
+  integrand's remainder about that Laplace point, e^(R(t)) with R(t) =
+  l(m + t) - l(m) + t^2/s^2, which is at most e^(z^2) at node z for a
+  concave l, so the sum needs no max-shift and its terms no log weights.
 
 The tests check both against a tanh-sinh quadrature that lives with them.
 """
@@ -36,16 +38,11 @@ _OMEGA_TOL = 72.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class GHRule:
-    """A Gauss-Hermite rule: integrates f(x) exp(-x^2) dx over the real line.
-
-    log_offset is nodes**2 + log(weights) as an (n, 1) column: the log
-    weights of the same nodes for integral f(x) dx.
-    """
+    """A Gauss-Hermite rule: integrates f(x) exp(-x^2) dx over the real line."""
 
     n: int
     nodes: np.ndarray
     weights: np.ndarray
-    log_offset: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,10 +53,9 @@ def gh_rule(n: int) -> GHRule:
     if not 1 <= n <= MAX_GH_NODES:
         raise ValueError(f"node count must be in [1, {MAX_GH_NODES}], got {n}")
     nodes, weights = hermgauss(int(n))
-    log_offset = (nodes**2 + np.log(weights))[:, None]
-    for array in (nodes, weights, log_offset):
+    for array in (nodes, weights):
         array.setflags(write=False)
-    return GHRule(n=int(n), nodes=nodes, weights=weights, log_offset=log_offset)
+    return GHRule(n=int(n), nodes=nodes, weights=weights)
 
 
 def _fsc_step(z: np.ndarray, w: np.ndarray):
@@ -130,37 +126,31 @@ def adaptive_gh_batch(
     log_f: Callable[[np.ndarray], np.ndarray],
     rule: GHRule,
     laplace: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log of integral exp(log_f(eta)) d(eta), for a batch of independent integrands.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log of integral exp(l(eta)) d(eta) - l(m), for a batch of independent
+    concave log-integrands l with their maxima at the modes m.
 
     laplace is the (mode, curvature) pair of each log-integrand. The rule is
-    recentred at the mode and its nodes scaled by sqrt(2 / curvature), so a
-    moderate node count handles very concentrated integrands. log_f gets all
-    nodes in one (rule.n, batch) array, which it must not modify, and
-    returns the log-integrand there as a fresh array, which this function
-    overwrites. log_f is called exactly once, on the eta returned, so a
-    caller may keep what log_f computed there for its own derivatives.
+    recentred at the mode and its nodes z scaled by s = sqrt(2 / curvature),
+    so a moderate node count handles very concentrated integrands. log_f
+    gets the node offsets t = s*z as one (rule.n, batch) array, which it
+    owns and may overwrite, and returns the remainder R(t) = l(m + t) - l(m)
+    + t^2/s^2 there, exact at the nodes: the caller adds l(m) to the result.
+    log_f is called exactly once, so a caller may keep what it computed on
+    the offsets for its own derivatives.
 
-    Returns the log-integrals, the nodes eta as a (rule.n, batch) array and
-    each node's normalised weight (its share of its integral), so that a
-    posterior mean over the rule is a weighted sum along axis 0.
+    Where l is concave with its maximum at m, R(t) <= z^2, so no term
+    w_j e^(R_j) overflows, and at a centre node R is 0, which keeps the sum
+    positive. The array log_f returns is exponentiated in place and summed
+    against the weights. An infinite cumulative hazard gives scale 0; the
+    non-finite log-integral that follows is the caller's to report.
+
+    Returns the log-integrals log(sum_j w_j e^(R_j)) + log s and the array
+    of e^(R_j), so that the posterior weight of node j is w_j e^(R_j) over
+    that sum.
     """
-    mode, curv = laplace
-    scale = np.sqrt(2.0 / curv)
-    eta = mode + scale * rule.nodes[:, None]
-    terms = log_f(eta)
-    terms += rule.log_offset
-    # log-sum-exp over the nodes, each column shifted by its max or, where
-    # that is not finite, by 0: an all -inf column sums to -inf, not NaN.
-    # An infinite cumulative hazard gives scale 0; the non-finite
-    # log-integral that follows is the caller's to report. The shift, the
-    # exponential and the normalisation reuse the array of terms.
+    scale = np.sqrt(2.0 / laplace[1])
+    terms = log_f(scale * rule.nodes[:, None])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = terms.max(axis=0)
-        top = np.where(np.isfinite(top), top, 0.0)
-        terms -= top
-        shifted = np.exp(terms, out=terms)
-        total = shifted.sum(axis=0)
-        log_sum = top + np.log(total)
-        shifted /= total
-        return log_sum + np.log(scale), eta, shifted
+        np.exp(terms, out=terms)
+        return np.log(rule.weights @ terms) + np.log(scale), terms

@@ -356,7 +356,10 @@ def generate_dataset(scenario: Scenario, seed: int) -> ClusteredDataset:
     with np.errstate(over="ignore"):
         early = target < scenario.baseline.cumulative_hazard(scenario.censor_time)
     latent = np.full(target.shape, np.inf)
-    latent[early] = scenario.baseline.inverse_cumulative_hazard(target[early])
+    # at a large positive beta a root may underflow to 0, no valid time: it
+    # is raised to the smallest positive double
+    latent[early] = np.maximum(scenario.baseline.inverse_cumulative_hazard(target[early]),
+                               np.nextafter(0.0, 1.0))
     time = np.minimum(latent, scenario.censor_time)
     event = (latent < scenario.censor_time).astype(np.int8)
     return ClusteredDataset(

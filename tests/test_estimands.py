@@ -109,28 +109,37 @@ def _components(frailty):
 
 def _whole_batch_survival(model, t, x):
     """marginal_survival as one adaptive_gh_batch call per component on the
-    whole grid, with the log-integrand as one expression."""
+    whole grid, with the remainder about the Laplace point and the peak
+    each as one expression."""
     H = model.cumulative_hazard(t, x)
     var = model.frailty.variance
-    const = -0.5 * np.log(2.0 * np.pi * var)
     S = np.zeros_like(H)
     for prob, mean in _components(model.frailty):
-        def log_f(eta, mean=mean):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return -np.exp(eta) * H - (eta - mean) ** 2 / (2.0 * var) + const
+        mode, curv = lognormal_laplace(0.0, H, mean, var)
+        with np.errstate(divide="ignore"):
+            A = np.exp(mode + np.log(H))
+        slope = (mean - mode) / var
+        quad = 0.5 * curv - 0.5 / var
 
-        laplace = lognormal_laplace(0.0, H, mean, var)
-        S_k = np.exp(adaptive_gh_batch(log_f, gh_rule(model.gh_nodes), laplace)[0])
-        S += prob * S_k
+        def remainder(t, A=A, slope=slope, quad=quad):
+            return t * (t * quad + slope) - np.expm1(t) * A
+
+        log_q = adaptive_gh_batch(remainder, gh_rule(model.gh_nodes), (mode, curv))[0]
+        peak = A + 0.5 * (mode - mean) ** 2 / var + 0.5 * np.log(2.0 * np.pi * var)
+        S += prob * np.exp(log_q - peak)
     return np.where(H == 0.0, 1.0, np.clip(S, 0.0, 1.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("nodes", [15, estimands.TRUTH_GH_NODES])
 @pytest.mark.parametrize("frailty", ["lognormal", "mixturenormal"])
 def test_blocked_marginal_survival_equals_the_whole_batch_bit_for_bit(frailty, nodes):
-    """marginal_survival evaluates the quadrature in column blocks; on a grid
-    3.3 blocks long, with zero times at and next to the block edges, every
-    value equals that of the quadrature run once on the whole grid."""
+    """marginal_survival evaluates the quadrature in column blocks, into
+    work arrays it reuses from block to block; on a grid 3.3 blocks long,
+    with zero times at and next to the block edges, every value equals that
+    of the quadrature run once on the whole grid, and a second call in a
+    row returns the same values, so the work arrays carry nothing from one
+    call to the next."""
     model = MarginalModel.from_scenario(make_scenario("wei", frailty, 0.75, 20, 150),
                                         gh_nodes=nodes)
     block = estimands._BLOCK_ELEMENTS // nodes
@@ -141,7 +150,22 @@ def test_blocked_marginal_survival_equals_the_whole_batch_bit_for_bit(frailty, n
         got = marginal_survival(model, t, x)
         want = _whole_batch_survival(model, t, x)
         assert np.array_equal(got, want)
+        assert np.array_equal(marginal_survival(model, t, x), got)
         assert got[block] == 1.0 and 0.0 < got[block + 1] < 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("frailty", ["lognormal", "mixturenormal"])
+def test_marginal_survival_is_one_at_zero_cumulative_hazard(frailty):
+    """At H = 0 the remainder is exactly 0, a Gaussian integrand: survival
+    reads exactly 1 with no warning, at t = 0 and wherever a model has no
+    hazard yet."""
+    sc = make_scenario("wei", frailty, 0.75, 20, 150)
+    model = MarginalModel.from_scenario(sc)
+    assert marginal_survival(model, 0.0, 1.0) == 1.0
+    late = dataclasses.replace(model, cumulative_hazard=lambda t, x: np.maximum(t - 2.0, 0.0))
+    got = marginal_survival(late, np.array([0.0, 1.0, 2.0, 3.0]), 0.0)
+    assert np.array_equal(got[:3], [1.0, 1.0, 1.0]) and 0.0 < got[3] < 1.0
 
 
 @pytest.mark.parametrize("frailty", ["lognormal", "mixturenormal"])

@@ -67,6 +67,21 @@ def test_mixture_log_space_far_tail():
     assert abs(got - want) <= 1e-10 * want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("baseline,shape", [(WW1, 1.5), (WW2, 0.7)], ids=["ww1", "ww2"])
+def test_mixture_slope_far_out_is_the_slower_component_shape(baseline, shape):
+    """Far out S0 is the slower component's survival, so d log H0 / d log t
+    tends to its shape. Above a cumulative hazard of about 1e16, cumhaz -
+    h_i rounds log(1 - mix) away, and ww2's slope read 0.35 instead of 0.7;
+    such targets now invert."""
+    t = np.array([1e25, 1e28])
+    log_cumhaz, slope = baseline._log_cumhaz_and_slope(t)
+    assert np.all(np.abs(slope - shape) <= 1e-12)
+    targets = np.array([1e16, 1e20, 1e30])
+    got = baseline.cumulative_hazard(baseline.inverse_cumulative_hazard(targets))
+    np.testing.assert_allclose(got, targets, rtol=1e-10)
+
+
 @pytest.mark.parametrize("baseline", ALL_BASELINES)
 def test_hazard_is_derivative_of_cumulative_hazard(baseline):
     t = np.array([0.3, 0.9, 1.7, 3.2, 4.8])

@@ -135,6 +135,15 @@ def _lognormal_log_f(D, V, mean, var):
     return log_f
 
 
+def _remainder(log_f, mode, curv):
+    """The remainder R(t) = l(m + t) - l(m) + t^2/s^2 of the log-integrand l
+    about its Laplace point, as a difference of the whole log-integrand,
+    with 1/s^2 = curv/2."""
+    def R(t):
+        return log_f(mode + t) - log_f(mode) + 0.5 * curv * t * t
+    return R
+
+
 def test_lognormal_laplace_score_vanishes_at_mode():
     D, V, mean, var = _random_clusters(1000, seed=11)
     mode, _ = lognormal_laplace(D, V, mean, var)
@@ -154,7 +163,9 @@ def test_lognormal_laplace_curvature_is_exact():
 def test_adaptive_gh_matches_tanh_sinh_oracle():
     D, V, mean, var = _random_clusters(40, seed=13)
     laplace = lognormal_laplace(D, V, mean, var)
-    got, _, _ = adaptive_gh_batch(_lognormal_log_f(D, V, mean, var), gh_rule(31), laplace)
+    log_f = _lognormal_log_f(D, V, mean, var)
+    got = adaptive_gh_batch(_remainder(log_f, *laplace), gh_rule(31), laplace)[0]
+    got += log_f(laplace[0])
     for k, (m, c) in enumerate(zip(*laplace)):
         log_f = _lognormal_log_f(D[k], V[k], mean[k], var[k])
         peak = log_f(m)
@@ -165,72 +176,73 @@ def test_adaptive_gh_matches_tanh_sinh_oracle():
         assert abs(got[k] - (math.log(oracle) + peak)) <= 1e-9
 
 
-def test_adaptive_gh_in_place_equals_the_expression_form_bit_for_bit():
-    """adaptive_gh_batch reuses the array log_f returns for the shift, the
-    exponential and the normalisation; each step is the operation of the
-    expression form below, so the three outputs do not change by one bit."""
+def test_adaptive_gh_sums_the_weighted_exponentials_bit_for_bit():
+    """adaptive_gh_batch exponentiates the array log_f returns in place and
+    returns it with log(weights @ e^R) + log s, each step the operation of
+    the expression form below, so neither output moves by one bit."""
     D, V, mean, var = _random_clusters(500, seed=17)
-    log_f = _lognormal_log_f(D, V, mean, var)
     rule = gh_rule(15)
     laplace = lognormal_laplace(D, V, mean, var)
-    mode, curv = laplace
-    scale = np.sqrt(2.0 / curv)
-    eta = mode + scale * rule.nodes[:, None]
-    terms = log_f(eta) + (rule.nodes**2 + np.log(rule.weights))[:, None]
-    top = terms.max(axis=0)
-    top = np.where(np.isfinite(top), top, 0.0)
-    shifted = np.exp(terms - top)
-    total = shifted.sum(axis=0)
-    want = (top + np.log(total) + np.log(scale), eta, shifted / total)
-    got = adaptive_gh_batch(log_f, rule, laplace)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    R = _remainder(_lognormal_log_f(D, V, mean, var), *laplace)
+    scale = np.sqrt(2.0 / laplace[1])
+    terms = np.exp(R(scale * rule.nodes[:, None]))
+    got = adaptive_gh_batch(R, rule, laplace)
+    assert np.array_equal(got[0], np.log(rule.weights @ terms) + np.log(scale))
+    assert np.array_equal(got[1], terms)
 
 
-def test_adaptive_gh_calls_log_f_once_on_the_nodes_it_returns():
-    """A caller may keep what its log_f computed on the nodes for its own
-    derivatives, which is right only if log_f saw the eta returned, once."""
+def test_adaptive_gh_calls_log_f_once_on_offsets_it_owns():
+    """log_f gets the offsets s*z once, as a fresh array it may overwrite,
+    so a caller may keep what its log_f computed there; the array it
+    returns comes back exponentiated."""
     D, V, mean, var = _random_clusters(30, seed=19)
-    inner = _lognormal_log_f(D, V, mean, var)
+    rule = gh_rule(15)
+    laplace = lognormal_laplace(D, V, mean, var)
+    R = _remainder(_lognormal_log_f(D, V, mean, var), *laplace)
     seen = []
 
-    def log_f(eta):
-        seen.append(eta)
-        return inner(eta)
+    def log_f(t):
+        seen.append(t.copy())
+        assert t.flags.writeable and t.flags.owndata
+        t[...] = R(t)
+        return t
 
-    _, eta, _ = adaptive_gh_batch(log_f, gh_rule(15), lognormal_laplace(D, V, mean, var))
-    assert len(seen) == 1 and seen[0] is eta
+    _, terms = adaptive_gh_batch(log_f, rule, laplace)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.sqrt(2.0 / laplace[1]) * rule.nodes[:, None])
+    assert np.array_equal(terms, np.exp(R(seen[0])))
+    assert not np.shares_memory(terms, rule.nodes)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_adaptive_gh_log_sum_matches_scipy_logsumexp():
-    """At scale 1, the log-integral is the log-sum-exp over the nodes of
-    log_f + nodes^2 + log weights; -inf entries and whole -inf columns
-    included."""
-    rule = gh_rule(15)
-    offset = (rule.nodes**2 + np.log(rule.weights))[:, None]
+    """The log-integral is the log-sum-exp over the nodes of R + log
+    weights, plus log s, without a max-shift: remainders up to their bound
+    z^2 do not overflow, even at 127 nodes, and a centre node at R = 0 keeps
+    every sum positive where all others underflow."""
+    rule = gh_rule(127)
+    z2 = (rule.nodes**2)[:, None]
     rng = np.random.default_rng(29)
-    terms = rng.uniform(-50.0, 50.0, (15, 200))
-    terms[rng.random(terms.shape) < 0.2] = -np.inf
-    terms[:, [3, 77, 150]] = -np.inf
-    n = terms.shape[1]
-    got, _, weight = adaptive_gh_batch(lambda eta: terms - offset, rule,
-                                       (np.zeros(n), np.full(n, 2.0)))
-    want = logsumexp(terms, axis=0)
-    finite = np.isfinite(want)
-    assert np.array_equal(np.isneginf(got), np.isneginf(want))
-    assert (~finite).sum() >= 3 and np.isfinite(got[finite]).all()
-    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * (1.0 + np.abs(want[finite])))
-    assert np.allclose(weight[:, finite].sum(axis=0), 1.0, rtol=0, atol=1e-14)
+    R = rng.uniform(-800.0, 1.0, (rule.n, 200)) * z2
+    R[:, 3] = z2[:, 0]
+    R[:, [77, 150]] = -1e300
+    R[rule.n // 2] = 0.0
+    curv = np.exp(rng.uniform(-5.0, 5.0, 200))
+    got, terms = adaptive_gh_batch(lambda t: R.copy(), rule, (np.zeros(200), curv))
+    want = logsumexp(R + np.log(rule.weights)[:, None], axis=0) + 0.5 * np.log(2.0 / curv)
+    assert np.isfinite(got).all() and np.isfinite(terms).all()
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+    assert np.array_equal(got[[77, 150]], np.log(rule.weights[rule.n // 2]) + 0.5 * np.log(
+        2.0 / curv[[77, 150]]))
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (3.7, 0.2), (-12.0, 8.0)])
 def test_adaptive_gh_exact_for_gaussian_density(mu, sigma):
     """A Normal density integrates to 1 (log-integral 0) at its Laplace point,
-    for any node count, because the rescaled integrand is a polynomial of
-    degree 0 against the GH weight. Without hazard (V = 0, so omega(-inf) =
-    0) that point is the density's own mode and curvature, exactly, for
-    float and 0-d array input alike."""
+    for any node count, because its remainder is R = 0: the rescaled
+    integrand is a polynomial of degree 0 against the GH weight. Without
+    hazard (V = 0, so omega(-inf) = 0) that point is the density's own mode
+    and curvature, exactly, for float and 0-d array input alike."""
 
     def log_f(eta):
         return -0.5 * ((eta - mu) / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
@@ -238,18 +250,22 @@ def test_adaptive_gh_exact_for_gaussian_density(mu, sigma):
     assert lognormal_laplace(np.array(0.0), np.array(0.0), mu, sigma**2) == (mu, 1.0 / sigma**2)
     laplace = lognormal_laplace(0.0, 0.0, mu, sigma**2)
     assert laplace == (mu, 1.0 / sigma**2)
-    assert abs(adaptive_gh_batch(log_f, gh_rule(5), laplace)[0]) <= 1e-12
+    rule = gh_rule(5)
+    got = adaptive_gh_batch(_remainder(log_f, *laplace), rule, laplace)[0]
+    assert abs(got + log_f(mu)) <= 1e-12
+    flat = adaptive_gh_batch(np.zeros_like, rule, laplace)[0]
+    assert flat == np.log(rule.weights.sum()) + np.log(np.sqrt(2.0 / laplace[1]))
 
 
 def test_adaptive_gh_converges_on_skewed_integrand():
     # integral of exp(eta - e^eta) d eta = 1, mode at 0 with curvature 1,
-    # skewed right
-    def log_f(eta):
-        return eta - np.exp(eta)
+    # skewed right: l(0) = -1 and R(t) = t - expm1(t) + t^2/2
+    def log_f(t):
+        return t - np.expm1(t) + 0.5 * t * t
 
     laplace = (np.zeros(1), np.ones(1))
-    err15 = abs(adaptive_gh_batch(log_f, gh_rule(15), laplace)[0][0])
-    err31 = abs(adaptive_gh_batch(log_f, gh_rule(31), laplace)[0][0])
+    err15 = abs(adaptive_gh_batch(log_f, gh_rule(15), laplace)[0][0] - 1.0)
+    err31 = abs(adaptive_gh_batch(log_f, gh_rule(31), laplace)[0][0] - 1.0)
     assert err15 <= 2e-3
     assert err31 <= 1e-4
     assert err31 < err15

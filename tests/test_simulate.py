@@ -142,6 +142,34 @@ def test_mixture_scenario_at_a_large_negative_beta_censors_the_treated_arm(tag, 
     np.testing.assert_array_equal(data.event[~treated], ref.event[~treated])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_latent_times_that_underflow_are_positive_and_round_trip(tmp_path):
+    """At beta = 600 the power target**(1/shape) of about half the
+    subjects underflows: each such time is the smallest positive double, not
+    0, so the CSV that simulate writes reads back."""
+    sc = dataclasses.replace(make_scenario("wei", "gamma", 0.75, 20, 150), beta=600.0)
+    data = generate_dataset(sc, 7)
+    smallest = np.nextafter(0.0, 1.0)
+    assert (data.time > 0).all() and (data.time == smallest).sum() > 1000
+    path = tmp_path / "underflow.csv"
+    write_dataset_csv(data, path)
+    back = read_dataset_csv(path)
+    np.testing.assert_array_equal(back.time[data.time == smallest], smallest)
+    np.testing.assert_array_equal(back.event, data.event)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mixture_scenario_with_a_far_censoring_time_simulates():
+    """With censoring at t = 1e30 the treated targets of a ww2 scenario at
+    beta = -40 lie far above 1e16 and are inverted, each to its root."""
+    far = dataclasses.replace(make_scenario("ww2", "gamma", 0.75, 20, 50), censor_time=1e30)
+    data = generate_dataset(dataclasses.replace(far, beta=-40.0), 7)
+    ref = generate_dataset(far, 7)
+    treated = data.treat == 1
+    assert data.event.all() and data.time[treated].min() > 1e20
+    np.testing.assert_allclose(data.time[~treated], ref.time[~treated], rtol=1e-12)
+
+
 def test_simulate_time_exponential_closed_form():
     # t = -log(u) / (alpha * rate * exp(x beta))
     got = simulate_time(Exponential(0.5), 2.0, 1.0, -0.5, 0.3)
