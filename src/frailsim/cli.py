@@ -33,10 +33,12 @@ from .exceptions import (
 )
 from .fitting import (
     ModelSpec,
+    PreparedDataset,
     all_model_ids,
     fit,
     information_criteria,
     model_from_id,
+    prepare_dataset,
 )
 from .harness import (
     ReplicationRecord,
@@ -291,7 +293,8 @@ def _estimand_payload(res: EstimandResult) -> dict:
     return {"estimate": res.estimate, "se": res.se, "ci": [lo, hi]}
 
 
-def _fit_one(spec: ModelSpec, dataset, horizon: float, max_iter: int) -> dict:
+def _fit_one(spec: ModelSpec, dataset: PreparedDataset, horizon: float,
+             max_iter: int) -> dict:
     result = fit(spec, dataset, max_iter=max_iter)
     aic, bic = information_criteria(result)
     values = estimate(result, horizon)
@@ -329,7 +332,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.max_iter < 1:
         raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
     specs = _resolve_models(args.model, args.gh_nodes)
-    dataset = read_dataset_csv(args.dataset)
+    # checked and sorted once for all the models
+    dataset = prepare_dataset(read_dataset_csv(args.dataset))
     records = [_fit_one(spec, dataset, args.horizon, args.max_iter) for spec in specs]
     header = (f"{'model':<14s} {'conv':<5s} {'HR (SE)':<18s} "
               f"{'frailty var (SE)':<18s} {'LLE (SE)':<18s} {'AIC':>10s} {'BIC':>10s}")

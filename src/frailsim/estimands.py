@@ -16,7 +16,6 @@ turns such a gradient into a standard error.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -24,9 +23,17 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError, EstimandError, QuadratureError
-from .fitting import FitResult, _cluster_terms, _grid_prepared, _log_h_and_H
+from .fitting import (
+    FitResult,
+    _cluster_terms,
+    _grid_prepared,
+    _log_h_and_H,
+    _lognormal_clusters,
+)
 from .hazards import FrailtyFamily, FrailtySpec, gamma_marginal_survival
-from .quadrature import adaptive_gh_batch, gh_rule, lognormal_laplace
+from .quadrature import gh_rule
+# unused here, but bench/tracing.py patches this name on this module
+from .quadrature import adaptive_gh_batch  # noqa: F401
 from .simulate import Scenario
 from .splines import natural_spline_weights
 
@@ -48,14 +55,6 @@ Z95 = 1.959964
 DEFAULT_GRID = 1000
 TRUTH_GRID = 4000
 TRUTH_GH_NODES = 63
-# elements in one (nodes, block) quadrature array, 256 KB of doubles: for
-# the five mixture-normal truths of the mc_short benchmark, budgets of 16k
-# to 64k elements took 0.039-0.058 s of CPU (medians of 15 rounds), 8k
-# 0.048-0.057 s and 4k 0.070-0.092 s, and 32k the least, on a host with 2 MB
-# of L2 cache per core
-_BLOCK_ELEMENTS = 32768
-# each thread's work array of _BLOCK_ELEMENTS doubles for _lognormal_marginal
-_scratch = threading.local()
 
 
 class EstimandName(str, Enum):
@@ -137,85 +136,37 @@ class MarginalModel:
         )
 
 
-def _lognormal_marginal(H: np.ndarray, variance: float, mean: float, nodes: int) -> np.ndarray:
-    """Survival averaged over a log-Normal frailty with log-mean mean, at
-    each cumulative hazard in H, by adaptive Gauss-Hermite quadrature.
-
-    With A = e^m H at the Laplace point m, the log-integrand is l(m + t) =
-    l(m) - A expm1(t) + slope t - t^2/(2 variance), slope = -(m - mean) /
-    variance, so its remainder about m is R(t) = -A expm1(t) + slope t +
-    quad t^2 with quad = 1/s^2 - 1/(2 variance), and the peak l(m) = -A -
-    (m - mean)^2/(2 variance) - log(2 pi variance)/2 is added once per
-    column. The Laplace points and these coefficients are one value per
-    column, computed once for the whole grid: per block, the fixed cost of
-    a Wright omega call would repeat.
-
-    The quadrature runs on column blocks of at most _BLOCK_ELEMENTS // nodes
-    values of H, so that each (nodes, block) array, 256 KB, stays within
-    one core's L2 cache. A block computes its remainder into two such
-    arrays, the offsets that adaptive_gh_batch allocates, which it
-    overwrites, and a work array that each thread keeps from call to call
-    (_scratch), where the batch exponentiates and sums it. So a block
-    allocates and frees one array, which the next block takes back from the
-    heap. With four temporaries a block, or with a work array per call,
-    more than the C library's trim threshold came free at the top of the
-    heap; it returned that memory to the kernel, and the next block or call
-    faulted it in afresh. Every column is computed by the same operations in
-    the same order as on the whole batch, so the result does not depend on
-    the block size.
-    """
-    rule = gh_rule(nodes)
-    mode, curv = lognormal_laplace(0.0, H, mean, variance)
-    # an infinite H or a huge variance gives non-finite remainders, and a
-    # QuadratureError below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        A = np.exp(mode + np.log(H))
-        slope = (mean - mode) / variance
-        quad = 0.5 * curv - 0.5 / variance
-        block = max(1, _BLOCK_ELEMENTS // nodes)
-        if not hasattr(_scratch, "work"):
-            _scratch.work = np.empty(_BLOCK_ELEMENTS)
-        S = np.empty(H.size)
-        for start in range(0, H.size, block):
-            cols = slice(start, start + block)
-            width = min(block, H.size - start)
-            R = _scratch.work[:nodes * width].reshape(nodes, width)
-
-            def log_f(t: np.ndarray) -> np.ndarray:
-                np.multiply(t, quad[cols], out=R)
-                np.add(R, slope[cols], out=R)
-                np.multiply(R, t, out=R)
-                np.expm1(t, out=t)
-                t *= A[cols]
-                return np.subtract(R, t, out=R)
-
-            S[cols] = adaptive_gh_batch(log_f, rule, (mode[cols], curv[cols]))[0]
-        S -= A + 0.5 * (mode - mean) ** 2 / variance + 0.5 * np.log(2.0 * np.pi * variance)
-    np.exp(S, out=S)
-    if not np.isfinite(S).all():
-        raise QuadratureError("log-Normal marginal survival is not finite "
-                              f"at cumulative hazard {H[~np.isfinite(S)][:3]!r}")
-    return S
-
-
 def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
-    """Frailty-averaged survival probability at time(s) t for arm x."""
+    """Frailty-averaged survival probability at time(s) t for arm x.
+
+    Gamma frailty has a closed form. A log-Normal frailty is one Normal
+    component of the log frailty and a mixture several; each component's
+    term is that of a censored cluster with the component's log-mean in the
+    likelihood's own log-Normal kernel, and survival is their weighted sum.
+    """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     if (t_arr < 0).any():
         raise DomainError("times must be nonnegative")
     H = np.asarray(model.cumulative_hazard(t_arr, float(x)), dtype=float)
-    family = model.frailty.family
-    variance = model.frailty.variance
-    if family is FrailtyFamily.GAMMA:
-        S = np.atleast_1d(np.asarray(gamma_marginal_survival(H, variance), dtype=float))
-    elif family is FrailtyFamily.LOG_NORMAL:
-        S = _lognormal_marginal(H, variance, 0.0, model.gh_nodes)
+    frailty = model.frailty
+    if frailty.family is FrailtyFamily.GAMMA:
+        S = np.atleast_1d(np.asarray(gamma_marginal_survival(H, frailty.variance), dtype=float))
     else:
+        components = ([(1.0, 0.0)] if frailty.family is FrailtyFamily.LOG_NORMAL
+                      else zip(frailty.mixture_probs, frailty.mixture_means))
+        rule = gh_rule(model.gh_nodes)
         S = np.zeros_like(H)
-        for prob, mean in zip(model.frailty.mixture_probs, model.frailty.mixture_means):
-            S += prob * _lognormal_marginal(H, variance, mean, model.gh_nodes)
+        # an infinite H or a huge variance gives non-finite terms, and a
+        # QuadratureError below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for prob, mean in components:
+                log_S = _lognormal_clusters(0.0, H, frailty.variance, rule, mean, order=0)[0]
+                S += prob * np.exp(log_S)
+        if not np.isfinite(S).all():
+            raise QuadratureError("log-Normal marginal survival is not finite "
+                                  f"at cumulative hazard {H[~np.isfinite(S)][:3]!r}")
     S = np.clip(S, 0.0, 1.0)
     S = np.where(H == 0.0, 1.0, S)
     return float(S[0]) if scalar else S
@@ -315,13 +266,12 @@ def lle_functional(
         grad = np.empty(vec.size)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             _, H, _, dlog_H = _log_h_and_H(prep, spec, vec)
+            # where H overflowed S is 0: the terms there are taken at V = 0
+            # and dropped
             live = ~np.isposinf(H)
-            log_S = np.full(H.size, -np.inf)
-            g_V = np.zeros(H.size)
-            g_u = np.zeros(H.size)
-            log_S[live], g_V[live], g_u[live] = _cluster_terms(
-                spec, prep.events_per_cluster[live], H[live], np.exp(vec[-1]), prep.d_range)
-            a = signed * np.exp(log_S)
+            log_S, g_V, g_u = _cluster_terms(spec, prep.rows, np.where(live, H, 0.0),
+                                             np.exp(vec[-1]))
+            a = np.where(live, signed * np.exp(log_S), 0.0)
             # 0, not 0 * inf, where S underflowed
             grad[:-1] = dlog_H @ np.where(a != 0.0, a * g_V * H, 0.0)
             grad[-1] = np.where(a != 0.0, a * g_u, 0.0).sum()

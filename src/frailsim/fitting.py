@@ -16,15 +16,19 @@ hazard V and the log frailty variance; the information follows by the
 chain rule through V. The fit takes Newton steps in Levenberg-Marquardt
 form on them (``_newton``).
 
-The rows are held sorted by cluster, and each per-row array with one value
-per parameter (the design, d log H, the spline columns) as a C-contiguous
-(parameters, rows) array (``_Prepared``): the rows' part of the information
-is then one product (d log H * w) @ d log H', and each cluster's sums run
-over one contiguous run of rows.
+The rows are held sorted by (cluster, time, arm, event), and each per-row
+array with one value per parameter (the design, d log H, the spline
+columns) as a C-contiguous (parameters, rows) array (``_Prepared``): the
+rows' part of the information is then one product (d log H * w) @ d log
+H', and each cluster's sums run over one contiguous run of rows. A
+dataset is checked and sorted once for all its models (``prepare_dataset``),
+and each baseline's rows, the rp basis among them, are built once and
+shared by its two frailty families.
 """
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -33,7 +37,7 @@ from .exceptions import FitSetupError
 from .hazards import Exponential, FrailtyFamily, Gompertz, Weibull
 from .simulate import ClusteredDataset
 from .splines import ALLOWED_DF, SplineBasis, _columns, basis_eval, place_knots
-from .quadrature import MAX_GH_NODES, adaptive_gh_batch, gh_rule, lognormal_laplace
+from .quadrature import MAX_GH_NODES, GHRule, adaptive_gh_batch, gh_rule, lognormal_laplace
 
 __all__ = [
     "ModelSpec",
@@ -43,6 +47,8 @@ __all__ = [
     "MODEL_BASELINES",
     "gamma_marginal_loglik",
     "lognormal_marginal_loglik",
+    "PreparedDataset",
+    "prepare_dataset",
     "fit",
     "information_criteria",
     "unpack_params",
@@ -71,6 +77,14 @@ _LAM_FLOOR = 1e-3
 # the mean rows per cluster from which _Prepared.cluster_sums takes
 # np.add.reduceat over the cluster starts instead of np.bincount
 _REDUCEAT_SIZE = 8
+# elements in one (nodes, block) array of the log-Normal quadrature, 256 KB
+# of doubles: for the five mixture-normal truths of the mc_short benchmark,
+# budgets of 16k to 64k elements took 0.039-0.058 s of CPU (medians of 15
+# rounds), 8k 0.048-0.057 s and 4k 0.070-0.092 s, and 32k the least, on a
+# host with 2 MB of L2 cache per core
+_BLOCK_ELEMENTS = 32768
+# each thread's work arrays of _BLOCK_ELEMENTS doubles for _lognormal_clusters
+_work = threading.local()
 
 
 @dataclass(frozen=True)
@@ -225,14 +239,94 @@ def _expm1_over(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _Prepared:
-    """Per-(model, dataset) quantities that do not change across iterations.
+class PreparedDataset:
+    """Rows for the likelihood in cluster order, with what every model
+    fitted to them reads: prepare_dataset builds them once per dataset, and
+    fit takes them in place of the dataset.
 
-    The rows are sorted by cluster (a stable sort), and the cluster codes
-    renumbered 0, 1, ... in that order, so each cluster is one run of rows;
-    a code without rows, which adds exactly 0 to the log-likelihood, is
-    dropped. Every per-row array of more than one value per row is stored
-    as parameter rows over data columns: a C-contiguous (p, n) array.
+    Each cluster is one run of rows, its code renumbered 0, 1, ... in that
+    order; a code without rows, which adds exactly 0 to the log-likelihood,
+    is dropped. events_per_cluster holds each cluster's event count D as an
+    integer, which indexes the Gamma kernel's running sums, and d_range 0,
+    1, ..., max D. starts, each cluster's first row, is None below a mean
+    cluster size of _REDUCEAT_SIZE (_Prepared.cluster_sums). splines keeps
+    the rp basis of each df for the other frailty family (_prepare).
+    """
+
+    t: np.ndarray
+    logt: np.ndarray
+    x: np.ndarray
+    d: np.ndarray
+    cluster: np.ndarray
+    n_clusters: int
+    events_per_cluster: np.ndarray
+    d_range: np.ndarray
+    starts: np.ndarray | None
+    splines: dict = field(default_factory=dict, repr=False)
+
+
+def _cluster_rows(t: np.ndarray, logt: np.ndarray, x: np.ndarray, d: np.ndarray,
+                  cluster: np.ndarray) -> PreparedDataset:
+    """The rows at times t (logs logt), arms x and event flags d, whose
+    cluster codes are already in nondecreasing order."""
+    first = np.empty(cluster.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(cluster[1:], cluster[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    n_clusters = starts.size
+    # sorted codes are 0, ..., n_clusters - 1 unless some code has no rows
+    if n_clusters and (cluster[0] != 0 or cluster[-1] != n_clusters - 1):
+        cluster = np.cumsum(first) - 1
+    events = np.bincount(cluster[d], minlength=n_clusters)
+    return PreparedDataset(
+        t=t,
+        logt=logt,
+        x=x,
+        d=d,
+        cluster=cluster,
+        n_clusters=n_clusters,
+        events_per_cluster=events,
+        d_range=np.arange(events.max(initial=0) + 1, dtype=float),
+        starts=starts if t.size >= _REDUCEAT_SIZE * n_clusters else None,
+    )
+
+
+def _sorted_rows(data: ClusteredDataset) -> PreparedDataset:
+    """The rows of a dataset sorted by (cluster, time, arm, event). Rows
+    equal in all four are equal, so neither the order of the rows nor any
+    sum over them depends on the order of the input within a cluster."""
+    t = np.asarray(data.time, dtype=float)
+    if (t <= 0).any():
+        raise FitSetupError("all times must be positive")
+    d = np.asarray(data.event, dtype=bool)
+    x = np.asarray(data.treat, dtype=float)
+    cluster = np.asarray(data.cluster, dtype=np.int64)
+    order = np.lexsort((d, x, t, cluster))
+    t = t[order]
+    return _cluster_rows(t, np.log(t), x[order], d[order], cluster[order])
+
+
+def prepare_dataset(data: ClusteredDataset) -> PreparedDataset:
+    """A dataset's rows, checked and sorted once for the fits of all its
+    models. Every time must be positive, and each arm must have an event,
+    without which the likelihood rises without bound as beta goes to -inf
+    or +inf; a dataset that fails raises FitSetupError."""
+    rows = _sorted_rows(data)
+    if not rows.d.any():
+        raise FitSetupError("cannot fit with zero events")
+    for value, arm in ((0.0, "untreated"), (1.0, "treated")):
+        if not rows.d[rows.x == value].any():
+            raise FitSetupError(f"cannot fit with zero events in the {arm} arm")
+    return rows
+
+
+@dataclass
+class _Prepared:
+    """A model's rows on the optimizer scale of its fit: the dataset's rows
+    (rows) and what the baseline adds to them, which do not change across
+    iterations. Every per-row array of more than one value per row is
+    stored as parameter rows over data columns: a C-contiguous (p, n)
+    array.
 
     For the rp baseline, B and Bd hold orthogonalized basis columns (as
     rows): the raw columns are centered and QR-rotated so the internal
@@ -259,12 +353,11 @@ class _Prepared:
     event_logt that of log t, and event_Bd the columns of Bd at the events.
 
     cluster_sums sums each cluster's rows. It takes np.add.reduceat over the
-    cluster starts (starts) when the mean cluster size is at least
-    _REDUCEAT_SIZE = 8, and otherwise np.bincount over a (row of design,
-    cluster) cell index (cells), built on its first use: reduceat's cost
-    grows with the number of clusters, and bincount's with the number of
-    entries. The dV of k - 1 parameter rows at 3,000 rows, bincount /
-    reduceat in microseconds (best of 7 x 200 calls, 2-CPU host):
+    cluster starts when there are any, and otherwise np.bincount over a
+    (row of design, cluster) cell index (cells), built on its first use:
+    reduceat's cost grows with the number of clusters, and bincount's with
+    the number of entries. The dV of k - 1 parameter rows at 3,000 rows,
+    bincount / reduceat in microseconds (best of 7 x 200 calls, 2-CPU host):
 
         mean cluster size      2       5       8      10      50     150
         k - 1 = 3          16/67   18/29   20/20   21/17    30/6    33/6
@@ -274,13 +367,7 @@ class _Prepared:
     20 x 150 datasets take reduceat and its 750 x 2 ones bincount.
     """
 
-    t: np.ndarray
-    logt: np.ndarray
-    x: np.ndarray
-    d: np.ndarray
-    cluster: np.ndarray
-    n_clusters: int
-    events_per_cluster: np.ndarray
+    rows: PreparedDataset
     basis: SplineBasis | None
     B: np.ndarray | None
     Bd: np.ndarray | None
@@ -289,122 +376,96 @@ class _Prepared:
     event_design: np.ndarray
     event_logt: float
     event_Bd: np.ndarray | None
-    starts: np.ndarray | None
-    d_range: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.d_range = np.arange(int(self.events_per_cluster.max()) + 1, dtype=float)
 
     @functools.cached_property
     def cells(self) -> np.ndarray:
         """The (row of design, cluster) cell of each entry of a (k - 1, n)
         array, flattened: row * n_clusters + cluster."""
-        return (np.arange(self.design.shape[0])[:, None] * self.n_clusters
-                + self.cluster).ravel()
+        return (np.arange(self.design.shape[0])[:, None] * self.rows.n_clusters
+                + self.rows.cluster).ravel()
 
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
         """The sum over each cluster's rows of values, shape (n,) -> (G,),
         or (k - 1, n) -> (k - 1, G) for as many parameter rows as design."""
-        if self.starts is not None:
-            return np.add.reduceat(values, self.starts, axis=-1)
+        rows = self.rows
+        if rows.starts is not None:
+            return np.add.reduceat(values, rows.starts, axis=-1)
         if values.ndim == 1:
-            return np.bincount(self.cluster, weights=values, minlength=self.n_clusters)
+            return np.bincount(rows.cluster, weights=values, minlength=rows.n_clusters)
         return np.bincount(self.cells, weights=values.ravel(),
-                           minlength=values.shape[0] * self.n_clusters
-                           ).reshape(-1, self.n_clusters)
+                           minlength=values.shape[0] * rows.n_clusters
+                           ).reshape(-1, rows.n_clusters)
 
 
-def _rows(spec: ModelSpec, t: np.ndarray, logt: np.ndarray, x: np.ndarray,
-          d: np.ndarray, cluster: np.ndarray, basis: SplineBasis | None,
-          to_raw: np.ndarray, B: np.ndarray | None = None,
-          Bd: np.ndarray | None = None) -> _Prepared:
-    """The _Prepared of rows at times t (logs logt), arms x, event flags d
-    and clusters, sorted by cluster, with its constant design and event-row
-    sums. For rp, B and Bd are the basis columns and their derivatives as
-    (df, n) rows on the optimizer scale; by default those of basis at logt,
-    mapped by to_raw."""
-    if (cluster[1:] < cluster[:-1]).any():
-        order = np.argsort(cluster, kind="stable")
-        t, logt, x, d, cluster = t[order], logt[order], x[order], d[order], cluster[order]
-        if B is not None:
-            B, Bd = B[:, order], Bd[:, order]
+def _model_rows(spec: ModelSpec, rows: PreparedDataset, basis: SplineBasis | None,
+                to_raw: np.ndarray, B: np.ndarray | None = None,
+                Bd: np.ndarray | None = None) -> _Prepared:
+    """The _Prepared of a model on rows, with its constant design and
+    event-row sums. For rp, B and Bd are the basis columns and their
+    derivatives as (df, n) rows on the optimizer scale; by default those of
+    basis at rows.logt, mapped by to_raw."""
     if basis is not None and B is None:
         nb = spec.n_baseline_params
         coefs = to_raw[1:nb, 1:nb].T
-        B = coefs @ _columns(basis, logt, derivative=False) + to_raw[0, 1:nb, None]
-        Bd = coefs @ _columns(basis, logt, derivative=True)
-    first = np.empty(cluster.size, dtype=bool)
-    first[0] = True
-    np.not_equal(cluster[1:], cluster[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    n_clusters = starts.size
-    # sorted codes are 0, ..., n_clusters - 1 unless some code has no rows
-    if cluster[0] != 0 or cluster[-1] != n_clusters - 1:
-        cluster = np.cumsum(first) - 1
-    middle = {"exp": (), "wei": (logt,), "gom": (t,), "rp": (B,)}[spec.baseline]
-    design = np.vstack((np.ones_like(t), *middle, x))
+        B = coefs @ _columns(basis, rows.logt, derivative=False) + to_raw[0, 1:nb, None]
+        Bd = coefs @ _columns(basis, rows.logt, derivative=True)
+    middle = {"exp": (), "wei": (rows.logt,), "gom": (rows.t,), "rp": (B,)}[spec.baseline]
+    design = np.vstack((np.ones_like(rows.t), *middle, rows.x))
     return _Prepared(
-        t=t,
-        logt=logt,
-        x=x,
-        d=d,
-        cluster=cluster,
-        n_clusters=n_clusters,
-        events_per_cluster=np.bincount(cluster, weights=d, minlength=n_clusters),
+        rows=rows,
         basis=basis,
         B=B,
         Bd=Bd,
         to_raw=to_raw,
         design=design,
-        event_design=design[:, d].sum(axis=1),
-        event_logt=float(logt[d].sum()),
-        event_Bd=None if Bd is None else Bd[:, d],
-        starts=starts if t.size >= _REDUCEAT_SIZE * n_clusters else None,
+        event_design=design[:, rows.d].sum(axis=1),
+        event_logt=float(rows.logt[rows.d].sum()),
+        event_Bd=None if Bd is None else Bd[:, rows.d],
     )
 
 
-def _prepare(spec: ModelSpec, data: ClusteredDataset) -> _Prepared:
-    """The _Prepared of a dataset on the optimizer scale of a fit."""
-    t = np.asarray(data.time, dtype=float)
-    if (t <= 0).any():
-        raise FitSetupError("all times must be positive")
-    d = np.asarray(data.event, dtype=bool)
-    if not d.any():
-        raise FitSetupError("cannot fit with zero events")
-    x = np.asarray(data.treat, dtype=float)
-    for value, arm in ((0.0, "untreated"), (1.0, "treated")):
-        if not d[x == value].any():
-            # the likelihood then rises without bound as beta goes to -inf
-            # or +inf
-            raise FitSetupError(f"cannot fit with zero events in the {arm} arm")
-    logt = np.log(t)
-    to_raw = np.eye(spec.n_params)
-    basis = B = Bd = None
-    if spec.baseline == "rp":
-        basis = place_knots(logt[d], spec.df)
-        # the QR takes the raw columns as (n, df); the derivatives are
-        # mapped as rows
-        raw_B = basis_eval(basis, logt)
-        raw_Bd = _columns(basis, logt, derivative=True)
-        center = raw_B.mean(axis=0)
-        root_n = np.sqrt(t.size)
-        q, r = np.linalg.qr(raw_B - center)
-        if (np.abs(np.diag(r)) / root_n < 1e-10).any():
-            raise FitSetupError("spline basis columns are numerically collinear")
-        transform = r / root_n
-        B = np.ascontiguousarray(q.T * root_n)
-        # T^-T Bd by substitution, one row at a time: T is upper triangular
-        # and has at most 9 columns
-        Bd = np.empty_like(raw_Bd)
-        for j in range(Bd.shape[0]):
-            Bd[j] = (raw_Bd[j] - transform[:j, j] @ Bd[:j]) / transform[j, j]
-        # T's LU makes no row swaps, so this inverse is a back substitution
-        inverse = np.linalg.inv(transform)
-        nb = spec.n_baseline_params
-        to_raw[1:nb, 1:nb] = inverse
-        to_raw[0, 1:nb] = -center @ inverse
-    return _rows(spec, t, logt, x, d, np.asarray(data.cluster, dtype=np.int64),
-                 basis, to_raw, B, Bd)
+def _spline_basis(rows: PreparedDataset, df: int):
+    """The rp basis of rows at df as (basis, to_raw, B, Bd): knots at the
+    centiles of the event times, and the columns orthogonalized by a QR on
+    the sorted rows."""
+    basis = place_knots(rows.logt[rows.d], df)
+    # the QR takes the raw columns as (n, df); the derivatives are
+    # mapped as rows
+    raw_B = basis_eval(basis, rows.logt)
+    raw_Bd = _columns(basis, rows.logt, derivative=True)
+    center = raw_B.mean(axis=0)
+    root_n = np.sqrt(rows.t.size)
+    q, r = np.linalg.qr(raw_B - center)
+    if (np.abs(np.diag(r)) / root_n < 1e-10).any():
+        raise FitSetupError("spline basis columns are numerically collinear")
+    transform = r / root_n
+    B = np.ascontiguousarray(q.T * root_n)
+    # T^-T Bd by substitution, one row at a time: T is upper triangular
+    # and has at most 9 columns
+    Bd = np.empty_like(raw_Bd)
+    for j in range(df):
+        Bd[j] = (raw_Bd[j] - transform[:j, j] @ Bd[:j]) / transform[j, j]
+    # T's LU makes no row swaps, so this inverse is a back substitution
+    inverse = np.linalg.inv(transform)
+    to_raw = np.eye(df + 3)
+    to_raw[1:df + 1, 1:df + 1] = inverse
+    to_raw[0, 1:df + 1] = -center @ inverse
+    # the fits of both frailty families keep it
+    to_raw.setflags(write=False)
+    return basis, to_raw, B, Bd
+
+
+def _prepare(spec: ModelSpec, data: ClusteredDataset | PreparedDataset) -> _Prepared:
+    """The _Prepared of a model on a dataset, which is prepared here unless
+    it already is. An rp basis is built once per df and kept in the
+    dataset's splines; a collinear one raises FitSetupError for its df
+    alone."""
+    rows = data if isinstance(data, PreparedDataset) else prepare_dataset(data)
+    if spec.baseline != "rp":
+        return _model_rows(spec, rows, None, np.eye(spec.n_params))
+    if spec.df not in rows.splines:
+        rows.splines[spec.df] = _spline_basis(rows, spec.df)
+    return _model_rows(spec, rows, *rows.splines[spec.df])
 
 
 def _grid_prepared(result: FitResult, t: np.ndarray, x: np.ndarray) -> _Prepared:
@@ -412,8 +473,9 @@ def _grid_prepared(result: FitResult, t: np.ndarray, x: np.ndarray) -> _Prepared
     own, on the optimizer scale of a fit: _log_h_and_H on it at result.trans
     gives H(t, x) and d log H / d trans."""
     n = t.size
-    return _rows(result.spec, t, np.log(t), np.asarray(x, dtype=float),
-                 np.zeros(n, dtype=bool), np.arange(n), result.params.basis, result.to_raw)
+    rows = _cluster_rows(t, np.log(t), np.asarray(x, dtype=float),
+                         np.zeros(n, dtype=bool), np.arange(n))
+    return _model_rows(result.spec, rows, result.params.basis, result.to_raw)
 
 
 def _dlog_expm1_over(v: np.ndarray) -> np.ndarray:
@@ -449,25 +511,26 @@ def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
     """
     nb = spec.n_baseline_params
     theta = vec[:nb + 1]
+    rows = prep.rows
     if spec.baseline == "exp":
         log_h_sum = prep.event_design @ theta
-        H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t
+        H = np.exp(vec[0] + rows.x * vec[nb]) * rows.t
         dlog_h_sum, dlog_H = prep.event_design, prep.design
     elif spec.baseline == "wei":
         # log h = log rate + log shape + (shape - 1) log t + x beta
         shape = np.exp(vec[1])
         log_h_sum = (prep.event_design @ [vec[0], shape - 1.0, vec[nb]]
                      + prep.event_design[0] * vec[1])
-        H = np.exp(vec[0] + shape * prep.logt + prep.x * vec[nb])
+        H = np.exp(vec[0] + shape * rows.logt + rows.x * vec[nb])
         dlog_h_sum = prep.event_design * [1.0, shape, 1.0] + [0.0, prep.event_design[0], 0.0]
         dlog_H = prep.design.copy()
         dlog_H[1] *= shape
     elif spec.baseline == "gom":
         log_h_sum = prep.event_design @ theta
-        H = np.exp(vec[0] + prep.x * vec[nb]) * prep.t * _expm1_over(vec[1] * prep.t)
+        H = np.exp(vec[0] + rows.x * vec[nb]) * rows.t * _expm1_over(vec[1] * rows.t)
         dlog_h_sum = prep.event_design
         dlog_H = prep.design.copy()
-        dlog_H[1] *= _dlog_expm1_over(vec[1] * prep.t)
+        dlog_H[1] *= _dlog_expm1_over(vec[1] * rows.t)
     else:
         sp = vec[1:nb] @ prep.event_Bd
         log_sp = np.where(sp > 0, np.log(np.where(sp > 0, sp, 1.0)), -np.inf)
@@ -479,52 +542,118 @@ def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
     return float(log_h_sum), H, dlog_h_sum, dlog_H
 
 
-def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule,
-                        curvature: bool = False):
-    """Log-Normal cluster terms by adaptive Gauss-Hermite, with their exact
-    derivatives g_V in V and g_u in u = log var, and with curvature=True
-    also g_VV, g_Vu and g_uu. The caller enters np.errstate.
+def _lognormal_clusters(D, V: np.ndarray, var: float, rule: GHRule, mean: float = 0.0,
+                        order: int = 1):
+    """Log-Normal cluster terms by adaptive Gauss-Hermite: for each cluster,
+    the log of the mean of exp(eta*D - e^eta*V) over eta ~ N(mean, var),
+    given its event count D (an array, or 0) and cumulative hazard V. Order
+    0 returns (terms,); order 1 adds their exact derivatives g_V in V and
+    g_u in u = log var, and order 2 also g_VV, g_Vu and g_uu. The caller
+    enters np.errstate.
 
     The derivatives are those of the quadrature sum itself, not of the
     integral it approximates. The nodes are eta_j = m + t_j, t_j = s*z_j,
-    around the mode m of l(eta) = eta*D - e^eta*V - eta^2/(2 var) - log(2 pi
-    var)/2, at scale s = sqrt(2 var/(1 + w)), where w = var*V*e^m is the
-    Wright omega of lognormal_laplace. The sum is log s + l(m) + log sum_j
-    q_j e^R_j, with q_j the rule's weights and R_j = l(eta_j) - l(m) + z_j^2
-    the remainder adaptive_gh_batch integrates, here -A expm1(t) + (D -
-    m/var) t + (1/s^2 - 1/(2 var)) t^2 with A = e^m*V, so that the rounding
-    of the computed mode stays in the sum and the loglik is smooth in the
-    parameters; the normalised terms are the posterior weights p_j. At the
-    exact mode l'(m) = 0 and -l''(m) = 2/s^2, so R_j = -A psi(t_j) with A =
-    w/var and psi(t) = e^t - 1 - t - t^2/2, whose derivatives are taken.
-    The sum's first derivatives are (log s)_a + l_a(m) + E_p[R_a], and its
-    second (log s)_ab + l_ab(m) + l_a'(m) m_b + E_p[R_ab] + Cov_p(R_a, R_b).
-    Every term is small where the frailty variance is, so g_u keeps its
-    relative precision as var -> 0, where the derivatives of l(eta_j) would
-    be a difference of O(1) terms.
+    around the mode m of l(eta) = eta*D - e^eta*V - (eta - mean)^2/(2 var)
+    - log(2 pi var)/2, at scale s = sqrt(2 var/(1 + w)), where w = var*V*e^m
+    is the Wright omega of lognormal_laplace. The sum is log s + l(m) + log
+    sum_j q_j e^R_j, with q_j the rule's weights and R_j = l(eta_j) - l(m)
+    + z_j^2 the remainder adaptive_gh_batch integrates, here (quad t +
+    slope) t - A expm1(t) with quad = 1/s^2 - 1/(2 var), slope = D - (m -
+    mean)/var and A = e^m*V, so that the rounding of the computed mode
+    stays in the sum and the loglik is smooth in the parameters; the
+    normalised terms are the posterior weights p_j. At the exact mode
+    l'(m) = 0 and -l''(m) = 2/s^2, so R_j = -A psi(t_j) with A = w/var and
+    psi(t) = e^t - 1 - t - t^2/2, whose derivatives are taken. The sum's
+    first derivatives are (log s)_a + l_a(m) + E_p[R_a], and its second
+    (log s)_ab + l_ab(m) + l_a'(m) m_b + E_p[R_ab] + Cov_p(R_a, R_b). Every
+    term is small where the frailty variance is, so g_u keeps its relative
+    precision as var -> 0, where the derivatives of l(eta_j) would be a
+    difference of O(1) terms.
 
     m and s move with V and u through w, the Wright omega of log(var*V) +
-    var*D, whose first and second derivatives in that argument are w/(1 + w)
-    and w/(1 + w)^3; w/V enters as var*e^m, so nothing divides by V.
+    mean + var*D, whose first and second derivatives in that argument are
+    w/(1 + w) and w/(1 + w)^3; w/V enters as var*e^m, so nothing divides
+    by V.
+
+    The quadrature runs on blocks of at most _BLOCK_ELEMENTS // rule.n
+    clusters, each (nodes, block) array 256 KB, within one core's L2 cache,
+    in work arrays that each thread keeps (_work): one at order 0 and four
+    otherwise, made on first use. Temporaries made per call came free above
+    the C library's trim threshold, which returned them to the kernel, and
+    the next call faulted them in afresh. Each column is computed as on the
+    whole batch, so the block size changes no value.
     """
-    laplace = lognormal_laplace(D, V, 0.0, var)
-    mode, curv = laplace
+    mode, curv = lognormal_laplace(D, V, mean, var)
+    dev = mode - mean
     # e^m * V as one exponential: 0, not inf * 0, where V underflowed
     A_m = np.exp(mode + np.log(V))
-    slope = D - mode / var
+    slope = D - dev / var
     quad = 0.5 * curv - 0.5 / var
-    kept = []
+    n, nodes = mode.size, rule.n
+    width = max(1, _BLOCK_ELEMENTS // nodes)
+    work = _work.__dict__.setdefault("arrays", [])
+    while len(work) < (4 if order else 1):
+        work.append(np.empty(_BLOCK_ELEMENTS))
+    logq = np.empty(n)
+    # the posterior means of psi and psi'(t) t, and at order 2 that of
+    # psi''(t) t^2 and the (co)variances of the first two
+    if order:
+        m0, m1 = np.empty((2, n))
+    if order == 2:
+        m2, v00, v01, v11 = np.empty((4, n))
+    for start in range(0, n, width):
+        cols = slice(start, start + width)
+        size = nodes * min(width, n - start)
+        W, *kept = (a[:size].reshape(nodes, -1) for a in work[:4 if order else 1])
+        Y, T2, E = kept or (None,) * 3
+        offsets = []
 
-    def log_f(t: np.ndarray) -> np.ndarray:
-        em1, t2 = np.expm1(t), t * t
-        kept.extend((t, em1, t2))
-        return slope * t + quad * t2 - A_m * em1
+        def log_f(t: np.ndarray) -> np.ndarray:
+            # R = (quad t + slope) t - A expm1(t) into W; at order 0
+            # expm1(t) and A expm1(t) go over the offsets, which log_f owns
+            np.multiply(quad[cols], t, out=W)
+            np.add(W, slope[cols], out=W)
+            np.multiply(W, t, out=W)
+            if order:
+                offsets.append(t)
+                np.multiply(t, t, out=T2)
+                em1, product = np.expm1(t, out=E), Y
+            else:
+                em1 = product = np.expm1(t, out=t)
+            return np.subtract(W, np.multiply(A_m[cols], em1, out=product), out=W)
 
-    # weight is e^R at the nodes until it is normalised below
-    logq, weight = adaptive_gh_batch(log_f, rule, laplace)
-    t, em1, t2 = kept
-    logs = logq + (mode * D - A_m - mode * mode / (2.0 * var)
-                   - 0.5 * np.log(2.0 * np.pi * var))
+        # W holds e^R at the nodes until it is normalised below
+        logq[cols] = adaptive_gh_batch(log_f, rule, (mode[cols], curv[cols]))[0]
+        if not order:
+            continue
+        t = offsets.pop()
+        W *= rule.weights[:, None]
+        W /= W.sum(axis=0)
+
+        def mean_of(x: np.ndarray) -> np.ndarray:
+            return np.multiply(W, x, out=Y).sum(axis=0)
+
+        if order == 2:
+            m2[cols] = mean_of(np.multiply(E, T2, out=Y))
+        # R = -A psi(t) with d t = (log s)_a t, so R_a = -(A_a psi + A (log
+        # s)_a psi'(t) t): each derivative of R is a per-cluster combination
+        # of psi, psi'(t) t and psi''(t) t^2, and its posterior moments are
+        # those of these three node arrays. E turns into expm1(t) - t, then
+        # psi'(t) t; T2 into psi
+        E -= t
+        T2 *= 0.5
+        np.subtract(E, T2, out=T2)
+        E *= t
+        m0[cols], m1[cols] = mean_of(T2), mean_of(E)
+        if order == 2:
+            T2 -= m0[cols]
+            E -= m1[cols]
+            v00[cols] = mean_of(np.multiply(T2, T2, out=Y))
+            v01[cols] = mean_of(np.multiply(T2, E, out=Y))
+            v11[cols] = mean_of(np.multiply(E, E, out=Y))
+    logs = logq + (mode * D - A_m - dev * dev / (2.0 * var) - 0.5 * np.log(2.0 * np.pi * var))
+    if not order:
+        return (logs,)
     w = var * curv - 1.0
     one_w = 1.0 + w
     var_D = var * D
@@ -541,26 +670,12 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule,
     log_s_u = 0.5 - 0.5 * w_u / one_w
     A = w / var
     A_V = e_mode / one_w
-    A_u = A * mode / one_w
-    # R = -A psi(t) with d t = (log s)_a t, so R_a = -(A_a psi + A (log s)_a
-    # psi'(t) t): each derivative of R is a per-cluster combination of psi,
-    # psi'(t) t and psi''(t) t^2, and its posterior moments are those of
-    # these three node arrays
-    em1_t = em1 - t
-    psi1_t = em1_t * t
-    psi = em1_t - 0.5 * t2
-    weight *= rule.weights[:, None]
-    weight /= weight.sum(axis=0)
-
-    def mean(x: np.ndarray) -> np.ndarray:
-        return (weight * x).sum(axis=0)
-
-    m0, m1 = mean(psi), mean(psi1_t)
+    A_u = A * dev / one_w
     B_V, B_u = A * log_s_V, A * log_s_u
-    # l_V(m) = -e^m, l_u(m) = m^2/(2 var) - 1/2
+    # l_V(m) = -e^m, l_u(m) = (m - mean)^2/(2 var) - 1/2
     g_V = log_s_V - e_mode - (A_V * m0 + B_V * m1)
-    g_u = mode * mode / (2.0 * var) - 0.5 * w_u / one_w - (A_u * m0 + B_u * m1)
-    if not curvature:
+    g_u = dev * dev / (2.0 * var) - 0.5 * w_u / one_w - (A_u * m0 + B_u * m1)
+    if order == 1:
         return logs, g_V, g_u
     cube = one_w * one_w * one_w
     w_VV = -var * e_mode * w_V * (2.0 + w) / (one_w * one_w)
@@ -571,11 +686,7 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule,
     log_s_uu = -0.5 * (w_uu - w_u * w_u / one_w) / one_w
     A_VV = -e_mode * w_V * (2.0 + w) / (one_w * one_w)
     A_Vu = e_mode * (m_u - w_u / one_w) / one_w
-    A_uu = (A_u * mode + A * (m_u - mode * w_u / one_w)) / one_w
-    m2 = mean(em1 * t2)
-    psi -= m0
-    psi1_t -= m1
-    v00, v01, v11 = mean(psi * psi), mean(psi * psi1_t), mean(psi1_t * psi1_t)
+    A_uu = (A_u * dev + A * (m_u - dev * w_u / one_w)) / one_w
 
     def second(A_ab, A_a, A_b, B_a, B_b, ls_a, ls_b, ls_ab):
         """E_p[R_ab] + Cov_p(R_a, R_b)."""
@@ -583,12 +694,13 @@ def _lognormal_clusters(D: np.ndarray, V: np.ndarray, var: float, rule,
                 - A_ab * m0 - (A_a * ls_b + A_b * ls_a + A * (ls_ab + ls_a * ls_b)) * m1
                 - B_a * ls_b * m2)
 
-    # l_VV = 0 and l_V' = -e^m; l_uu = -m^2/(2 var) and l_u' = m/var
+    # l_VV = 0 and l_V' = -e^m; l_uu = -(m - mean)^2/(2 var) and l_u' =
+    # (m - mean)/var
     g_VV = (log_s_VV + e_mode * w_V
             + second(A_VV, A_V, A_V, B_V, B_V, log_s_V, log_s_V, log_s_VV))
     g_Vu = (log_s_Vu - e_mode * m_u
             + second(A_Vu, A_V, A_u, B_V, B_u, log_s_V, log_s_u, log_s_Vu))
-    g_uu = (log_s_uu + mode * (m_u - 0.5 * mode) / var
+    g_uu = (log_s_uu + dev * (m_u - 0.5 * dev) / var
             + second(A_uu, A_u, A_u, B_u, B_u, log_s_u, log_s_u, log_s_uu))
     return logs, g_V, g_u, g_VV, g_Vu, g_uu
 
@@ -605,23 +717,23 @@ def _log1p_gap(x: np.ndarray) -> np.ndarray:
                     1.0 / (1.0 + safe) - np.log1p(safe) / safe)
 
 
-def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarray,
-                    curvature: bool = False):
-    """Gamma cluster terms in closed form, with their derivatives g_V in V
-    and g_u in u = log var, and with curvature=True also g_VV, g_Vu and
-    g_uu. d_range is 0, 1, ..., max(D).
+def _gamma_clusters(rows: PreparedDataset, V: np.ndarray, var: float, order: int = 1):
+    """Gamma cluster terms in closed form, given the clusters' event counts
+    D (rows.events_per_cluster) and cumulative hazards V, with their
+    derivatives g_V in V and g_u in u = log var, and at order 2 also g_VV,
+    g_Vu and g_uu.
 
     g_u and g_uu are O(var) as var -> 0, while log1p(var*V)/var and V/(1 +
     var*V) are O(V); their difference is taken as V * _log1p_gap(var*V),
     so that it keeps its relative precision at a frailty variance near 0.
     """
-    jv = var * d_range[:-1]
+    D = rows.events_per_cluster
+    jv = var * rows.d_range[:-1]
     one_jv = 1.0 + jv
-    Di = D.astype(np.int64)
 
     def below_D(terms: np.ndarray) -> np.ndarray:
         """sum_{j<D} terms_j for each cluster."""
-        return np.concatenate(([0.0], np.cumsum(terms)))[Di]
+        return np.concatenate(([0.0], np.cumsum(terms)))[D]
 
     var_D = var * D
     vV = var * V
@@ -632,7 +744,7 @@ def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarra
     cluster_logs = below_D(np.log1p(jv)) - (1.0 / var + D) * np.log1p(vV)
     g_V = -(1.0 + var_D) / one_vV
     g_u = below_D(jv / one_jv) - V_gap - var_D * V / one_vV
-    if not curvature:
+    if order < 2:
         return cluster_logs, g_V, g_u
     g_VV = -var * g_V / one_vV
     g_Vu = -var * (D - V) / one_vV**2
@@ -640,14 +752,15 @@ def _gamma_clusters(D: np.ndarray, V: np.ndarray, var: float, d_range: np.ndarra
     return cluster_logs, g_V, g_u, g_VV, g_Vu, g_uu
 
 
-def _cluster_terms(spec: ModelSpec, D: np.ndarray, V: np.ndarray, var: float,
-                   d_range: np.ndarray, curvature: bool = False):
-    """Each cluster's log marginal term given its event count D and
+def _cluster_terms(spec: ModelSpec, rows: PreparedDataset, V: np.ndarray, var: float,
+                   order: int = 1):
+    """Each cluster's log marginal term given its event count and
     cumulative hazard V, with its derivatives g_V in V and g_u in log var,
-    and with curvature=True also g_VV, g_Vu and g_uu."""
+    and at order 2 also g_VV, g_Vu and g_uu."""
     if spec.frailty is FrailtyFamily.GAMMA:
-        return _gamma_clusters(D, V, var, d_range, curvature)
-    return _lognormal_clusters(D, V, var, gh_rule(spec.gh_nodes), curvature)
+        return _gamma_clusters(rows, V, var, order)
+    return _lognormal_clusters(rows.events_per_cluster, V, var, gh_rule(spec.gh_nodes),
+                               order=order)
 
 
 def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
@@ -677,8 +790,7 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
         ll = -np.inf
         if np.isfinite(log_h_sum) and np.isfinite(H).all():
             V = prep.cluster_sums(H)
-            terms = _cluster_terms(spec, prep.events_per_cluster, V, np.exp(vec[-1]),
-                                   prep.d_range, information)
+            terms = _cluster_terms(spec, prep.rows, V, np.exp(vec[-1]), 2 if information else 1)
             ll = log_h_sum + float(terms[0].sum())
         # optimizer excursions (an extreme log variance, every H underflowing)
         # can leave non-finite cluster terms; they are infeasible points
@@ -686,7 +798,7 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
             nan = np.full(k, np.nan)
             return (-np.inf, nan, np.full((k, k), np.nan)) if information else (-np.inf, nan)
         g_V, g_u = terms[1:3]
-        w = g_V[prep.cluster] * H
+        w = g_V[prep.rows.cluster] * H
         score = np.empty(k)
         score[:-1] = dlog_h_sum + dlog_H @ w
         score[-1] = g_u.sum()
@@ -698,9 +810,10 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
         block = (dlog_H * w) @ dlog_H.T + (dV * g_VV) @ dV.T
         nb = spec.n_baseline_params
         if spec.baseline == "wei":
-            block[1, 1] += np.exp(vec[1]) * (prep.event_design[1] + w @ prep.logt)
+            block[1, 1] += np.exp(vec[1]) * (prep.event_design[1] + w @ prep.rows.logt)
         elif spec.baseline == "gom":
-            block[1, 1] += w @ (prep.t**2 * _d2log_expm1_over(vec[1] * prep.t))
+            t = prep.rows.t
+            block[1, 1] += w @ (t**2 * _d2log_expm1_over(vec[1] * t))
         elif spec.baseline == "rp":
             q = prep.event_Bd / (vec[1:nb] @ prep.event_Bd)
             block[1:nb, 1:nb] -= q @ q.T
@@ -715,13 +828,8 @@ def _marginal_loglik(family: FrailtyFamily, spec: ModelSpec, params: ModelParams
                      data: ClusteredDataset) -> float:
     if spec.frailty is not family:
         raise ValueError(f"spec must have {family.value} frailty")
-    t = np.asarray(data.time, dtype=float)
-    if (t <= 0).any():
-        raise FitSetupError("all times must be positive")
     # the raw columns on the raw transformed scale: no rank check, no events needed
-    prep = _rows(spec, t, np.log(t), np.asarray(data.treat, dtype=float),
-                 np.asarray(data.event, dtype=bool), np.asarray(data.cluster, dtype=np.int64),
-                 params.basis, np.eye(spec.n_params))
+    prep = _model_rows(spec, _sorted_rows(data), params.basis, np.eye(spec.n_params))
     return _loglik_core(prep, spec, pack_params(params))[0]
 
 
@@ -939,7 +1047,7 @@ def _starting_point(spec: ModelSpec, prep: _Prepared) -> np.ndarray:
     a unit shape, a flat Gompertz hazard or a unit spline slope, no
     treatment effect and a frailty variance of 0.1."""
     start = np.zeros(spec.n_params)
-    start[0] = np.log(float(prep.d.sum() / prep.t.sum()))
+    start[0] = np.log(float(prep.rows.d.sum() / prep.rows.t.sum()))
     if spec.baseline == "rp":
         start[1] = 1.0
     start[-1] = np.log(0.1)
@@ -948,12 +1056,15 @@ def _starting_point(spec: ModelSpec, prep: _Prepared) -> np.ndarray:
 
 def fit(
     spec: ModelSpec,
-    data: ClusteredDataset,
+    data: ClusteredDataset | PreparedDataset,
     *,
     start: np.ndarray | None = None,
     max_iter: int = 500,
 ) -> FitResult:
     """Maximize the marginal log-likelihood; never raises on mere non-convergence.
+
+    data is a ClusteredDataset or, shared by the fits of its models, its
+    prepare_dataset; both give the same fit, bit for bit.
 
     One run of Newton steps in Levenberg-Marquardt form (``_newton``) on
     the analytic score and observed information, from ``_starting_point``;
@@ -1003,7 +1114,7 @@ def fit(
         condition_number=cond,
         n_evaluations=run.nfev,
         n_iterations=run.nit,
-        n_obs=data.n_subjects,
+        n_obs=prep.rows.t.size,
         message=run.message,
         to_raw=prep.to_raw,
     )

@@ -29,7 +29,7 @@ from .estimands import (
     true_estimands,
 )
 from .exceptions import DataError, DomainError, FitSetupError, NumericError
-from .fitting import FitResult, ModelSpec, fit
+from .fitting import FitResult, ModelSpec, PreparedDataset, fit, prepare_dataset
 from .simulate import Scenario, generate_dataset
 
 __all__ = [
@@ -77,7 +77,9 @@ class ReplicationRecord:
     se: float
     converged: bool
     filtered: bool = False
-    wall_time: float = 0.0  # seconds of this model's fit and estimands
+    # seconds of this model's fit and estimands, without the dataset's
+    # simulation and preparation, which its models share
+    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -146,9 +148,9 @@ def _records(scenario_id: str, model_id: str, rep: int,
     ]
 
 
-def _fit_records(scenario_id: str, spec: ModelSpec, rep: int, data,
+def _fit_records(scenario_id: str, spec: ModelSpec, rep: int, data: PreparedDataset,
                  horizon: float) -> list[ReplicationRecord]:
-    """Fit one model to one dataset and extract the three estimands."""
+    """Fit one model to one prepared dataset and extract the three estimands."""
     started = time.perf_counter()
     try:
         result = fit(spec, data)
@@ -162,14 +164,17 @@ def _fit_records(scenario_id: str, spec: ModelSpec, rep: int, data,
 
 
 def _replicate(task) -> list[list[ReplicationRecord]]:
-    """Run one (scenario, rep): simulate one dataset, then fit every model
-    to it. Returns one record list per model, in model order."""
+    """Run one (scenario, rep): simulate one dataset and prepare it once,
+    then fit every model to it. Returns one record list per model, in model
+    order."""
     scenario, specs, rep, master_seed, horizon = task
     try:
-        data = generate_dataset(scenario, derive_seed(master_seed, scenario.id, rep))
-    except (NumericError, DomainError):
-        # the simulation's own failures: an inversion that misses its
-        # residual or bracket, or an invalid uniform or frailty
+        data = prepare_dataset(
+            generate_dataset(scenario, derive_seed(master_seed, scenario.id, rep)))
+    except (NumericError, DomainError, FitSetupError):
+        # the simulation's own failures (an inversion that misses its
+        # residual or bracket, or an invalid uniform or frailty), and data
+        # that no model can be fitted to
         return [_records(scenario.id, spec.id, rep, {}, 0.0) for spec in specs]
     return [_fit_records(scenario.id, spec, rep, data, horizon) for spec in specs]
 
@@ -198,7 +203,8 @@ def run_cell(
     censor_time. A fit that does not converge, or fails with a
     FitSetupError or NumericError, gives converged=false records; any
     other error in the fit propagates. A simulation that fails numerically
-    (a NumericError or DomainError) does so for every model of its rep;
+    (a NumericError or DomainError), or a dataset that fails the checks of
+    prepare_dataset (a FitSetupError), does so for every model of its rep;
     any other error in the simulation propagates. An LLE that fails
     numerically (a NumericError) becomes a converged=false LLE record
     beside the fit's other estimands; any other error in the estimand

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import frailsim
@@ -277,6 +278,39 @@ def test_fit_exit_codes(tmp_path, demo_dataset, capsys, monkeypatch, bad_option)
     monkeypatch.setattr(cli, "read_dataset_csv", explode)
     assert main(["fit", demo_dataset]) == 4
     capsys.readouterr()
+
+
+def test_fit_all_models_share_one_spline_basis_per_df(demo_dataset, capsys, monkeypatch):
+    """fit --model all prepares the dataset once: the two frailty families
+    of each rp df share its basis, so one QR runs per df."""
+    qr = np.linalg.qr
+    columns = []
+
+    def counted(a):
+        columns.append(a.shape[1])
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    assert main(["fit", demo_dataset, "--model", "all"]) == 0
+    capsys.readouterr()
+    assert sorted(columns) == [3, 5, 9]
+
+
+def test_fit_a_dataset_without_treated_events_is_a_data_error(tmp_path, demo_dataset, capsys):
+    """The dataset's checks run once, before any model: an arm without
+    events exits 3 with the check's message and fits nothing."""
+    lines = Path(demo_dataset).read_text().splitlines()
+    head, rows = lines[0], [line.split(",") for line in lines[1:]]
+    treat, event = head.split(",").index("treat"), head.split(",").index("event")
+    for row in rows:
+        if row[treat] == "1":
+            row[event] = "0"
+    path = tmp_path / "no_treated_events.csv"
+    path.write_text("\n".join([head] + [",".join(row) for row in rows]) + "\n")
+    assert main(["fit", str(path), "--model", "all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot fit with zero events in the treated arm\n"
+    assert captured.out == ""
 
 
 def test_fit_prints_dash_when_lle_quadrature_fails(demo_dataset, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from frailsim import estimands
+from frailsim import estimands, fitting
 from frailsim.estimands import (
     Z95,
     EstimandName,
@@ -109,8 +109,8 @@ def _components(frailty):
 
 def _whole_batch_survival(model, t, x):
     """marginal_survival as one adaptive_gh_batch call per component on the
-    whole grid, with the remainder about the Laplace point and the peak
-    each as one expression."""
+    whole grid, with the remainder about the Laplace point and the log
+    peak each as one expression."""
     H = model.cumulative_hazard(t, x)
     var = model.frailty.variance
     S = np.zeros_like(H)
@@ -118,15 +118,16 @@ def _whole_batch_survival(model, t, x):
         mode, curv = lognormal_laplace(0.0, H, mean, var)
         with np.errstate(divide="ignore"):
             A = np.exp(mode + np.log(H))
-        slope = (mean - mode) / var
+        dev = mode - mean
+        slope = 0.0 - dev / var
         quad = 0.5 * curv - 0.5 / var
 
         def remainder(t, A=A, slope=slope, quad=quad):
-            return t * (t * quad + slope) - np.expm1(t) * A
+            return (quad * t + slope) * t - A * np.expm1(t)
 
         log_q = adaptive_gh_batch(remainder, gh_rule(model.gh_nodes), (mode, curv))[0]
-        peak = A + 0.5 * (mode - mean) ** 2 / var + 0.5 * np.log(2.0 * np.pi * var)
-        S += prob * np.exp(log_q - peak)
+        log_peak = mode * 0.0 - A - dev * dev / (2.0 * var) - 0.5 * np.log(2.0 * np.pi * var)
+        S += prob * np.exp(log_q + log_peak)
     return np.where(H == 0.0, 1.0, np.clip(S, 0.0, 1.0))
 
 
@@ -134,15 +135,16 @@ def _whole_batch_survival(model, t, x):
 @pytest.mark.parametrize("nodes", [15, estimands.TRUTH_GH_NODES])
 @pytest.mark.parametrize("frailty", ["lognormal", "mixturenormal"])
 def test_blocked_marginal_survival_equals_the_whole_batch_bit_for_bit(frailty, nodes):
-    """marginal_survival evaluates the quadrature in column blocks, into
-    work arrays it reuses from block to block; on a grid 3.3 blocks long,
+    """marginal_survival evaluates the quadrature of the likelihood's
+    log-Normal kernel in column blocks, into work arrays it reuses from
+    block to block; on a grid 3.3 blocks long,
     with zero times at and next to the block edges, every value equals that
     of the quadrature run once on the whole grid, and a second call in a
     row returns the same values, so the work arrays carry nothing from one
     call to the next."""
     model = MarginalModel.from_scenario(make_scenario("wei", frailty, 0.75, 20, 150),
                                         gh_nodes=nodes)
-    block = estimands._BLOCK_ELEMENTS // nodes
+    block = fitting._BLOCK_ELEMENTS // nodes
     n = 3 * block + block // 3
     t = np.random.default_rng(nodes).uniform(0.0, 10.0, n) ** 2
     t[[0, block - 1, block, 2 * block + 1, n - 1]] = 0.0

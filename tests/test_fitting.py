@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from frailsim.fitting import (
 )
 from frailsim.harness import derive_seed
 from frailsim.hazards import FrailtyFamily
-from frailsim.quadrature import gh_rule
+from frailsim.quadrature import gh_rule, lognormal_laplace
 from frailsim.splines import basis_derivative, basis_eval, place_knots
 from frailsim.simulate import (
     ClusteredDataset,
@@ -214,14 +215,16 @@ def _three_starts(spec, prep):
 def test_rp_prepare_matches_triangular_solves(df):
     """_prepare solves Bd T^-1 by column substitution and inverts the QR
     factor T for the to_raw block; scipy's triangular solves, imported here
-    only, give both to 1e-12 of their largest entry on the fit_all dataset."""
+    only, give both to 1e-12 of their largest entry on the fit_all dataset,
+    its rows sorted by (cluster, time, arm, event) as the fit sorts them."""
     from scipy.linalg import solve_triangular
 
     spec = model_from_id(f"rp{df}_gamma")
     data = _study_data((20, 150))
     prep = fitting._prepare(spec, data)
-    logt = np.log(data.time)
-    basis = place_knots(logt[np.asarray(data.event, dtype=bool)], df)
+    order = np.lexsort((data.event, data.treat, data.time, data.cluster))
+    logt = np.log(data.time[order])
+    basis = place_knots(logt[np.asarray(data.event[order], dtype=bool)], df)
     B, Bd = basis_eval(basis, logt), basis_derivative(basis, logt)
     center = B.mean(axis=0)
     transform = np.linalg.qr(B - center)[1] / np.sqrt(B.shape[0])
@@ -262,7 +265,8 @@ def _column_stack_loglik(prep, spec, vec):
     """The log-likelihood and score with the design [1, B, x] built per call,
     row by row, as fit's objective once did."""
     nb = spec.n_baseline_params
-    t, logt, x = prep.t, prep.logt, prep.x
+    rows = prep.rows
+    t, logt, x = rows.t, rows.logt, rows.x
     ones = np.ones_like(t)
     xb = x * vec[nb]
     if spec.baseline == "exp":
@@ -289,13 +293,12 @@ def _column_stack_loglik(prep, spec, vec):
         dlog_H = np.column_stack((ones, prep.B.T, x))
         dlog_h = dlog_H.copy()
         dlog_h[:, 1:nb] += prep.Bd.T / sp[:, None]
-    V = np.bincount(prep.cluster, weights=H, minlength=prep.n_clusters)
-    logs, g_V, g_u = fitting._cluster_terms(spec, prep.events_per_cluster, V,
-                                            np.exp(vec[-1]), prep.d_range)
-    score = np.append(dlog_h[prep.d].sum(axis=0) + (g_V[prep.cluster] * H) @ dlog_H, g_u.sum())
-    dV = np.array([np.bincount(prep.cluster, weights=column * H, minlength=prep.n_clusters)
+    V = np.bincount(rows.cluster, weights=H, minlength=rows.n_clusters)
+    logs, g_V, g_u = fitting._cluster_terms(spec, rows, V, np.exp(vec[-1]))
+    score = np.append(dlog_h[rows.d].sum(axis=0) + (g_V[rows.cluster] * H) @ dlog_H, g_u.sum())
+    dV = np.array([np.bincount(rows.cluster, weights=column * H, minlength=rows.n_clusters)
                    for column in dlog_H.T])
-    return log_h[prep.d].sum() + logs.sum(), score, dV
+    return log_h[rows.d].sum() + logs.sum(), score, dV
 
 
 @pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
@@ -316,7 +319,7 @@ def test_loglik_on_the_prepared_design_matches_a_column_stack_reference(model_id
     for reduceat_size in (0.0, np.inf):
         monkeypatch.setattr(fitting, "_REDUCEAT_SIZE", reduceat_size)
         prep = fitting._prepare(spec, _study_data(size))
-        assert (prep.starts is None) == (reduceat_size == np.inf)
+        assert (prep.rows.starts is None) == (reduceat_size == np.inf)
         for raw in _three_starts(spec, prep):
             vec = np.linalg.solve(prep.to_raw, raw)
             ll, score = fitting._loglik_core(prep, spec, vec)
@@ -381,6 +384,129 @@ def test_marginal_loglik_sorts_the_rows_by_cluster(model_id, baseline, size):
     loglik = (gamma_marginal_loglik if spec.frailty is FrailtyFamily.GAMMA
               else lognormal_marginal_loglik)
     assert loglik(spec, params, unsorted) == loglik(spec, params, data)
+
+
+@pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
+def test_fits_do_not_depend_on_the_row_order_within_clusters(size):
+    """The rows are sorted by (cluster, time, arm, event) before anything
+    is summed and before the rp basis is orthogonalized, so with the rows
+    permuted, each keeping its cluster code, every one of the 12 fits is
+    bit-identical: loglik, trans, SEs, flags and counts."""
+    data = _study_data(size)
+    rows = np.random.default_rng(11).permutation(data.n_subjects)
+    permuted = ClusteredDataset(cluster=data.cluster[rows], time=data.time[rows],
+                                event=data.event[rows], treat=data.treat[rows])
+    for model_id in all_model_ids():
+        _, spec, ref = _study_fit(model_id, size)
+        res = fit(spec, permuted)
+        assert (res.converged, res.message, res.n_evaluations, res.n_iterations) == \
+            (ref.converged, ref.message, ref.n_evaluations, ref.n_iterations)
+        assert res.loglik == ref.loglik
+        assert res.trans.tobytes() == ref.trans.tobytes()
+        assert res.se_natural.tobytes() == ref.se_natural.tobytes()
+
+
+def test_a_prepared_dataset_gives_the_fits_of_the_dataset_bit_for_bit():
+    """fit on the PreparedDataset that the models of a dataset share equals
+    fit on the ClusteredDataset itself, bit for bit, for all 12 models; the
+    two frailty families of an rp df share its basis."""
+    data = _study_data((20, 150))
+    shared = fitting.prepare_dataset(data)
+    for model_id in all_model_ids():
+        _, spec, ref = _study_fit(model_id, (20, 150))
+        res = fit(spec, shared)
+        assert (res.converged, res.message, res.n_evaluations, res.n_iterations,
+                res.n_obs) == (ref.converged, ref.message, ref.n_evaluations,
+                               ref.n_iterations, ref.n_obs)
+        assert res.loglik == ref.loglik
+        for got, want in ((res.trans, ref.trans), (res.se_natural, ref.se_natural),
+                          (res.cov_trans, ref.cov_trans), (res.to_raw, ref.to_raw)):
+            assert got.tobytes() == want.tobytes()
+    assert sorted(shared.splines) == [3, 5, 9]
+    gamma, lognormal = (fitting._prepare(model_from_id(f"rp5_{family}"), shared)
+                        for family in ("gamma", "lognormal"))
+    assert gamma.B is lognormal.B and gamma.to_raw is lognormal.to_raw
+
+
+def _kernel(D, V, var, rule, mean, order):
+    with np.errstate(divide="ignore"):
+        return np.array(fitting._lognormal_clusters(D, V, var, rule, mean, order))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("mean", [0.0, 1.3])
+def test_lognormal_kernel_in_blocks_equals_the_whole_batch_bit_for_bit(mean, order,
+                                                                       monkeypatch):
+    """_lognormal_clusters runs its quadrature in column blocks, in work
+    arrays that each thread keeps. On 3.3 blocks of clusters, with V = 0 at
+    and next to the block edges, every output at every order and log-mean
+    equals that of one block over the whole batch in fresh work arrays, and
+    a second call in a row returns the same values, so the kept arrays
+    carry nothing from one call to the next."""
+    rule = gh_rule(15)
+    block = fitting._BLOCK_ELEMENTS // rule.n
+    n = 3 * block + block // 3
+    rng = np.random.default_rng(order)
+    D = rng.integers(0, 6, n).astype(float)
+    V = rng.uniform(0.0, 3.0, n)
+    V[[0, block - 1, block, 2 * block + 1, n - 1]] = 0.0
+    got = _kernel(D, V, 0.75, rule, mean, order)
+    assert got.shape == ((1, 3, 6)[order], n) and np.isfinite(got).all()
+    assert np.array_equal(_kernel(D, V, 0.75, rule, mean, order), got)
+    monkeypatch.setattr(fitting, "_BLOCK_ELEMENTS", rule.n * n)
+    monkeypatch.setattr(fitting, "_work", threading.local())
+    assert np.array_equal(_kernel(D, V, 0.75, rule, mean, order), got)
+
+
+@pytest.mark.parametrize("mean", [-1.5, 0.7, 2.0])
+def test_lognormal_kernel_log_mean_is_a_shift_of_the_frailty(mean):
+    """At D = 0 the kernel at log-mean mu is log E[exp(-e^(mu + sigma Z) V)]:
+    at 63 nodes it, and the kernel at log-mean 0 and V e^mu, agree with the
+    tanh-sinh oracle to 1e-12 for V from 1e-6 to 50. At D > 0 the shift
+    adds mu D to the terms and scales each V derivative by e^mu: every
+    output at order 2 equals that at log-mean 0 and V e^mu to 1e-10
+    relative."""
+    var = 0.75
+    sd = math.sqrt(var)
+    rule = gh_rule(63)
+    V = np.logspace(-6.0, math.log10(50.0), 9)
+    shifted = np.exp(_kernel(0.0, V, var, rule, mean, 0)[0])
+    scaled = np.exp(_kernel(0.0, V * math.exp(mean), var, rule, 0.0, 0)[0])
+    for k in range(V.size):
+        def integrand(eta, k=k):
+            z = (eta - mean) / sd
+            return np.exp(-0.5 * z * z - np.exp(eta) * V[k]) / (sd * math.sqrt(2.0 * math.pi))
+
+        peak = float(lognormal_laplace(0.0, V[k], mean, var)[0])
+        want = (tanh_sinh(integrand, mean - 12.0 * sd, peak, tol=1e-14)
+                + tanh_sinh(integrand, peak, mean + 12.0 * sd, tol=1e-14))
+        assert abs(shifted[k] - want) <= 1e-12 and abs(scaled[k] - want) <= 1e-12
+    D = np.array([0.0, 1.0, 3.0, 0.0, 2.0, 5.0])
+    V = np.array([0.3, 1.0, 2.5, 0.0, 40.0, 0.01])
+    got = _kernel(D, V, var, gh_rule(15), mean, 2)
+    base = _kernel(D, V * math.exp(mean), var, gh_rule(15), 0.0, 2)
+    e = math.exp(mean)
+    for g, w in zip(got, (base[0] + mean * D, e * base[1], base[2], e * e * base[3],
+                          e * base[4], base[5])):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12 * np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("model_id", ["wei_lognormal", "rp5_lognormal"])
+def test_lle_gradient_matches_central_differences_of_the_lle(model_id):
+    """The LLE's gradient, from the kernel's first derivatives on the grid,
+    matches central differences of the LLE that the same pass gives, step
+    1e-5 (1 + |x|), to 1e-6 of its largest entry."""
+    _, _, res = _study_fit(model_id, (20, 150))
+    functional = lle_functional(res, 5.0)
+    _, grad = functional(res.trans)
+    cd = np.empty_like(res.trans)
+    for k in range(cd.size):
+        step = np.zeros_like(res.trans)
+        step[k] = 1e-5 * (1.0 + abs(res.trans[k]))
+        up, down = functional(res.trans + step)[0], functional(res.trans - step)[0]
+        cd[k] = (up - down) / (2.0 * step[k])
+    assert np.max(np.abs(grad - cd)) <= 1e-6 * np.max(np.abs(cd))
 
 
 @pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
@@ -543,7 +669,7 @@ def test_lognormal_cluster_curvature_matches_richardson_differences(var, V_scale
 
     def terms(V, var):
         with np.errstate(divide="ignore"):
-            return fitting._lognormal_clusters(D, V, var, rule, curvature=True)
+            return fitting._lognormal_clusters(D, V, var, rule, order=2)
 
     _, g_V, g_u, g_VV, g_Vu, g_uu = terms(V, var)
     live = V > 0
@@ -725,7 +851,7 @@ def test_the_default_start_is_a_frailty_variance_of_one_tenth():
     rate, no treatment effect and a frailty variance of 0.1, bit for bit."""
     prep, spec, res = _study_fit("wei_gamma", (20, 150))
     start = fitting._starting_point(spec, prep)
-    assert start[0] == np.log(prep.d.sum() / prep.t.sum())
+    assert start[0] == np.log(prep.rows.d.sum() / prep.rows.t.sum())
     assert start[-2:].tolist() == [0.0, np.log(0.1)]
     warm = fit(spec, _study_data((20, 150)), start=start)
     assert warm.trans.tobytes() == res.trans.tobytes()
@@ -1027,7 +1153,7 @@ def test_fitted_params_give_the_hazards_of_the_optimizer_rows(model_id):
     raw rp9 columns amplify the rounding of the raw coefficients to about
     9e-12."""
     prep, spec, res = _study_fit(model_id, (20, 150))
-    _, H = conditional_pieces(spec, res.params, prep.t, prep.x)
+    _, H = conditional_pieces(spec, res.params, prep.rows.t, prep.rows.x)
     want = fitting._log_h_and_H(prep, spec, res.trans)[1]
     np.testing.assert_allclose(H, want, rtol=1e-10)
 
@@ -1119,14 +1245,15 @@ def test_fit_rp_spline_baseline_and_pieces():
     assert np.all(np.diff(H) > 0)
 
 
-def test_fit_rejects_zero_events():
+@pytest.mark.parametrize("n", [6, 0])
+def test_fit_rejects_zero_events(n):
     data = ClusteredDataset(
-        cluster=np.arange(6, dtype=np.int64),
-        time=np.full(6, 5.0),
-        event=np.zeros(6, dtype=np.int8),
-        treat=np.zeros(6, dtype=np.int8),
+        cluster=np.arange(n, dtype=np.int64),
+        time=np.full(n, 5.0),
+        event=np.zeros(n, dtype=np.int8),
+        treat=np.zeros(n, dtype=np.int8),
     )
-    with pytest.raises(FitSetupError):
+    with pytest.raises(FitSetupError, match="zero events"):
         fit(model_from_id("exp_gamma"), data)
 
 

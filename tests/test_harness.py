@@ -1,6 +1,7 @@
 """Tests for the replication engine, filtering, and performance summaries."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -276,6 +277,50 @@ def test_run_cell_fit_failure_spoils_only_that_model(monkeypatch):
     assert [r.model_id for r in recs] == ["exp_gamma"] * 6 + ["wei_gamma"] * 6
     assert all(r.converged for r in recs[:6])
     assert all(not r.converged and math.isnan(r.estimate) for r in recs[6:])
+
+
+def test_run_cell_a_dataset_without_events_in_one_arm_spoils_every_model(monkeypatch):
+    """The checks run once per dataset, before any fit: a dataset whose
+    treated arm has no events gives converged=false records for every
+    model, and no model is fitted to it."""
+    original = harness.generate_dataset
+
+    def no_treated_events(scenario, seed):
+        data = original(scenario, seed)
+        return dataclasses.replace(data, event=np.where(data.treat == 1, 0, data.event))
+
+    def unreachable(spec, data):
+        raise AssertionError("fit called on a dataset that failed its checks")
+
+    monkeypatch.setattr(harness, "generate_dataset", no_treated_events)
+    monkeypatch.setattr(harness, "fit", unreachable)
+    specs = [model_from_id(m) for m in ("exp_gamma", "wei_lognormal", "rp3_gamma")]
+    recs = run_cell([make_scenario("exp", "gamma", 0.25, 30, 4)], specs, 2, 7, workers=1)
+    assert len(recs) == 3 * 2 * 3
+    assert all(not r.converged and math.isnan(r.estimate) for r in recs)
+
+
+def test_run_cell_a_collinear_spline_basis_spoils_only_its_df(monkeypatch):
+    """The rp collinearity check runs per df: a dataset on which only the
+    rp9 basis is collinear (its QR factor given a zero last pivot) gives
+    NaN records for rp9_gamma and rp9_lognormal alone."""
+    qr = np.linalg.qr
+
+    def collinear_at_nine(a):
+        q, r = qr(a)
+        if a.shape[1] == 9:
+            r = r.copy()
+            r[-1, -1] = 0.0
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", collinear_at_nine)
+    ids = ("exp_gamma", "rp3_gamma", "rp9_gamma", "rp9_lognormal", "rp5_lognormal")
+    recs = run_cell([make_scenario("wei", "gamma", 0.5, 20, 50)],
+                    [model_from_id(m) for m in ids], 1, 7, workers=1)
+    assert [r.model_id for r in recs] == [m for m in ids for _ in range(3)]
+    for r in recs:
+        assert r.converged is not r.model_id.startswith("rp9")
+        assert math.isnan(r.estimate) is r.model_id.startswith("rp9")
 
 
 def test_run_cell_fit_programming_error_propagates(monkeypatch):
