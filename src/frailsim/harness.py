@@ -78,7 +78,8 @@ class ReplicationRecord:
     converged: bool
     filtered: bool = False
     # seconds of this model's fit and estimands, without the dataset's
-    # simulation and preparation, which its models share
+    # simulation and preparation, which its models share; the first fit
+    # that needs the dataset's anchor, its exp_gamma fit, pays for it
     wall_time: float = 0.0
 
 

@@ -398,12 +398,7 @@ def test_fits_do_not_depend_on_the_row_order_within_clusters(size):
                                 event=data.event[rows], treat=data.treat[rows])
     for model_id in all_model_ids():
         _, spec, ref = _study_fit(model_id, size)
-        res = fit(spec, permuted)
-        assert (res.converged, res.message, res.n_evaluations, res.n_iterations) == \
-            (ref.converged, ref.message, ref.n_evaluations, ref.n_iterations)
-        assert res.loglik == ref.loglik
-        assert res.trans.tobytes() == ref.trans.tobytes()
-        assert res.se_natural.tobytes() == ref.se_natural.tobytes()
+        _assert_bit_identical(fit(spec, permuted), ref)
 
 
 def test_a_prepared_dataset_gives_the_fits_of_the_dataset_bit_for_bit():
@@ -426,6 +421,101 @@ def test_a_prepared_dataset_gives_the_fits_of_the_dataset_bit_for_bit():
     gamma, lognormal = (fitting._prepare(model_from_id(f"rp5_{family}"), shared)
                         for family in ("gamma", "lognormal"))
     assert gamma.B is lognormal.B and gamma.to_raw is lognormal.to_raw
+
+
+def _assert_bit_identical(res, ref):
+    assert (res.converged, res.message, res.n_evaluations, res.n_iterations) == \
+        (ref.converged, ref.message, ref.n_evaluations, ref.n_iterations)
+    assert res.loglik == ref.loglik
+    assert res.trans.tobytes() == ref.trans.tobytes()
+    assert res.se_natural.tobytes() == ref.se_natural.tobytes()
+
+
+@pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
+def test_fits_do_not_depend_on_the_other_models_or_their_order(size):
+    """Every model but exp_gamma starts from the dataset's anchor, which
+    depends on the dataset alone: the 12 fits on one PreparedDataset in
+    reversed order are bit-identical to those in all_model_ids() order,
+    and to each model fitted alone to a fresh dataset (_study_fit)."""
+    forward, backward = (fitting.prepare_dataset(_study_data(size)) for _ in range(2))
+    ids = all_model_ids()
+    in_order = {model_id: fit(model_from_id(model_id), forward) for model_id in ids}
+    reversed_order = {model_id: fit(model_from_id(model_id), backward)
+                      for model_id in reversed(ids)}
+    for model_id in ids:
+        alone = _study_fit(model_id, size)[2]
+        _assert_bit_identical(reversed_order[model_id], in_order[model_id])
+        _assert_bit_identical(in_order[model_id], alone)
+
+
+@pytest.mark.parametrize("model_id", ["wei_gamma", "gom_gamma", "rp3_gamma", "rp5_gamma",
+                                      "rp9_gamma"])
+def test_the_anchored_start_nests_the_anchor_exactly(model_id):
+    """wei (log shape 0), gom (gamma 0) and rp (slope 1 on log t, the other
+    spline terms 0) nest the exponential, so at the start mapped from the
+    anchor their loglik is the anchor's to 1e-12 relative; for rp this
+    checks the start's passage through to_raw. The anchor's frailty
+    variance, 2.8, is above the start's floor of 0.1 here. The log-Normal
+    sibling starts at the same point but for its log rate, lowered by half
+    the frailty variance so that the frailty's mean e^(var/2) is taken out."""
+    data = fitting.prepare_dataset(_study_data((20, 150)))
+    anchor = fitting._anchor(data)
+    assert anchor.converged and anchor.frailty_var_hat > 0.1
+    spec = model_from_id(model_id)
+    prep = fitting._prepare(spec, data)
+    start = fitting._anchored_start(spec, prep)
+    ll = fitting._loglik_core(prep, spec, np.linalg.solve(prep.to_raw, start))[0]
+    assert abs(ll - anchor.loglik) <= 1e-12 * abs(anchor.loglik)
+    sibling = dataclasses.replace(spec, frailty=FrailtyFamily.LOG_NORMAL)
+    shifted = fitting._anchored_start(sibling, fitting._prepare(sibling, data))
+    assert shifted[1:].tobytes() == start[1:].tobytes()
+    assert shifted[0] == start[0] - 0.5 * anchor.frailty_var_hat
+
+
+@pytest.mark.parametrize("truth", ["gamma", "lognormal"])
+def test_fits_from_an_anchor_on_the_variance_boundary_reach_the_cold_start_optimum(truth):
+    """On rep 0 of ww1_{truth}_t025_750x2 (seed 20240901) the anchor's
+    frailty variance is about 1e-11. The start's variance is floored at
+    0.1, so every model converges to the optimum of its fit from
+    _starting_point, within 1e-4 SE; without the floor, the 10 models
+    other than exp_gamma and exp_lognormal end non-converged at a lower
+    loglik."""
+    sc = make_scenario("ww1", truth, 0.25, 750, 2)
+    data = fitting.prepare_dataset(generate_dataset(sc, derive_seed(20240901, sc.id, 0)))
+    assert fitting._anchor(data).frailty_var_hat < 1e-9
+    for model_id in all_model_ids():
+        spec = model_from_id(model_id)
+        res = fit(spec, data)
+        cold = fit(spec, data, start=fitting._starting_point(spec, fitting._prepare(spec, data)))
+        assert res.converged and cold.converged
+        assert np.max(np.abs(res.trans - cold.trans) / cold.se_trans) <= 1e-4
+
+
+def test_a_dataset_whose_anchor_did_not_converge_starts_every_model_cold():
+    """exp_gamma at another max_iter runs from _starting_point without the
+    anchor; with an anchor that did not converge, every other model takes
+    _starting_point too, and fits as it does from that start, bit for bit."""
+    data = fitting.prepare_dataset(_study_data((20, 150)))
+    stopped = fit(model_from_id("exp_gamma"), data, max_iter=0)
+    assert data.anchor is None and not stopped.converged
+    data.anchor = stopped
+    for model_id in ("wei_gamma", "rp5_lognormal"):
+        spec = model_from_id(model_id)
+        cold = fitting._starting_point(spec, fitting._prepare(spec, data))
+        assert fitting._anchored_start(spec, fitting._prepare(spec, data)).tobytes() == \
+            cold.tobytes()
+        _assert_bit_identical(fit(spec, data), fit(spec, _study_data((20, 150)), start=cold))
+
+
+def test_exp_gamma_at_any_node_count_is_the_anchor(monkeypatch):
+    """The node count does not enter a Gamma fit, so exp_gamma at another
+    node count is the dataset's anchor under its own spec, with no run."""
+    data = _anchored_data((20, 150))
+    runs = _record_runs(monkeypatch)
+    spec = ModelSpec("exp", FrailtyFamily.GAMMA, gh_nodes=21)
+    res = fit(spec, data)
+    assert runs == [] and res.spec == res.params.spec == spec
+    _assert_bit_identical(res, data.anchor)
 
 
 def _kernel(D, V, var, rule, mean, order):
@@ -818,11 +908,20 @@ def _record_runs(monkeypatch):
     return runs
 
 
+def _anchored_data(size):
+    """A fresh PreparedDataset of _study_data(size) whose anchor is already
+    fitted, so that a fit on it makes only its own run."""
+    data = fitting.prepare_dataset(_study_data(size))
+    fitting._anchor(data)
+    return data
+
+
 def test_a_fit_is_one_newton_run(monkeypatch):
     """A fit that does not converge makes no further run: its message and
     counts are those of its one _newton run."""
+    data = _anchored_data((20, 150))
     runs = _record_runs(monkeypatch)
-    res = fit(model_from_id("wei_lognormal"), _study_data((20, 150)), max_iter=1)
+    res = fit(model_from_id("wei_lognormal"), data, max_iter=1)
     assert len(runs) == 1 and not runs[0].converged
     assert not res.converged
     assert res.message == runs[0].message == "max_iter (1) steps taken"
@@ -847,9 +946,10 @@ def test_a_warm_start_from_a_stopped_fit_reaches_the_optimum(model_id):
 
 
 def test_the_default_start_is_a_frailty_variance_of_one_tenth():
-    """fit without a start is fit from _starting_point: the crude event
-    rate, no treatment effect and a frailty variance of 0.1, bit for bit."""
-    prep, spec, res = _study_fit("wei_gamma", (20, 150))
+    """exp_gamma without a start, the dataset's anchor, is fit from
+    _starting_point: the crude event rate, no treatment effect and a
+    frailty variance of 0.1, bit for bit."""
+    prep, spec, res = _study_fit("exp_gamma", (20, 150))
     start = fitting._starting_point(spec, prep)
     assert start[0] == np.log(prep.rows.d.sum() / prep.rows.t.sum())
     assert start[-2:].tolist() == [0.0, np.log(0.1)]
@@ -892,7 +992,7 @@ def test_fit_checks_start_shape_first():
 
 def test_fit_message_names_each_start_stop_reason(monkeypatch):
     """The run's reason to stop is FitResult.message."""
-    data = _study_data((20, 150))
+    data = _anchored_data((20, 150))
     runs = _record_runs(monkeypatch)
     for model_id in ("rp5_gamma", "wei_lognormal"):
         runs.clear()
@@ -1068,6 +1168,7 @@ def test_newton_at_a_saddle_point_stops_on_the_gain_rule():
 def test_each_fit_evaluation_is_one_loglik_call_with_the_information(monkeypatch, model_id):
     """Every evaluation of a fit is one _loglik_core call that also returns
     the information, and the fit ends at the best point it evaluated."""
+    data = _anchored_data((20, 150))
     calls = []
     core = fitting._loglik_core
 
@@ -1077,7 +1178,7 @@ def test_each_fit_evaluation_is_one_loglik_call_with_the_information(monkeypatch
         return out
 
     monkeypatch.setattr(fitting, "_loglik_core", recording)
-    res = fit(model_from_id(model_id), _study_data((20, 150)))
+    res = fit(model_from_id(model_id), data)
     assert res.converged and len(calls) == res.n_evaluations
     assert all(information for information, _, _ in calls)
     _, vec, ll = max(calls, key=lambda c: c[2])
