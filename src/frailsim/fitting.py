@@ -861,16 +861,17 @@ class FitResult:
     spline coefficients for rp baselines), which ``to_raw`` maps linearly to
     the raw transformed scale of ``trans_raw``; ``params`` and
     ``se_natural`` are on the reporting scales, named by
-    ``spec.natural_names()``. ``cov_trans`` is None, and the SEs are NaN,
-    when the Hessian at the fit is not positive definite. ``converged`` is
-    true exactly when the fit's one Newton run ended on the decrement rule,
-    which implies a ``cov_trans``. ``n_evaluations`` counts that run's
-    evaluations, each one ``_loglik_core`` pass that gives the
-    log-likelihood, its score and the observed information together, the
-    start and every trial step included; the Hessian of the fit is the
-    information of its last iterate, so it costs no further pass. The
-    dataset's anchor, when the fit is the first to need it, is not counted:
-    its run is exp_gamma's, whose fit reports it.
+    ``spec.natural_names()``. ``cov_trans`` is M'M, M the inverse Cholesky
+    factor of the Hessian at the fit, made when the run reached it; it is
+    None, and the SEs are NaN, when that Hessian has none.
+    ``converged`` is true exactly when the fit's one Newton run ended on
+    the decrement rule, which implies a ``cov_trans``. ``n_evaluations``
+    counts that run's evaluations, each one ``_loglik_core`` pass that
+    gives the log-likelihood, its score and the observed information
+    together, the start and every trial step included; the Hessian of the
+    fit is the information of its last iterate, so it costs no further
+    pass. The dataset's anchor, when the fit is the first to need it, is
+    not counted: its run is exp_gamma's, whose fit reports it.
     ``n_iterations`` counts the Newton steps taken, that is the trials that
     were not rejected. ``grad_inf_norm`` is the largest absolute score
     entry at the last iterate, a diagnostic that decides nothing.
@@ -933,64 +934,66 @@ class FitResult:
 @dataclass
 class _Run:
     """Where one Newton run ended: the point, the objective, its gradient
-    and its Hessian there (f = inf at an infeasible point), the objective
-    calls and accepted steps it took, why it stopped, and whether that was
-    the decrement rule, the one test of convergence."""
+    and its Hessian there (f = inf at an infeasible point), that Hessian's
+    inverse Cholesky factor (``_inverse_factor``; None when it has none),
+    the objective calls and accepted steps it took, why it stopped, and
+    whether that was the decrement rule, the one test of convergence."""
 
     x: np.ndarray
     fun: float
     jac: np.ndarray
     hess: np.ndarray
+    inv_factor: np.ndarray | None
     nfev: int
     nit: int
     message: str
     converged: bool
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray | None:
-    """The lower Cholesky factor of a, or None when a is not positive definite."""
+def _inverse_factor(a: np.ndarray) -> np.ndarray | None:
+    """M = L^-1 for the lower Cholesky factor L of a, so that a^-1 = M'M;
+    None when a counts as not positive definite: the factor or its inverse
+    fails, or the inverse is not finite."""
     try:
-        return np.linalg.cholesky(a)
+        inverse = np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         return None
+    return inverse if np.isfinite(inverse).all() else None
 
 
-def _newton_step(g: np.ndarray, hess: np.ndarray) -> np.ndarray | None:
-    """-H^-1 g, or None when H is not positive definite."""
-    return np.linalg.solve(hess, -g) if _cholesky(hess) is not None else None
-
-
-def _meets_decrement(g: np.ndarray, hess: np.ndarray, f: float) -> bool:
-    """Whether a point's Newton decrement g'H^-1 g, with H positive
-    definite, is at most _DECREMENT (1 + |f|)."""
-    step = _newton_step(g, hess)
-    return step is not None and -(g @ step) <= _DECREMENT * (1.0 + abs(f))
+def _decrement(inv_factor: np.ndarray | None, g: np.ndarray) -> float:
+    """g'H^-1 g = |M g|^2 from H's inverse factor M; inf when H has none."""
+    return np.inf if inv_factor is None else float((inv_factor @ g) @ (inv_factor @ g))
 
 
 def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
     """Minimize fun(x) -> (f, g, H) by Newton steps in Levenberg-Marquardt
     form from x0, with H the Hessian.
 
-    Each trial step p solves (H + lam I) p = -g, with lam such that H + lam
-    I has a Cholesky factor, and is taken when rho, the actual fall f(x) -
-    f(x + p) over the predicted one -(g'p + p'Hp/2), exceeds _MIN_RATIO.
-    lam starts at 0 and follows the
-    ratio (Nielsen's rule; Madsen, Nielsen & Tingleff, Methods for
-    Non-Linear Least Squares Problems, 2004): a taken step scales it by
-    max(1/3, 1 - (2 rho - 1)^3), and a rejected one by 2, 4, 8, ... in
-    turn, from at least _LAM_FLOOR times H's largest diagonal entry, which
-    is also where lam doubles from while H + lam I is not positive definite.
-    A point where f, g or H is not finite is infeasible (f = inf), so its
-    trial is rejected. The run converges when an iterate's Newton decrement
-    g'H^-1 g, at lam = 0 and with H positive definite, is at most tol =
-    _DECREMENT (1 + |f|). A trial that meets that rule itself and lies at
-    most tol above f is taken, and the run converges there, whatever rho:
-    near the optimum the predicted fall can be of the order of f's
-    rounding, about 1e-12 where the terms of a log-likelihood near 0 are in
-    the thousands, so rho reads only that rounding. It ends without
-    converging when a step predicts,
-    before its trial, a fall of at most tol/2 (the Newton step at lam = 0
-    predicts half the decrement, so only a shifted step can); after
+    Each trial step is p = -(H + lam I)^-1 g = -M'M g, with M the inverse
+    Cholesky factor of H + lam I, and is taken when rho, the actual fall
+    f(x) - f(x + p) over the predicted one -(g'p + p'Hp/2), exceeds
+    _MIN_RATIO. lam starts at 0 and follows the ratio (Nielsen's rule;
+    Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
+    Problems, 2004): a taken step scales it by max(1/3, 1 - (2 rho - 1)^3),
+    and a rejected one by 2, 4, 8, ... in turn, from at least _LAM_FLOOR
+    times H's largest diagonal entry, which is also where lam doubles from
+    while H + lam I has no factor (Nocedal & Wright, Numerical
+    Optimization, 2006, Alg. 3.3). A matrix without one counts as not
+    positive definite, so no LinAlgError leaves the run. Each iterate's H
+    is factored once, when it is reached, for its decrement, its Newton
+    step and the run's inv_factor. A point where f, g or H is not finite
+    is infeasible (f = inf), so its trial is rejected. The run converges
+    when an iterate's Newton decrement g'H^-1 g, at lam = 0 and with H
+    positive definite, is at most tol = _DECREMENT (1 + |f|). A trial that
+    meets that rule itself and lies at most tol above f is taken, and the
+    run converges there, whatever rho: near the optimum the predicted fall
+    can be of the order of f's rounding, about 1e-12 where the terms of a
+    log-likelihood near 0 are in the thousands, so rho reads only that
+    rounding. It ends without converging when a step predicts, before its
+    trial, a fall of at most tol/2 (the Newton step at lam = 0 predicts
+    half the decrement, so only a shifted step can; with no finite lam
+    that gives H + lam I a factor, no step predicts no fall); after
     max_iter steps; or at once from an infeasible start.
     """
     nfev = nit = 0
@@ -1006,50 +1009,44 @@ def _newton(fun, x0: np.ndarray, *, max_iter: int) -> _Run:
     x = np.array(x0, dtype=float)
     f, g, hess = evaluate(x)
     if not np.isfinite(f):
-        return _Run(x=x, fun=f, jac=g, hess=hess, nfev=nfev, nit=nit,
+        return _Run(x=x, fun=f, jac=g, hess=hess, inv_factor=None, nfev=nfev, nit=nit,
                     message="start is infeasible", converged=False)
+    inv_factor = _inverse_factor(hess)
+    converged = _decrement(inv_factor, g) <= _DECREMENT * (1.0 + abs(f))
+    message = _DECREMENT_STOP
     eye = np.eye(x.size)
-    lam, nu, new_iterate = 0.0, 2.0, True
-    while True:
+    lam, nu = 0.0, 2.0
+    while not converged:
+        if nit >= max_iter:
+            message = f"max_iter ({max_iter}) steps taken"
+            break
         tol = _DECREMENT * (1.0 + abs(f))
-        if new_iterate:
-            newton = _newton_step(g, hess)
-            if newton is not None and -(g @ newton) <= tol:
-                message = _DECREMENT_STOP
-                break
-            if nit >= max_iter:
-                message = f"max_iter ({max_iter}) steps taken"
-                break
-            floor = _LAM_FLOOR * (np.max(np.abs(np.diag(hess))) or 1.0)
-        if lam == 0.0 and newton is not None:
-            p = newton
-        else:
-            shifted = hess + lam * eye
-            while lam < np.inf and _cholesky(shifted) is None:
-                lam = max(2.0 * lam, floor)
-                shifted = hess + lam * eye
-            p = np.linalg.solve(shifted, -g)
-        predicted = -(g @ p + 0.5 * (p @ hess @ p))
+        floor = _LAM_FLOOR * (float(np.max(np.abs(np.diag(hess)))) or 1.0)
+        shifted = inv_factor if lam == 0.0 else _inverse_factor(hess + lam * eye)
+        while shifted is None and 2.0 * lam < np.inf:
+            lam = max(2.0 * lam, floor)
+            shifted = _inverse_factor(hess + lam * eye)
+        # no finite shift with a factor: no step, which predicts no gain
+        p = np.zeros_like(x) if shifted is None else -(shifted.T @ (shifted @ g))
+        predicted = float(-(g @ p + 0.5 * (p @ hess @ p)))
         if not predicted > 0.5 * tol:
             message = _GAIN_STOP
             break
         f_new, g_new, hess_new = evaluate(x + p)
-        rho = (f - f_new) / predicted
-        if rho > _MIN_RATIO:
-            x, f, g, hess = x + p, f_new, g_new, hess_new
+        rho = float((f - f_new) / predicted)
+        if rho > _MIN_RATIO or f_new <= f + tol:
+            inv_new = _inverse_factor(hess_new)
+            converged = _decrement(inv_new, g_new) <= _DECREMENT * (1.0 + abs(f_new))
+        if rho > _MIN_RATIO or converged:
+            x, f, g, hess, inv_factor = x + p, f_new, g_new, hess_new, inv_new
             nit += 1
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu, new_iterate = 2.0, True
-        elif f_new <= f + tol and _meets_decrement(g_new, hess_new, f_new):
-            x, f, g, hess = x + p, f_new, g_new, hess_new
-            nit += 1
-            message = _DECREMENT_STOP
-            break
+            nu = 2.0
         else:
             lam = max(lam * nu, floor)
-            nu, new_iterate = 2.0 * nu, False
-    return _Run(x=x, fun=f, jac=g, hess=hess, nfev=nfev, nit=nit, message=message,
-                converged=message == _DECREMENT_STOP)
+            nu *= 2.0
+    return _Run(x=x, fun=f, jac=g, hess=hess, inv_factor=inv_factor, nfev=nfev, nit=nit,
+                message=message, converged=converged)
 
 
 def _starting_point(spec: ModelSpec, prep: _Prepared) -> np.ndarray:
@@ -1129,7 +1126,9 @@ def fit(
     and whose Newton decrement g'H^-1 g is at most 1e-12 (1 + |loglik|);
     max_iter steps, an infeasible start or a shifted step that predicts a
     gain of at most half that end it first without converging. The
-    information of that last iterate is the fit's Hessian.
+    information of that last iterate is the fit's Hessian. One Cholesky
+    factor of each iterate's information gives its decrement, its step
+    and, at the last, ``cov_trans``; no LinAlgError leaves a fit.
 
     Without a ``start``, every model but exp_gamma starts from the
     dataset's anchor, its exp_gamma fit from ``_starting_point``
@@ -1164,11 +1163,8 @@ def _run_fit(spec: ModelSpec, prep: _Prepared, start: np.ndarray, max_iter: int)
     params = unpack_params(spec, prep.to_raw @ run.x, basis=prep.basis)
     cov_trans, cond = None, np.nan
     se_trans, se_natural = np.full((2, spec.n_params), np.nan)
-    chol = _cholesky(run.hess) if np.isfinite(run.hess).all() else None
-    if chol is not None:
-        inv_chol = np.linalg.inv(chol)
-        cov_trans = inv_chol.T @ inv_chol
-        cov_trans, cond = 0.5 * (cov_trans + cov_trans.T), float(np.linalg.cond(run.hess))
+    if run.inv_factor is not None:
+        cov_trans, cond = run.inv_factor.T @ run.inv_factor, float(np.linalg.cond(run.hess))
         # d natural / d trans: the log entries' chain factor times to_raw
         jac = np.where(spec.log_scale, params.natural_vector(), 1.0)[:, None] * prep.to_raw
         se_trans = np.sqrt(np.diag(cov_trans))

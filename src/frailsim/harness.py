@@ -168,7 +168,7 @@ def _replicate(task) -> list[list[ReplicationRecord]]:
     """Run one (scenario, rep): simulate one dataset and prepare it once,
     then fit every model to it. Returns one record list per model, in model
     order."""
-    scenario, specs, rep, master_seed, horizon = task
+    scenario, specs, rep, master_seed = task
     try:
         data = prepare_dataset(
             generate_dataset(scenario, derive_seed(master_seed, scenario.id, rep)))
@@ -177,7 +177,7 @@ def _replicate(task) -> list[list[ReplicationRecord]]:
         # residual or bracket, or an invalid uniform or frailty), and data
         # that no model can be fitted to
         return [_records(scenario.id, spec.id, rep, {}, 0.0) for spec in specs]
-    return [_fit_records(scenario.id, spec, rep, data, horizon) for spec in specs]
+    return [_fit_records(scenario.id, spec, rep, data, scenario.censor_time) for spec in specs]
 
 
 def _warm_truths(scenarios: Sequence[Scenario]) -> None:
@@ -200,16 +200,16 @@ def run_cell(
     specs to it; with workers > 1 the tasks share one process pool.
     Deterministic given master_seed for any worker count: each replication
     derives its own seed, and the records come back ordered by scenario,
-    then model, then rep. A horizon of None means each scenario's own
-    censor_time. A fit that does not converge, or fails with a
-    FitSetupError or NumericError, gives converged=false records; any
-    other error in the fit propagates. A simulation that fails numerically
-    (a NumericError or DomainError), or a dataset that fails the checks of
-    prepare_dataset (a FitSetupError), does so for every model of its rep;
-    any other error in the simulation propagates. An LLE that fails
-    numerically (a NumericError) becomes a converged=false LLE record
-    beside the fit's other estimands; any other error in the estimand
-    code propagates.
+    then model, then rep. Each LLE is over its scenario's censor_time, as
+    its truth is, so horizon must be None. A fit that does not converge,
+    or fails with a FitSetupError or NumericError, gives converged=false
+    records; any other error in the fit propagates. A simulation that
+    fails numerically (a NumericError or DomainError), or a dataset that
+    fails the checks of prepare_dataset (a FitSetupError), does so for
+    every model of its rep; any other error in the simulation propagates.
+    An LLE that fails numerically (a NumericError) becomes a
+    converged=false LLE record beside the fit's other estimands; any other
+    error in the estimand code propagates.
 
     The scenarios' true estimands, which summarize needs, are computed
     into true_estimands' cache in the main process: while the pool runs
@@ -218,8 +218,9 @@ def run_cell(
     """
     if not n_sim >= 1:
         raise ValueError(f"n_sim must be at least 1, got {n_sim}")
-    tasks = [(scenario, specs, rep, master_seed,
-              scenario.censor_time if horizon is None else horizon)
+    if horizon is not None:
+        raise ValueError(f"horizon must be None (each scenario's censor_time), got {horizon}")
+    tasks = [(scenario, specs, rep, master_seed)
              for scenario in scenarios for rep in range(n_sim)]
     if workers > 1:
         with Pool(processes=workers) as pool:

@@ -383,6 +383,26 @@ def test_run_cell_rejects_empty_run():
         run_cell([sc], [model_from_id("exp_gamma")], 0, 7)
 
 
+@pytest.mark.parametrize("horizon", [1.0, 5.0])
+def test_run_cell_rejects_a_horizon(horizon):
+    """summarize scores every LLE against the truth over the scenario's
+    censor_time (5 here), so run_cell takes no other horizon, and None is
+    the only way to ask for that one."""
+    sc = make_scenario("exp", "gamma", 0.25, 5, 2)
+    with pytest.raises(ValueError, match="horizon must be None"):
+        run_cell([sc], [model_from_id("exp_gamma")], 1, 7, horizon=horizon)
+
+
+def test_run_cell_fits_a_replication_whose_information_lu_finds_singular():
+    """Rep 8 of ww2_mixturenormal_t50_20x150 (seed 20240901), whose
+    exp_gamma fit reaches an information that has a Cholesky factor but
+    that an LU solve calls singular, gives its records like every rep."""
+    sc = make_scenario("ww2", "mixturenormal", 50, 20, 150)
+    records = run_cell([sc], [model_from_id("exp_gamma")], 9, 20240901)
+    assert [(r.rep, r.estimand) for r in records] == [
+        (rep, estimand) for rep in range(9) for estimand in harness.ESTIMAND_ORDER]
+
+
 def _summary_fixture():
     """Records for one real scenario: an exp_gamma cell and an
     exp_lognormal cell, 4 reps each, all converged."""
