@@ -6,12 +6,16 @@ integrating that over time gives restricted life expectancy. The loss in
 life expectancy (LLE) is LE(treated) minus LE(untreated): the years the
 untreated arm loses over the horizon, positive when beta < 0.
 
-The time integral is that of the natural cubic spline through marginal
-survival on a fixed grid, which is a linear functional of the grid values:
-one weight vector per grid size. For a fitted model, lle_functional
-evaluates the LLE and its gradient on the optimizer scale in one pass over
-that grid with the likelihood's own cluster kernels, and delta_method_se
-turns such a gradient into a standard error.
+The time integral is one composite Gauss-Legendre rule on t = horizon u^3
+(_time_rule): DEFAULT_GRID nodes on each of six panels of u, graded toward
+t = 0, where survival starts as a power of t, plus one panel per break time
+inside the horizon, the knots of an rp fit, where the third derivative of
+its log cumulative hazard jumps. On smooth panels the rule converges
+geometrically in its node count (Davis & Rabinowitz, Methods of Numerical
+Integration, 2nd ed. 1984, sections 2.7 and 4.8). For a fitted model,
+lle_functional evaluates the LLE and its gradient on the optimizer scale in
+one pass over those nodes with the likelihood's own cluster kernels, and
+delta_method_se turns such a gradient into a standard error.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from .quadrature import gh_rule
 # unused here, but bench/tracing.py patches this name on this module
 from .quadrature import adaptive_gh_batch  # noqa: F401
 from .simulate import Scenario
-from .splines import natural_spline_weights
+from .splines import SplineBasis
 
 __all__ = [
     "Z95",
@@ -52,9 +56,13 @@ __all__ = [
 
 Z95 = 1.959964
 
-DEFAULT_GRID = 1000
-TRUTH_GRID = 4000
+DEFAULT_GRID = 16
 TRUTH_GH_NODES = 63
+
+# the DEFAULT_GRID-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_TEMPLATE = np.polynomial.legendre.leggauss(DEFAULT_GRID)
+# the panel edges on u, where t = horizon u^3
+_PANEL_EDGES = np.array([0.0, 0.04, 0.2, 0.4, 0.6, 0.8, 1.0])
 
 
 class EstimandName(str, Enum):
@@ -136,6 +144,35 @@ class MarginalModel:
         )
 
 
+def _knot_times(basis: SplineBasis | None) -> np.ndarray:
+    """The times e^k of an rp basis's knots, interior and boundary; none
+    for a parametric baseline."""
+    if basis is None:
+        return np.empty(0)
+    return np.exp(np.concatenate((basis.interior_knots, basis.boundary_knots)))
+
+
+def _time_rule(horizon: float, breaks, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w with w @ f(t) the integral of f over [0, horizon].
+
+    On t = horizon u^3 the integral is that of 3 horizon u^2 f(horizon u^3)
+    over u in [0, 1]. Its panels have edges at _PANEL_EDGES and at the cube
+    root of every break time b / horizon with 0 < b < horizon, and each
+    panel carries n_grid Gauss-Legendre nodes. No node lies on a panel edge,
+    so t = 0 is never a node.
+    """
+    if not horizon > 0:
+        raise DomainError(f"horizon must be positive, got {horizon}")
+    breaks = np.asarray(breaks, dtype=float)
+    inside = breaks[(breaks > 0.0) & (breaks < horizon)]
+    edges = np.union1d(_PANEL_EDGES, np.cbrt(inside / horizon))
+    nodes, weights = (_GL_TEMPLATE if n_grid == DEFAULT_GRID
+                      else np.polynomial.legendre.leggauss(n_grid))
+    half = 0.5 * np.diff(edges)[:, None]
+    u = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    return (horizon * u ** 3).ravel(), (3.0 * horizon * u * u * (half * weights)).ravel()
+
+
 def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
     """Frailty-averaged survival probability at time(s) t for arm x.
 
@@ -143,6 +180,9 @@ def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
     component of the log frailty and a mixture several; each component's
     term is that of a censored cluster with the component's log-mean in the
     likelihood's own log-Normal kernel, and survival is their weighted sum.
+    The kernel is also taken at V = 0, where survival must be 1: a law for
+    which it is not finite there (a variance far too large) raises
+    QuadratureError, at any t.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -157,29 +197,21 @@ def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
         components = ([(1.0, 0.0)] if frailty.family is FrailtyFamily.LOG_NORMAL
                       else zip(frailty.mixture_probs, frailty.mixture_means))
         rule = gh_rule(model.gh_nodes)
-        S = np.zeros_like(H)
+        V = np.append(H, 0.0)
+        S = np.zeros_like(V)
         # an infinite H or a huge variance gives non-finite terms, and a
         # QuadratureError below
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for prob, mean in components:
-                log_S = _lognormal_clusters(0.0, H, frailty.variance, rule, mean, order=0)[0]
+                log_S = _lognormal_clusters(0.0, V, frailty.variance, rule, mean, order=0)[0]
                 S += prob * np.exp(log_S)
         if not np.isfinite(S).all():
             raise QuadratureError("log-Normal marginal survival is not finite "
-                                  f"at cumulative hazard {H[~np.isfinite(S)][:3]!r}")
+                                  f"at cumulative hazard {V[~np.isfinite(S)][:3]!r}")
+        S = S[:-1]
     S = np.clip(S, 0.0, 1.0)
     S = np.where(H == 0.0, 1.0, S)
     return float(S[0]) if scalar else S
-
-
-@functools.lru_cache(maxsize=None)
-def _spline_weights(n_grid: int) -> np.ndarray:
-    """Weights w such that the integral over [0, 1] of the natural cubic
-    spline through (u_i^2, S_i), u uniform on [0, 1] with n_grid points,
-    is w @ S. On the grid horizon * u^2 the weights are horizon * w."""
-    w = natural_spline_weights(np.linspace(0.0, 1.0, n_grid) ** 2)
-    w.setflags(write=False)
-    return w
 
 
 def life_expectancy(
@@ -188,24 +220,15 @@ def life_expectancy(
     horizon: float,
     n_grid: int = DEFAULT_GRID,
 ) -> float:
-    """Restricted mean survival over [0, horizon] for arm x.
-
-    Marginal survival is evaluated on an n_grid-point grid including both
-    endpoints, interpolated with a natural spline, and the spline is
-    integrated exactly (as horizon times a fixed weight vector applied to
-    the grid values). The grid is quadratically graded toward zero
-    (t_i proportional to i^2) because high-variance frailty mixtures put
-    non-trivial mass on near-immediate events; a uniform grid cannot
-    resolve that initial drop at any practical size.
-    """
-    if not horizon > 0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
-    w = _spline_weights(n_grid)
-    S = marginal_survival(model, horizon * np.linspace(0.0, 1.0, n_grid) ** 2, x)
+    """Restricted mean survival over [0, horizon] for arm x: marginal
+    survival integrated by _time_rule, with n_grid nodes per panel and no
+    breaks."""
+    t, w = _time_rule(horizon, (), n_grid)
+    S = marginal_survival(model, t, x)
     if not np.isfinite(S).all():
-        raise QuadratureError(f"marginal survival is not finite on the grid: "
+        raise QuadratureError(f"marginal survival is not finite on the rule's nodes: "
                               f"{S[~np.isfinite(S)][:3]!r}")
-    return horizon * float(w @ S)
+    return float(w @ S)
 
 
 def lle(
@@ -240,23 +263,21 @@ def lle_functional(
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """vec -> (LLE, its gradient) for the fitted model at optimizer-scale vec.
 
-    Every positive grid time in each arm is a censored cluster of the
-    likelihood: no events and cumulative hazard V = H(t, x). The cluster
-    kernels give log S and its derivatives g_V in V and g_u in log variance,
-    and _log_h_and_H gives d log H / d vec, so with a = signed weight * S,
+    Every node of _time_rule, split at the fit's knot times with n_grid
+    nodes per panel, is in each arm a censored cluster of the likelihood:
+    no events and cumulative hazard V = H(t, x). The cluster kernels give
+    log S and its derivatives g_V in V and g_u in log variance, and
+    _log_h_and_H gives d log H / d vec, so with a = signed weight * S,
     dLLE/dvec is (a g_V H) @ d log H for the baseline and beta, and a @ g_u
-    for the log variance. The point t = 0 has S = 1 in both arms and drops
-    out. Where H overflows, S and its derivatives take their limit 0.
+    for the log variance. Where H overflows, S and its derivatives take
+    their limit 0.
     """
     spec = result.spec
 
     @functools.cache
     def grid():
         # built on first evaluation, so that its cost counts with it
-        if not horizon > 0:
-            raise DomainError(f"horizon must be positive, got {horizon}")
-        w = horizon * _spline_weights(n_grid)[1:]
-        t = horizon * np.linspace(0.0, 1.0, n_grid)[1:] ** 2
+        t, w = _time_rule(horizon, _knot_times(result.params.basis), n_grid)
         arm = np.repeat([0.0, 1.0], t.size)
         return _grid_prepared(result, np.concatenate((t, t)), arm), np.concatenate((-w, w))
 
@@ -288,9 +309,9 @@ def true_estimands(scenario: Scenario) -> tuple[float, float]:
     """(true log hazard ratio, true LLE over the scenario's censoring time)
     for a data-generating scenario.
 
-    The LLE side reuses the marginal-survival machinery at tightened
-    settings: 4000 outer grid points and 63 GH nodes.
+    The LLE side is that of a fitted model's marginal survival at 63 GH
+    nodes, integrated by the same time rule.
     """
     model = MarginalModel.from_scenario(scenario, gh_nodes=TRUTH_GH_NODES)
-    true_lle = lle(model, scenario.censor_time, n_grid=TRUTH_GRID)
+    true_lle = lle(model, scenario.censor_time)
     return scenario.beta, true_lle

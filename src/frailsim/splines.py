@@ -3,9 +3,10 @@
 Two unrelated spline jobs share this module. The restricted (natural) cubic
 basis parameterizes a flexible log cumulative hazard. The natural cubic
 spline through values on a grid integrates exactly to a weighted sum of the
-values, with weights from one tridiagonal solve on the grid's abscissae:
-life expectancy caches them for its fixed grid (estimands), and
-interp_integrate applies them to one set of values.
+values, with weights from one tridiagonal solve on the grid's abscissae
+(natural_spline_weights); interp_integrate applies them to one set of
+values. Life expectancy no longer uses them (estimands integrates by a
+Gauss-Legendre rule), so only the benchmark's probe calls interp_integrate.
 """
 from __future__ import annotations
 

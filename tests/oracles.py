@@ -7,7 +7,10 @@ of generate_dataset is checked; conditional_pieces evaluates a model's
 hazard and cumulative hazard from its natural parameters with the hazards
 classes and the raw spline basis, and marginal_model averages that
 cumulative hazard over the frailty, against which the likelihood's own
-log-scale rows and lle_functional are checked.
+log-scale rows and lle_functional are checked. rule_lle integrates that
+model's LLE on the nodes of lle_functional's time rule, split at the knot
+times of an rp basis (knot_times), and tanh_sinh_lle integrates it by
+tanh_sinh, piece by piece between given break times.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from frailsim.estimands import MarginalModel
+from frailsim.estimands import DEFAULT_GRID, MarginalModel, _time_rule, marginal_survival
 from frailsim.exceptions import DomainError, QuadratureError
 from frailsim.fitting import ModelParams, ModelSpec
 from frailsim.hazards import Exponential, FrailtySpec, Gompertz, Weibull
@@ -80,6 +83,24 @@ def marginal_model(params: ModelParams) -> MarginalModel:
         cumulative_hazard=cumhaz,
         gh_nodes=params.spec.gh_nodes,
     )
+
+
+def knot_times(basis) -> tuple[float, ...]:
+    """The times e^k of every knot of an rp basis, interior and boundary;
+    none without a basis."""
+    if basis is None:
+        return ()
+    knots = list(basis.interior_knots) + list(basis.boundary_knots)
+    return tuple(float(np.exp(k)) for k in knots)
+
+
+def rule_lle(params: ModelParams, horizon: float) -> float:
+    """The LLE of marginal_model(params) over [0, horizon] on the nodes and
+    weights of estimands._time_rule split at knot_times(params.basis), with
+    DEFAULT_GRID nodes per panel: the nodes lle_functional integrates on."""
+    model = marginal_model(params)
+    t, w = _time_rule(horizon, knot_times(params.basis), DEFAULT_GRID)
+    return float(w @ (marginal_survival(model, t, 1.0) - marginal_survival(model, t, 0.0)))
 
 
 _T_MAX = 4.0
@@ -157,3 +178,19 @@ def tanh_sinh(
     raise QuadratureError(
         f"tanh-sinh did not converge to tol={tol} within {_MAX_LEVEL} levels on [{a}, {b}]"
     )
+
+
+def tanh_sinh_lle(
+    model: MarginalModel,
+    horizon: float,
+    breaks: tuple[float, ...] = (),
+    tol: float = 1e-13,
+) -> float:
+    """The integral of S(t | x = 1) - S(t | x = 0) over [0, horizon] by
+    tanh_sinh, split at each of the break times inside the horizon, where
+    the integrand is not smooth."""
+    def integrand(t):
+        return marginal_survival(model, t, 1.0) - marginal_survival(model, t, 0.0)
+
+    edges = [0.0, *sorted(b for b in breaks if 0.0 < b < horizon), horizon]
+    return sum(tanh_sinh(integrand, a, b, tol=tol) for a, b in zip(edges[:-1], edges[1:]))

@@ -178,7 +178,8 @@ def test_criterion_03_simulated_data_matches_marginal_survival():
 
 def test_criterion_04_life_expectancy_oracles():
     """Life expectancy integration: exact closed form for the exponential
-    gamma case, exact zero at a null effect, grid-doubling stability."""
+    gamma case, exact zero at a null effect, stability when the nodes per
+    panel double."""
     t0 = time.monotonic()
     worst_closed = 0.0
     for theta in (0.25, 0.75):
@@ -198,10 +199,10 @@ def test_criterion_04_life_expectancy_oracles():
     worst_grid = 0.0
     for sc in scenario_grid():
         model = MarginalModel.from_scenario(sc)
-        d = abs(lle(model, 5.0, n_grid=2000) - lle(model, 5.0, n_grid=1000))
+        d = abs(lle(model, 5.0, n_grid=32) - lle(model, 5.0, n_grid=16))
         worst_grid = max(worst_grid, d)
     elapsed = time.monotonic() - t0
-    ok = worst_closed <= 1e-6 and lle_null == 0.0 and worst_grid <= 1e-6 \
+    ok = worst_closed <= 1e-6 and lle_null == 0.0 and worst_grid <= 1e-12 \
         and elapsed < 60.0
     _report(4, "life expectancy oracles", ok,
             f"closed-form err {worst_closed:.2e}, null LLE {lle_null!r}, "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from frailsim import fitting
-from frailsim.estimands import MarginalModel, lle, lle_functional
+from frailsim.estimands import MarginalModel, lle_functional
 from frailsim.exceptions import FitSetupError
 from frailsim.fitting import (
     ModelParams,
@@ -37,7 +37,14 @@ from frailsim.simulate import (
     write_dataset_csv,
 )
 
-from oracles import conditional_pieces, marginal_model, tanh_sinh
+from oracles import (
+    conditional_pieces,
+    knot_times,
+    marginal_model,
+    rule_lle,
+    tanh_sinh,
+    tanh_sinh_lle,
+)
 
 
 def test_model_id_catalog():
@@ -602,14 +609,15 @@ def test_lle_gradient_matches_central_differences_of_the_lle(model_id):
 @pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
 @pytest.mark.parametrize("model_id", all_model_ids())
 def test_lle_and_its_gradient_match_the_marginal_model_path(model_id, size):
-    """One pass over the grid with the likelihood's cluster kernels gives
-    the LLE of the oracle marginal_model, and its gradient matches central
-    differences of that independent path, step 1e-5 (1 + |x|)."""
+    """One pass over the time rule's nodes with the likelihood's cluster
+    kernels gives the LLE of the oracle marginal_model on the same nodes
+    (rule_lle, split at the oracle's knot times), and its gradient matches
+    central differences of that independent path, step 1e-5 (1 + |x|)."""
     _, _, res = _study_fit(model_id, size)
     horizon = 5.0
 
     def reference(vec):
-        return lle(marginal_model(res.params_from_trans(vec)), horizon)
+        return rule_lle(res.params_from_trans(vec), horizon)
 
     want = reference(res.trans)
     value, grad = lle_functional(res, horizon)(res.trans)
@@ -620,6 +628,20 @@ def test_lle_and_its_gradient_match_the_marginal_model_path(model_id, size):
         step[k] = 1e-5 * (1.0 + abs(res.trans[k]))
         cd[k] = (reference(res.trans + step) - reference(res.trans - step)) / (2.0 * step[k])
     assert np.max(np.abs(grad - cd)) <= 1e-6 * np.max(np.abs(cd))
+
+
+@pytest.mark.parametrize("size", [(20, 150), (750, 2)], ids=["20x150", "750x2"])
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_lle_matches_tanh_sinh_split_at_the_knots(model_id, size):
+    """The fitted LLE equals the oracle marginal_model's LLE by tanh-sinh,
+    split at the knot times of an rp fit, to 1e-10 (measured at most
+    2.3e-13), at horizons 0.5 (before the last interior knot of the rp9
+    fits), 2.5, 5 and 10 (past the upper boundary knot, 4.96)."""
+    _, _, res = _study_fit(model_id, size)
+    model = marginal_model(res.params)
+    for horizon in (0.5, 2.5, 5.0, 10.0):
+        value = lle_functional(res, horizon)(res.trans)[0]
+        assert abs(value - tanh_sinh_lle(model, horizon, knot_times(res.params.basis))) <= 1e-10
 
 
 @pytest.mark.parametrize("model_id", ["wei_lognormal", "rp5_lognormal"])
