@@ -3,9 +3,11 @@
 tanh_sinh integrates a function on a finite interval to high accuracy,
 for closed forms that have none; cluster_rng is one cluster's own random
 stream, as a generator per cluster, against which the re-keyed generator
-of generate_dataset is checked; conditional_pieces evaluates a model's
-hazard and cumulative hazard from its natural parameters with the hazards
-classes and the raw spline basis, and marginal_model averages that
+of generate_dataset is checked; ziggurat_tables reads the tables of
+numpy's standard normal sampler off the installed numpy;
+conditional_pieces evaluates a model's hazard and cumulative hazard from
+its natural parameters with the hazards classes and the raw spline basis,
+and marginal_model averages that
 cumulative hazard over the frailty, against which the likelihood's own
 log-scale rows and lle_functional are checked. rule_lle integrates that
 model's LLE on the nodes of lle_functional's time rule, split at the knot
@@ -30,6 +32,47 @@ def cluster_rng(seed: int, scenario_id: str, cluster_index: int) -> np.random.Ge
     """The dedicated random stream of one cluster of one dataset."""
     key = _cluster_keys(seed, scenario_id, [cluster_index])[0]
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def ziggurat_tables() -> tuple[list[float], list[int]]:
+    """numpy's ziggurat tables wi (256 doubles) and ki (256 integers), read
+    off its standard normal sampler.
+
+    The sampler takes one 64-bit word w: idx = w & 0xff, sign = bit 8 and
+    rabs = (w >> 9) & (2**52 - 1); it returns the normal +-rabs * wi[idx]
+    from that word alone iff rabs < ki[idx]. An SFC64 in state (w, 0, 0, 0)
+    outputs w first, then 1, a word whose double is 0, so:
+    - wi[i] is the normal of the word with idx i and rabs 1. Where ki[i] is
+      at most 1 the double 0 takes it through the wedge test, which accepts
+      x = wi[i] as well;
+    - ki[i] is the least rabs whose word does not decide its normal alone,
+      which the SFC64 counter shows, found by bisection.
+    """
+    bit_generator = np.random.SFC64()
+    rng = np.random.Generator(bit_generator)
+
+    def normal(word):
+        bit_generator.state = {
+            "bit_generator": "SFC64",
+            "state": {"state": np.array([word, 0, 0, 0], dtype=np.uint64)},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        x = rng.standard_normal()
+        return x, int(bit_generator.state["state"]["state"][3])
+
+    wi, ki = [], []
+    for i in range(256):
+        wi.append(normal((1 << 9) | i)[0])
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if normal((mid << 9) | i)[1] == 1:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki.append(lo)
+    return wi, ki
 
 
 _BASELINES = {"exp": Exponential, "wei": Weibull, "gom": Gompertz}

@@ -10,12 +10,16 @@ import pytest
 from frailsim.exceptions import DataError, DomainError
 from frailsim.harness import derive_seed
 from frailsim.hazards import Exponential, FrailtyFamily, FrailtySpec, WeibullMixture
+from frailsim import simulate
 from frailsim.simulate import (
+    _ZIGGURAT_KI,
+    _ZIGGURAT_WI,
     DATASET_HEADER,
     MAX_ABS_BETA,
     ClusteredDataset,
     Scenario,
     _cluster_keys,
+    _cluster_words,
     _scenario_key,
     generate_dataset,
     make_scenario,
@@ -27,7 +31,7 @@ from frailsim.simulate import (
     write_manifest,
 )
 
-from oracles import cluster_rng
+from oracles import cluster_rng, ziggurat_tables
 
 
 def test_scenario_grid_dimensions():
@@ -371,11 +375,12 @@ class _ZeroingGenerator:
         return draws
 
 
-@pytest.mark.parametrize("family", ["gamma", "mixturenormal"])
+@pytest.mark.parametrize("family", ["gamma", "lognormal", "mixturenormal"])
 def test_zero_inversion_uniform_is_redrawn_from_its_cluster_stream(monkeypatch, family):
-    """Force one inversion uniform of one cluster to 0: generate_dataset
-    redraws it from the rest of that cluster's stream, as the per-cluster
-    oracle does, and leaves every other row unchanged."""
+    """Force one inversion uniform of one cluster to 0, in the Philox words
+    of the vectorised pass and in every Generator: generate_dataset redraws
+    it from the rest of that cluster's stream, as the per-cluster oracle
+    does, and leaves every other row unchanged."""
     # no censoring, so that every uniform shows in its time
     scenario = make_scenario("ww2", family, 0.75, 20, 150, censor_time=1e300)
     seed, forced_cluster, forced_row = 11, 7, 42
@@ -388,6 +393,14 @@ def test_zero_inversion_uniform_is_redrawn_from_its_cluster_stream(monkeypatch, 
     generator = np.random.Generator
     monkeypatch.setattr(np.random, "Generator",
                         lambda bit_generator: _ZeroingGenerator(generator(bit_generator), value))
+    cluster_words = simulate._cluster_words
+
+    def zeroing_words(keys, n_words):
+        words = cluster_words(keys, n_words)
+        words[simulate._doubles(words) == value] = 0
+        return words
+
+    monkeypatch.setattr(simulate, "_cluster_words", zeroing_words)
     data = generate_dataset(scenario, seed)
     got = (data.cluster, data.time, data.event, data.treat)
     for name, a, b in zip(("cluster", "time", "event", "treat"),
@@ -400,6 +413,67 @@ def test_zero_inversion_uniform_is_redrawn_from_its_cluster_stream(monkeypatch, 
     assert data.time[others].tobytes() == clean.time[others].tobytes()
     assert data.event[others].tobytes() == clean.event[others].tobytes()
     assert data.treat.tobytes() == clean.treat.tobytes()
+
+
+@pytest.mark.parametrize("n_words", [1, 3, 4, 5, 302])
+def test_cluster_words_equal_numpy_philox_random_raw(n_words):
+    top = 2**64 - 1
+    keys = np.vstack([np.random.default_rng(5).bit_generator.random_raw((8, 2)),
+                      np.array([[0, 0], [top, top], [0, top], [top, 0]], dtype=np.uint64)])
+    oracle = np.array([np.random.Philox(key=key).random_raw(n_words) for key in keys])
+    words = _cluster_words(keys, n_words)
+    assert words.dtype == np.uint64
+    np.testing.assert_array_equal(words, oracle)
+
+
+def test_ziggurat_tables_equal_the_installed_numpy_sampler():
+    """A numpy whose normal sampler changed fails here, instead of giving
+    other datasets without an error."""
+    wi, ki = ziggurat_tables()
+    assert _ZIGGURAT_WI.tobytes() == np.array(wi).tobytes()
+    assert _ZIGGURAT_KI.dtype == np.uint64
+    assert _ZIGGURAT_KI.tobytes() == np.array(ki, dtype=np.uint64).tobytes()
+
+
+def _assert_equals_oracle(scenario, seed):
+    data = generate_dataset(scenario, seed)
+    got = (data.cluster, data.time, data.event, data.treat)
+    for name, a, b in zip(("cluster", "time", "event", "treat"),
+                          got, _oracle_dataset(scenario, seed)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (scenario.id, seed, name)
+
+
+def test_generate_dataset_equals_the_oracle_on_three_reps_of_the_grid():
+    for scenario in scenario_grid():
+        for rep in range(3):
+            _assert_equals_oracle(scenario, derive_seed(20240901, scenario.id, rep))
+
+
+@pytest.mark.parametrize("family, variance", [
+    # Gamma shapes 1 (numpy's exponential path), 0.8 and 1/3, all on the
+    # redraw path, and 1e6
+    ("gamma", 1.0), ("gamma", 1.25), ("gamma", 3.0), ("gamma", 1e-6),
+    ("lognormal", 0.01), ("lognormal", 4.0),
+    ("mixturenormal", 0.01), ("mixturenormal", 4.0),
+])
+def test_generate_dataset_equals_the_oracle_on_other_frailty_laws(monkeypatch, family, variance):
+    """Byte for byte; on a 750x2 dataset some clusters take the redraw path,
+    which draws the standard variates through a Generator."""
+    standard_variates = FrailtySpec.standard_variates
+    redrawn = []
+
+    def counted(self, rng, size=None):
+        redrawn.append(1)
+        return standard_variates(self, rng, size)
+
+    monkeypatch.setattr(FrailtySpec, "standard_variates", counted)
+    for tag, n_clusters, cluster_size in (("wei", 750, 2), ("ww1", 20, 150)):
+        scenario = make_scenario(tag, family, variance, n_clusters, cluster_size)
+        for rep in range(2):
+            redrawn.clear()
+            _assert_equals_oracle(scenario, derive_seed(20240901, scenario.id, rep))
+            if n_clusters == 750:
+                assert redrawn, (scenario.id, rep)
 
 
 @pytest.mark.parametrize("family", list(FrailtyFamily))
