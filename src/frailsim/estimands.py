@@ -2,9 +2,11 @@
 
 A MarginalModel couples a conditional cumulative hazard with a frailty
 distribution; integrating the frailty out gives marginal survival, and
-integrating that over time gives restricted life expectancy. The loss in
-life expectancy (LLE) is LE(treated) minus LE(untreated): the years the
-untreated arm loses over the horizon, positive when beta < 0.
+integrating that over time gives restricted life expectancy. Marginal
+survival is the likelihood's cluster kernel (fitting._cluster_terms) at
+D = 0, summed over FrailtySpec.components; this module tests no family.
+The loss in life expectancy (LLE) is LE(treated) minus LE(untreated): the
+years the untreated arm loses over the horizon, positive when beta < 0.
 
 The time integral is one composite Gauss-Legendre rule on t = horizon u^3
 (_time_rule): DEFAULT_GRID nodes on each of six panels of u, graded toward
@@ -27,14 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError, EstimandError, QuadratureError
-from .fitting import (
-    FitResult,
-    _cluster_terms,
-    _grid_prepared,
-    _log_h_and_H,
-    _lognormal_clusters,
-)
-from .hazards import FrailtyFamily, FrailtySpec, gamma_marginal_survival
+from .fitting import FitResult, _cluster_terms, _grid_prepared, _log_h_and_H
+from .hazards import FrailtySpec
 from .quadrature import gh_rule
 # unused here, but bench/tracing.py patches this name on this module
 from .quadrature import adaptive_gh_batch  # noqa: F401
@@ -58,6 +54,8 @@ Z95 = 1.959964
 
 DEFAULT_GRID = 16
 TRUTH_GH_NODES = 63
+# the event counts of censored clusters: D = 0, over d_range = (0,)
+_NO_EVENTS = np.zeros(1)
 
 # the DEFAULT_GRID-point Gauss-Legendre nodes and weights on [-1, 1]
 _GL_TEMPLATE = np.polynomial.legendre.leggauss(DEFAULT_GRID)
@@ -176,13 +174,12 @@ def _time_rule(horizon: float, breaks, n_grid: int) -> tuple[np.ndarray, np.ndar
 def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
     """Frailty-averaged survival probability at time(s) t for arm x.
 
-    Gamma frailty has a closed form. A log-Normal frailty is one Normal
-    component of the log frailty and a mixture several; each component's
-    term is that of a censored cluster with the component's log-mean in the
-    likelihood's own log-Normal kernel, and survival is their weighted sum.
-    The kernel is also taken at V = 0, where survival must be 1: a law for
-    which it is not finite there (a variance far too large) raises
-    QuadratureError, at any t.
+    Each component of the frailty law (FrailtySpec.components) gives the
+    term of a censored cluster, D = 0, in the likelihood's own kernel
+    (_cluster_terms), and survival is their weighted sum. The kernel is
+    also taken at V = 0, where survival must be 1: a law for which it is
+    not finite there (a log-Normal variance far too large), or a cumulative
+    hazard at which it is not, raises QuadratureError, at any t.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -190,26 +187,23 @@ def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
     if (t_arr < 0).any():
         raise DomainError("times must be nonnegative")
     H = np.asarray(model.cumulative_hazard(t_arr, float(x)), dtype=float)
+    if (H < 0).any():
+        raise DomainError("cumulative hazards must be nonnegative")
     frailty = model.frailty
-    if frailty.family is FrailtyFamily.GAMMA:
-        S = np.atleast_1d(np.asarray(gamma_marginal_survival(H, frailty.variance), dtype=float))
-    else:
-        components = ([(1.0, 0.0)] if frailty.family is FrailtyFamily.LOG_NORMAL
-                      else zip(frailty.mixture_probs, frailty.mixture_means))
-        rule = gh_rule(model.gh_nodes)
-        V = np.append(H, 0.0)
-        S = np.zeros_like(V)
-        # an infinite H or a huge variance gives non-finite terms, and a
-        # QuadratureError below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for prob, mean in components:
-                log_S = _lognormal_clusters(0.0, V, frailty.variance, rule, mean, order=0)[0]
-                S += prob * np.exp(log_S)
-        if not np.isfinite(S).all():
-            raise QuadratureError("log-Normal marginal survival is not finite "
-                                  f"at cumulative hazard {V[~np.isfinite(S)][:3]!r}")
-        S = S[:-1]
-    S = np.clip(S, 0.0, 1.0)
+    rule = gh_rule(model.gh_nodes)
+    V = np.append(H, 0.0)
+    S = np.zeros_like(V)
+    # a NaN H, or in the Normal kernel an infinite H or a huge variance,
+    # gives non-finite terms, and a QuadratureError below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for weight, mean in frailty.components:
+            log_S = _cluster_terms(frailty.family, 0, _NO_EVENTS, V, frailty.variance, rule,
+                                   order=0, mean=mean)[0]
+            S += weight * np.exp(log_S)
+    if not np.isfinite(S).all():
+        raise QuadratureError("marginal survival is not finite "
+                              f"at cumulative hazard {V[~np.isfinite(S)][:3]!r}")
+    S = np.clip(S[:-1], 0.0, 1.0)
     S = np.where(H == 0.0, 1.0, S)
     return float(S[0]) if scalar else S
 
@@ -224,11 +218,7 @@ def life_expectancy(
     survival integrated by _time_rule, with n_grid nodes per panel and no
     breaks."""
     t, w = _time_rule(horizon, (), n_grid)
-    S = marginal_survival(model, t, x)
-    if not np.isfinite(S).all():
-        raise QuadratureError(f"marginal survival is not finite on the rule's nodes: "
-                              f"{S[~np.isfinite(S)][:3]!r}")
-    return float(w @ S)
+    return float(w @ marginal_survival(model, t, x))
 
 
 def lle(
@@ -290,8 +280,9 @@ def lle_functional(
             # where H overflowed S is 0: the terms there are taken at V = 0
             # and dropped
             live = ~np.isposinf(H)
-            log_S, g_V, g_u = _cluster_terms(spec, prep.rows, np.where(live, H, 0.0),
-                                             np.exp(vec[-1]))
+            log_S, g_V, g_u = _cluster_terms(
+                spec.frailty, prep.rows.events_per_cluster, prep.rows.d_range,
+                np.where(live, H, 0.0), np.exp(vec[-1]), gh_rule(spec.gh_nodes))
             a = np.where(live, signed * np.exp(log_S), 0.0)
             # 0, not 0 * inf, where S underflowed
             grad[:-1] = dlog_H @ np.where(a != 0.0, a * g_V * H, 0.0)

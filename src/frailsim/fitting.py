@@ -3,6 +3,9 @@
 Baselines: exponential, Weibull, Gompertz, or a Royston-Parmar restricted
 cubic spline of log time (df in {3, 5, 9}). Frailty: Gamma (closed-form
 marginal likelihood) or log-Normal (adaptive Gauss-Hermite marginalization).
+``_cluster_terms`` maps a frailty family to its kernel, log E[A^D e^(-A V)]
+with its derivatives, for the likelihood, the fitted LLE and
+``estimands.marginal_survival`` alike.
 
 Optimization happens on a transformed scale where every parameter is free:
 log rate, log shape, log frailty variance; Gompertz slope, spline
@@ -61,6 +64,8 @@ __all__ = [
 # natural parameters in order
 _PARAMETRIC = {"exp": Exponential, "wei": Weibull, "gom": Gompertz}
 MODEL_BASELINES = (*_PARAMETRIC, "rp")
+# the frailty families a model can fit, in all_model_ids() order
+_FITTED_FRAILTIES = (FrailtyFamily.GAMMA, FrailtyFamily.LOG_NORMAL)
 # the positive parameters, fitted as their logs
 _POSITIVE = ("rate", "shape", "frailty_var")
 
@@ -78,6 +83,8 @@ _MIN_RATIO = 1e-4
 _LAM_FLOOR = 1e-3
 # fit's default step cap, at which a dataset's anchor is fitted
 _MAX_ITER = 500
+# the largest log variance a log-Normal fit starts from (_anchored_start)
+_LOG_NORMAL_START_LOG_VAR = float(np.log(10.0))
 # the mean rows per cluster from which _Prepared.cluster_sums takes
 # np.add.reduceat over the cluster starts instead of np.bincount
 _REDUCEAT_SIZE = 8
@@ -106,7 +113,7 @@ class ModelSpec:
             raise ValueError(
                 f"baseline must be one of {MODEL_BASELINES}, got {self.baseline!r}"
             )
-        if self.frailty not in (FrailtyFamily.GAMMA, FrailtyFamily.LOG_NORMAL):
+        if self.frailty not in _FITTED_FRAILTIES:
             raise ValueError("fit frailty must be gamma or lognormal")
         if self.baseline == "rp":
             if self.df not in ALLOWED_DF:
@@ -175,7 +182,7 @@ def model_from_id(model_id: str) -> ModelSpec:
 
 def all_model_ids() -> list[str]:
     bases = (*_PARAMETRIC, *(f"rp{df}" for df in ALLOWED_DF))
-    return [f"{base}_{frail}" for frail in ("gamma", "lognormal") for base in bases]
+    return [f"{base}_{frail.value}" for frail in _FITTED_FRAILTIES for base in bases]
 
 
 @dataclass(frozen=True)
@@ -725,18 +732,17 @@ def _log1p_gap(x: np.ndarray) -> np.ndarray:
                     1.0 / (1.0 + safe) - np.log1p(safe) / safe)
 
 
-def _gamma_clusters(rows: PreparedDataset, V: np.ndarray, var: float, order: int = 1):
+def _gamma_clusters(D, d_range: np.ndarray, V: np.ndarray, var: float, order: int = 1):
     """Gamma cluster terms in closed form, given the clusters' event counts
-    D (rows.events_per_cluster) and cumulative hazards V, with their
-    derivatives g_V in V and g_u in u = log var, and at order 2 also g_VV,
-    g_Vu and g_uu.
+    D (integers, or 0), d_range = 0, 1, ..., max D and their cumulative
+    hazards V. Order 0 returns (terms,); order 1 adds their derivatives g_V
+    in V and g_u in u = log var, and order 2 also g_VV, g_Vu and g_uu.
 
     g_u and g_uu are O(var) as var -> 0, while log1p(var*V)/var and V/(1 +
     var*V) are O(V); their difference is taken as V * _log1p_gap(var*V),
     so that it keeps its relative precision at a frailty variance near 0.
     """
-    D = rows.events_per_cluster
-    jv = var * rows.d_range[:-1]
+    jv = var * d_range[:-1]
     one_jv = 1.0 + jv
 
     def below_D(terms: np.ndarray) -> np.ndarray:
@@ -746,13 +752,15 @@ def _gamma_clusters(rows: PreparedDataset, V: np.ndarray, var: float, order: int
     var_D = var * D
     vV = var * V
     one_vV = 1.0 + vV
-    V_gap = V * _log1p_gap(vV)
     # log Gamma(1/v + D) - log Gamma(1/v) + D log v telescopes to
     # sum_{j<D} log(1 + j v), which is stable for every v > 0
     cluster_logs = below_D(np.log1p(jv)) - (1.0 / var + D) * np.log1p(vV)
+    if not order:
+        return (cluster_logs,)
+    V_gap = V * _log1p_gap(vV)
     g_V = -(1.0 + var_D) / one_vV
     g_u = below_D(jv / one_jv) - V_gap - var_D * V / one_vV
-    if order < 2:
+    if order == 1:
         return cluster_logs, g_V, g_u
     g_VV = -var * g_V / one_vV
     g_Vu = -var * (D - V) / one_vV**2
@@ -760,15 +768,17 @@ def _gamma_clusters(rows: PreparedDataset, V: np.ndarray, var: float, order: int
     return cluster_logs, g_V, g_u, g_VV, g_Vu, g_uu
 
 
-def _cluster_terms(spec: ModelSpec, rows: PreparedDataset, V: np.ndarray, var: float,
-                   order: int = 1):
-    """Each cluster's log marginal term given its event count and
-    cumulative hazard V, with its derivatives g_V in V and g_u in log var,
-    and at order 2 also g_VV, g_Vu and g_uu."""
-    if spec.frailty is FrailtyFamily.GAMMA:
-        return _gamma_clusters(rows, V, var, order)
-    return _lognormal_clusters(rows.events_per_cluster, V, var, gh_rule(spec.gh_nodes),
-                               order=order)
+def _cluster_terms(family: FrailtyFamily, D, d_range: np.ndarray, V: np.ndarray, var: float,
+                   rule: GHRule, order: int = 1, mean: float = 0.0):
+    """Each cluster's log E[A^D e^(-A V)], A a frailty of the family, given
+    its event count D (integers, or 0) and cumulative hazard V: the one map
+    from a family to its kernel. d_range (0, 1, ..., max D) serves the Gamma
+    closed form; rule and mean, the log-mean of a Normal component of log A,
+    the Gauss-Hermite kernel. Order 0 returns (terms,); order 1 adds g_V in
+    V and g_u in log var, and order 2 also g_VV, g_Vu and g_uu."""
+    if family is FrailtyFamily.GAMMA:
+        return _gamma_clusters(D, d_range, V, var, order)
+    return _lognormal_clusters(D, V, var, rule, mean, order)
 
 
 def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
@@ -797,8 +807,9 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
         log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, spec, vec)
         ll = -np.inf
         if np.isfinite(log_h_sum) and np.isfinite(H).all():
-            V = prep.cluster_sums(H)
-            terms = _cluster_terms(spec, prep.rows, V, np.exp(vec[-1]), 2 if information else 1)
+            terms = _cluster_terms(spec.frailty, prep.rows.events_per_cluster,
+                                   prep.rows.d_range, prep.cluster_sums(H), np.exp(vec[-1]),
+                                   gh_rule(spec.gh_nodes), 2 if information else 1)
             ll = log_h_sum + float(terms[0].sum())
         # optimizer excursions (an extreme log variance, every H underflowing)
         # can leave non-finite cluster terms; they are infeasible points
@@ -904,11 +915,6 @@ class FitResult:
     @property
     def trans_raw(self) -> np.ndarray:
         return self.to_raw @ self.trans
-
-    def params_from_trans(self, vec: np.ndarray) -> ModelParams:
-        """Rebuild natural-scale parameters from an optimizer-scale vector."""
-        return unpack_params(self.spec, self.to_raw @ np.asarray(vec, dtype=float),
-                             basis=self.params.basis)
 
     @property
     def beta_index(self) -> int:
@@ -1083,15 +1089,18 @@ def _anchored_start(spec: ModelSpec, prep: _Prepared) -> np.ndarray:
     shape, a flat Gompertz hazard, or a unit slope on log t and no other
     spline term), with the anchor's log rate and beta and a log variance of
     at least log 0.1. A log-Normal frailty with log-mean 0 has mean
-    e^(var/2), so its log rate is lowered by var/2. exp_gamma, and every
-    model of a dataset whose anchor did not converge, takes _starting_point.
+    e^(var/2), so its log rate is lowered by var/2, after its variance is
+    capped at 10. exp_gamma, and every model of a dataset whose anchor did
+    not converge, takes _starting_point.
 
     On rep 0 of the study grid (seed 20240901), without the variance floor
     the 10 models other than exp_gamma and exp_lognormal on
     ww1_gamma_t025_750x2 and ww1_lognormal_t025_750x2, whose anchors sit at
     variances of about 1e-11, end non-converged, each at a loglik at least
     10 below its optimum; without the shift, the six log-Normal models took
-    6.5-7.1 evaluations a fit on average, against 4.6-6.0 with it.
+    6.5-7.1 evaluations a fit on average, against 4.6-6.0 with it. Without
+    the cap 12 of 324 log-Normal fits on ww2_gamma_t50 (20x150, 750x2 and
+    100x10, reps 0-17) end non-converged, and none with it.
     """
     start = _starting_point(spec, prep)
     if _is_anchor(spec):
@@ -1102,6 +1111,7 @@ def _anchored_start(spec: ModelSpec, prep: _Prepared) -> np.ndarray:
     log_rate, start[-2], log_var = anchor.trans_raw
     start[-1] = max(log_var, start[-1])
     if spec.frailty is FrailtyFamily.LOG_NORMAL:
+        start[-1] = min(start[-1], _LOG_NORMAL_START_LOG_VAR)
         log_rate -= 0.5 * np.exp(start[-1])
     start[0] = log_rate
     return start

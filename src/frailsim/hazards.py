@@ -11,6 +11,11 @@ manifests write ``dataclasses.asdict`` of it, and the CLI's baseline parser
 and ``fitting.ModelSpec``'s parameter names read ``dataclasses.fields``.
 The likelihood keeps its own log-scale forms of the exp, wei and gom
 curves, for their derivatives, and evaluates fitted models with them.
+
+A frailty law (``FrailtySpec``) holds its sampler and its components, the
+(weight, log-mean) pairs over which ``estimands.marginal_survival``
+averages the family's kernel, ``fitting._cluster_terms``; no marginal
+closed form lives here.
 """
 from __future__ import annotations
 
@@ -30,7 +35,6 @@ __all__ = [
     "WeibullMixture",
     "FrailtyFamily",
     "FrailtySpec",
-    "gamma_marginal_survival",
 ]
 
 
@@ -330,17 +334,15 @@ class FrailtySpec:
         _check_positive(variance=self.variance)
 
     @property
-    def mixture_means(self) -> tuple[float, float]:
+    def components(self) -> tuple[tuple[float, float], ...]:
+        """(weight, log-mean) of each component of the law, weights summing
+        to 1: the mixture's two Normal components of the log frailty, (0.5,
+        -3 sqrt(variance)) and (0.5, +3 sqrt(variance)); for Gamma and
+        log-Normal the whole law, (1.0, 0.0)."""
         if self.family is not FrailtyFamily.MIXTURE_NORMAL:
-            raise ValueError("mixture parameters are defined only for the mixture family")
+            return ((1.0, 0.0),)
         offset = 3.0 * np.sqrt(self.variance)
-        return (-offset, offset)
-
-    @property
-    def mixture_probs(self) -> tuple[float, float]:
-        if self.family is not FrailtyFamily.MIXTURE_NORMAL:
-            raise ValueError("mixture parameters are defined only for the mixture family")
-        return (0.5, 0.5)
+        return ((0.5, -offset), (0.5, offset))
 
     def standard_variates(self, rng: np.random.Generator, size: int | None = None) -> tuple:
         """The standard draws behind ``size`` frailties, in stream order.
@@ -370,22 +372,9 @@ class FrailtySpec:
             (z,) = variates
             return np.exp(sd * z)
         v, z = variates
-        lo_mean, hi_mean = self.mixture_means
+        (_, lo_mean), (_, hi_mean) = self.components
         return np.exp(np.where(v < 0.5, lo_mean, hi_mean) + sd * z)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw multiplicative frailties alpha (one per cluster)."""
         return self.from_standard(*self.standard_variates(rng, size))
-
-
-def gamma_marginal_survival(cumulative_hazard, variance: float):
-    """Population-averaged survival (1 + variance * H)**(-1/variance).
-
-    This is the Laplace transform of a mean-one Gamma frailty evaluated at H,
-    computed on the log scale so large H stays accurate.
-    """
-    if not variance > 0:
-        raise DomainError(f"variance must be positive, got {variance}")
-    arr, scalar = _prep_times(cumulative_hazard, "cumulative hazard")
-    vals = np.exp(-np.log1p(variance * arr) / variance)
-    return _ret(vals, scalar)

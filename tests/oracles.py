@@ -5,9 +5,11 @@ for closed forms that have none; cluster_rng is one cluster's own random
 stream, as a generator per cluster, against which the re-keyed generator
 of generate_dataset is checked; ziggurat_tables reads the tables of
 numpy's standard normal sampler off the installed numpy;
-conditional_pieces evaluates a model's hazard and cumulative hazard from
-its natural parameters with the hazards classes and the raw spline basis,
-and marginal_model averages that
+gamma_marginal_survival is the Gamma law's marginal survival in closed
+form; params_from_trans maps a fit's optimizer-scale vector to
+natural-scale parameters; conditional_pieces evaluates a model's hazard
+and cumulative hazard from its natural parameters with the hazards classes
+and the raw spline basis, and marginal_model averages that
 cumulative hazard over the frailty, against which the likelihood's own
 log-scale rows and lle_functional are checked. rule_lle integrates that
 model's LLE on the nodes of lle_functional's time rule, split at the knot
@@ -22,7 +24,7 @@ import numpy as np
 
 from frailsim.estimands import DEFAULT_GRID, MarginalModel, _time_rule, marginal_survival
 from frailsim.exceptions import DomainError, QuadratureError
-from frailsim.fitting import ModelParams, ModelSpec
+from frailsim.fitting import FitResult, ModelParams, ModelSpec, unpack_params
 from frailsim.hazards import Exponential, FrailtySpec, Gompertz, Weibull
 from frailsim.simulate import _cluster_keys
 from frailsim.splines import basis_derivative, basis_eval
@@ -73,6 +75,27 @@ def ziggurat_tables() -> tuple[list[float], list[int]]:
                 hi = mid
         ki.append(lo)
     return wi, ki
+
+
+def gamma_marginal_survival(cumulative_hazard, variance: float):
+    """Population-averaged survival (1 + variance * H)**(-1/variance).
+
+    This is the Laplace transform of a mean-one Gamma frailty evaluated at H,
+    computed on the log scale so large H stays accurate.
+    """
+    if not variance > 0:
+        raise DomainError(f"variance must be positive, got {variance}")
+    H = np.asarray(cumulative_hazard, dtype=float)
+    if np.isnan(H).any() or (H < 0).any():
+        raise DomainError("cumulative hazard must be nonnegative")
+    vals = np.exp(-np.log1p(variance * H) / variance)
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def params_from_trans(result: FitResult, vec: np.ndarray) -> ModelParams:
+    """Natural-scale parameters of a fit at an optimizer-scale vector."""
+    return unpack_params(result.spec, result.to_raw @ np.asarray(vec, dtype=float),
+                         basis=result.params.basis)
 
 
 _BASELINES = {"exp": Exponential, "wei": Weibull, "gom": Gompertz}

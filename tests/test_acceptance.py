@@ -33,12 +33,7 @@ from frailsim.harness import (
     performance,
     run_cell,
 )
-from frailsim.hazards import (
-    Exponential,
-    FrailtyFamily,
-    FrailtySpec,
-    gamma_marginal_survival,
-)
+from frailsim.hazards import Exponential, FrailtyFamily, FrailtySpec
 from frailsim.simulate import (
     ClusteredDataset,
     Scenario,
@@ -48,7 +43,7 @@ from frailsim.simulate import (
 )
 from frailsim.splines import place_knots
 
-from oracles import conditional_pieces, tanh_sinh
+from oracles import conditional_pieces, gamma_marginal_survival, tanh_sinh
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -15,8 +15,9 @@ from frailsim.hazards import (
     Gompertz,
     Weibull,
     WeibullMixture,
-    gamma_marginal_survival,
 )
+
+from oracles import gamma_marginal_survival
 
 # The five study baselines.
 EXP = Exponential(0.5)
@@ -227,16 +228,17 @@ def test_mixture_normal_frailty_log_scale_moments():
     assert abs(eta.var() - 2.5) <= 0.05
 
 
-def test_mixture_params_derived_from_variance():
-    spec = FrailtySpec(FrailtyFamily.MIXTURE_NORMAL, 0.25)
-    np.testing.assert_allclose(spec.mixture_means, (-1.5, 1.5))
-    assert spec.mixture_probs == (0.5, 0.5)
-
-
-def test_mixture_params_undefined_for_other_families():
-    spec = FrailtySpec(FrailtyFamily.GAMMA, 0.25)
-    with pytest.raises(ValueError):
-        spec.mixture_means
+def test_frailty_components_are_weights_and_log_means():
+    """Every law's component weights sum to 1; the mixture's log-means are
+    -3 sigma and +3 sigma, and Gamma and log-Normal are each the single
+    component (1.0, 0.0)."""
+    for family in FrailtyFamily:
+        weights = [weight for weight, _ in FrailtySpec(family, 0.25).components]
+        assert math.fsum(weights) == 1.0
+    mixture = FrailtySpec(FrailtyFamily.MIXTURE_NORMAL, 0.25).components
+    assert mixture == ((0.5, -1.5), (0.5, 1.5))
+    for family in (FrailtyFamily.GAMMA, FrailtyFamily.LOG_NORMAL):
+        assert FrailtySpec(family, 0.25).components == ((1.0, 0.0),)
 
 
 def test_frailty_spec_rejects_nonpositive_variance():

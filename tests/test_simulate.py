@@ -297,7 +297,7 @@ def _oracle_sample(frailty, rng, size):
         return rng.gamma(shape=1.0 / frailty.variance, scale=frailty.variance, size=size)
     if frailty.family is FrailtyFamily.LOG_NORMAL:
         return np.exp(rng.normal(0.0, np.sqrt(frailty.variance), size=size))
-    lo_mean, hi_mean = frailty.mixture_means
+    (_, lo_mean), (_, hi_mean) = frailty.components
     means = np.where(rng.random(size) < 0.5, lo_mean, hi_mean)
     return np.exp(rng.normal(means, np.sqrt(frailty.variance)))
 
