@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError, EstimandError, QuadratureError
-from .fitting import FitResult, _cluster_terms, _grid_prepared, _log_h_and_H
-from .hazards import FrailtySpec
+from .fitting import FitResult, ModelSpec, _cluster_terms, _grid_prepared, _log_h_and_H
+from .hazards import FrailtyFamily, FrailtySpec
 from .quadrature import gh_rule
 # unused here, but bench/tracing.py patches this name on this module
 from .quadrature import adaptive_gh_batch  # noqa: F401
@@ -130,7 +130,8 @@ class MarginalModel:
             positive = t > 0
             out = np.zeros_like(t)
             if positive.any():
-                prep = _grid_prepared(result, t[positive], np.full(positive.sum(), x))
+                prep = _grid_prepared(result.spec, result.params.basis, result.to_raw,
+                                      t[positive], np.full(positive.sum(), x))
                 with np.errstate(over="ignore"):
                     out[positive] = _log_h_and_H(prep, result.spec, result.trans)[1]
             return out
@@ -171,6 +172,43 @@ def _time_rule(horizon: float, breaks, n_grid: int) -> tuple[np.ndarray, np.ndar
     return (horizon * u ** 3).ravel(), (3.0 * horizon * u * u * (half * weights)).ravel()
 
 
+def _lle_grid(spec: ModelSpec, basis: SplineBasis | None, to_raw: np.ndarray,
+              horizon: float, n_grid: int) -> tuple:
+    """lle_functional's rows, both arms at each node of _time_rule split at
+    the knot times of basis, with their signed weights; read-only, since
+    fits share them (_lle_rows)."""
+    t, w = _time_rule(horizon, _knot_times(basis), n_grid)
+    prep = _grid_prepared(spec, basis, to_raw, np.concatenate((t, t)),
+                          np.repeat([0.0, 1.0], t.size))
+    signed = np.concatenate((-w, w))
+    for value in (signed, *vars(prep).values(), *vars(prep.rows).values()):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return prep, signed
+
+
+# a study has a few horizons, so a few entries per parametric baseline
+@functools.lru_cache(maxsize=64)
+def _parametric_lle_grid(baseline: str, horizon: float, n_grid: int) -> tuple:
+    spec = ModelSpec(baseline, FrailtyFamily.GAMMA)
+    return _lle_grid(spec, None, np.eye(spec.n_params), horizon, n_grid)
+
+
+def _lle_rows(result: FitResult, horizon: float, n_grid: int) -> tuple:
+    """_lle_grid of a fit. The rows of an exp, wei or gom fit depend on
+    (baseline, horizon, n_grid) alone, and are kept process-wide; those of
+    an rp fit depend on its basis too, and are kept in result.lle_rows,
+    which the fits of both families on one dataset's basis share."""
+    horizon = float(horizon)
+    if result.lle_rows is None:
+        return _parametric_lle_grid(result.spec.baseline, horizon, n_grid)
+    key = (horizon, n_grid)
+    if key not in result.lle_rows:
+        result.lle_rows[key] = _lle_grid(result.spec, result.params.basis, result.to_raw,
+                                         horizon, n_grid)
+    return result.lle_rows[key]
+
+
 def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
     """Frailty-averaged survival probability at time(s) t for arm x.
 
@@ -184,7 +222,7 @@ def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    if (t_arr < 0).any():
+    if not (t_arr >= 0).all():
         raise DomainError("times must be nonnegative")
     H = np.asarray(model.cumulative_hazard(t_arr, float(x)), dtype=float)
     if (H < 0).any():
@@ -260,20 +298,14 @@ def lle_functional(
     _log_h_and_H gives d log H / d vec, so with a = signed weight * S,
     dLLE/dvec is (a g_V H) @ d log H for the baseline and beta, and a @ g_u
     for the log variance. Where H overflows, S and its derivatives take
-    their limit 0.
+    their limit 0. The rows are built on the first evaluation that needs
+    them, and shared with other fits (_lle_rows).
     """
     spec = result.spec
 
-    @functools.cache
-    def grid():
-        # built on first evaluation, so that its cost counts with it
-        t, w = _time_rule(horizon, _knot_times(result.params.basis), n_grid)
-        arm = np.repeat([0.0, 1.0], t.size)
-        return _grid_prepared(result, np.concatenate((t, t)), arm), np.concatenate((-w, w))
-
     def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
         vec = np.asarray(vec, dtype=float)
-        prep, signed = grid()
+        prep, signed = _lle_rows(result, horizon, n_grid)
         grad = np.empty(vec.size)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             _, H, _, dlog_H = _log_h_and_H(prep, spec, vec)

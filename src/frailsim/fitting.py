@@ -261,7 +261,8 @@ class PreparedDataset:
     integer, which indexes the Gamma kernel's running sums, and d_range 0,
     1, ..., max D. starts, each cluster's first row, is None below a mean
     cluster size of _REDUCEAT_SIZE (_Prepared.cluster_sums). splines keeps
-    the rp basis of each df for the other frailty family (_prepare). anchor
+    the rp basis of each df for the other frailty family (_prepare), with a
+    dict of the LLE rows of its fits (FitResult.lle_rows). anchor
     keeps the dataset's exp_gamma fit, from _starting_point at the default
     max_iter, from which fit starts every other model (_anchor): the first
     fit that needs it makes it.
@@ -357,6 +358,8 @@ class _Prepared:
     and the median condition number of the observed information rose from
     1.3e3 to 1.8e7.
 
+    lle_rows is the FitResult.lle_rows of the model's fits.
+
     to_raw maps an optimizer-scale vector to the raw transformed vector of
     pack_params and unpack_params: the identity but for the rp coefficient
     block [[1, -center T^-1], [0, T^-1]], with T the QR's R / sqrt(n).
@@ -391,6 +394,7 @@ class _Prepared:
     event_design: np.ndarray
     event_logt: float
     event_Bd: np.ndarray | None
+    lle_rows: dict | None = None
 
     @functools.cached_property
     def cells(self) -> np.ndarray:
@@ -414,7 +418,7 @@ class _Prepared:
 
 def _model_rows(spec: ModelSpec, rows: PreparedDataset, basis: SplineBasis | None,
                 to_raw: np.ndarray, B: np.ndarray | None = None,
-                Bd: np.ndarray | None = None) -> _Prepared:
+                Bd: np.ndarray | None = None, lle_rows: dict | None = None) -> _Prepared:
     """The _Prepared of a model on rows, with its constant design and
     event-row sums. For rp, B and Bd are the basis columns and their
     derivatives as (df, n) rows on the optimizer scale; by default those of
@@ -436,13 +440,14 @@ def _model_rows(spec: ModelSpec, rows: PreparedDataset, basis: SplineBasis | Non
         event_design=design[:, rows.d].sum(axis=1),
         event_logt=float(rows.logt[rows.d].sum()),
         event_Bd=None if Bd is None else Bd[:, rows.d],
+        lle_rows=lle_rows,
     )
 
 
 def _spline_basis(rows: PreparedDataset, df: int):
-    """The rp basis of rows at df as (basis, to_raw, B, Bd): knots at the
-    centiles of the event times, and the columns orthogonalized by a QR on
-    the sorted rows."""
+    """The rp basis of rows at df as (basis, to_raw, B, Bd, lle_rows): knots
+    at the centiles of the event times, the columns orthogonalized by a QR
+    on the sorted rows, and an empty dict for the LLE rows of its fits."""
     basis = place_knots(rows.logt[rows.d], df)
     # the QR takes the raw columns as (n, df); the derivatives are
     # mapped as rows
@@ -467,7 +472,7 @@ def _spline_basis(rows: PreparedDataset, df: int):
     to_raw[0, 1:df + 1] = -center @ inverse
     # the fits of both frailty families keep it
     to_raw.setflags(write=False)
-    return basis, to_raw, B, Bd
+    return basis, to_raw, B, Bd, {}
 
 
 def _prepare(spec: ModelSpec, data: ClusteredDataset | PreparedDataset) -> _Prepared:
@@ -483,14 +488,16 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset | PreparedDataset) -> _Prep
     return _model_rows(spec, rows, *rows.splines[spec.df])
 
 
-def _grid_prepared(result: FitResult, t: np.ndarray, x: np.ndarray) -> _Prepared:
+def _grid_prepared(spec: ModelSpec, basis: SplineBasis | None, to_raw: np.ndarray,
+                   t: np.ndarray, x: np.ndarray) -> _Prepared:
     """Rows at positive times t and arms x, each a censored cluster of its
-    own, on the optimizer scale of a fit: _log_h_and_H on it at result.trans
-    gives H(t, x) and d log H / d trans."""
+    own, on the optimizer scale of a fit of spec with basis and to_raw:
+    _log_h_and_H on it at the fit's trans gives H(t, x) and d log H / d
+    trans."""
     n = t.size
     rows = _cluster_rows(t, np.log(t), np.asarray(x, dtype=float),
                          np.zeros(n, dtype=bool), np.arange(n))
-    return _model_rows(result.spec, rows, result.params.basis, result.to_raw)
+    return _model_rows(spec, rows, basis, to_raw)
 
 
 def _dlog_expm1_over(v: np.ndarray) -> np.ndarray:
@@ -721,15 +728,17 @@ def _lognormal_clusters(D, V: np.ndarray, var: float, rule: GHRule, mean: float 
 
 
 def _log1p_gap(x: np.ndarray) -> np.ndarray:
-    """1/(1 + x) - log1p(x)/x for x >= 0; below x = 0.01, where that
-    difference cancels, its series -x/2 + 2x^2/3 - 3x^3/4 + ... The
-    series is evaluated at every x and may overflow at a large one, so the
-    caller enters np.errstate."""
+    """1/(1 + x) - log1p(x)/x for an array x >= 0; below x = 0.01, where
+    that difference cancels, its series -x/2 + 2x^2/3 - 3x^3/4 + ... An
+    infinite x gives NaN, so the caller enters np.errstate."""
     small = x < 0.01
     safe = np.where(small, 1.0, x)
-    return np.where(small, x * (-1.0 / 2.0 + x * (2.0 / 3.0 + x * (-3.0 / 4.0 + x * (
-        4.0 / 5.0 + x * (-5.0 / 6.0 + x * (6.0 / 7.0 + x * (-7.0 / 8.0 + x * 8.0 / 9.0))))))),
-                    1.0 / (1.0 + safe) - np.log1p(safe) / safe)
+    out = 1.0 / (1.0 + safe) - np.log1p(safe) / safe
+    if small.any():
+        x = x[small]
+        out[small] = x * (-1.0 / 2.0 + x * (2.0 / 3.0 + x * (-3.0 / 4.0 + x * (
+            4.0 / 5.0 + x * (-5.0 / 6.0 + x * (6.0 / 7.0 + x * (-7.0 / 8.0 + x * 8.0 / 9.0)))))))
+    return out
 
 
 def _gamma_clusters(D, d_range: np.ndarray, V: np.ndarray, var: float, order: int = 1):
@@ -744,27 +753,30 @@ def _gamma_clusters(D, d_range: np.ndarray, V: np.ndarray, var: float, order: in
     """
     jv = var * d_range[:-1]
     one_jv = 1.0 + jv
-
-    def below_D(terms: np.ndarray) -> np.ndarray:
-        """sum_{j<D} terms_j for each cluster."""
-        return np.concatenate(([0.0], np.cumsum(terms)))[D]
+    # sum_{j<D} of log(1 + j v), j v / (1 + j v) and j v / (1 + j v)^2 for
+    # each cluster, the first order + 1 of them: one table of running sums
+    # over j, read at D
+    table = np.zeros((order + 1, d_range.size))
+    np.add.accumulate((np.log1p(jv), jv / one_jv, jv / one_jv**2)[:order + 1], axis=1,
+                      out=table[:, 1:])
+    below_D = table.take(D, axis=1)
 
     var_D = var * D
     vV = var * V
     one_vV = 1.0 + vV
     # log Gamma(1/v + D) - log Gamma(1/v) + D log v telescopes to
     # sum_{j<D} log(1 + j v), which is stable for every v > 0
-    cluster_logs = below_D(np.log1p(jv)) - (1.0 / var + D) * np.log1p(vV)
+    cluster_logs = below_D[0] - (1.0 / var + D) * np.log1p(vV)
     if not order:
         return (cluster_logs,)
     V_gap = V * _log1p_gap(vV)
     g_V = -(1.0 + var_D) / one_vV
-    g_u = below_D(jv / one_jv) - V_gap - var_D * V / one_vV
+    g_u = below_D[1] - V_gap - var_D * V / one_vV
     if order == 1:
         return cluster_logs, g_V, g_u
     g_VV = -var * g_V / one_vV
     g_Vu = -var * (D - V) / one_vV**2
-    g_uu = below_D(jv / one_jv**2) + V_gap + g_Vu * V
+    g_uu = below_D[2] + V_gap + g_Vu * V
     return cluster_logs, g_V, g_u, g_VV, g_Vu, g_uu
 
 
@@ -889,7 +901,10 @@ class FitResult:
     ``message`` is why the run stopped, one of ``_newton``'s reasons:
     "Newton decrement at most 1e-12*(1+|loglik|)" (converged), "a step
     predicted a gain below half the decrement tolerance", "max_iter (N)
-    steps taken" or "start is infeasible".
+    steps taken" or "start is infeasible". ``lle_rows`` is None for exp, wei
+    and gom; for rp it holds the LLE rows of the fits on the dataset's basis
+    at its df, which the fits of both frailty families share
+    (``estimands.lle_functional``).
     """
 
     spec: ModelSpec
@@ -907,6 +922,7 @@ class FitResult:
     n_obs: int
     message: str
     to_raw: np.ndarray
+    lle_rows: dict | None = field(default=None, repr=False)
 
     @property
     def n_params(self) -> int:
@@ -1196,6 +1212,7 @@ def _run_fit(spec: ModelSpec, prep: _Prepared, start: np.ndarray, max_iter: int)
         n_obs=prep.rows.t.size,
         message=run.message,
         to_raw=prep.to_raw,
+        lle_rows=prep.lle_rows,
     )
 
 

@@ -7,7 +7,8 @@ loss in life expectancy, and the frailty variance. estimate takes those
 from one fit, for run_cell and the CLI's fit command alike.
 filter_convergence applies the median/IQR outlier rule, and summarize
 turns filtered records into bias, coverage and MSE with Monte Carlo
-standard errors.
+standard errors; both take the cells of one size together, as the rows
+of one array.
 """
 from __future__ import annotations
 
@@ -238,12 +239,20 @@ def run_cell(
             for batch in batches[start:start + n_sim] for record in batch[j]]
 
 
-def _robust_z(values: np.ndarray) -> np.ndarray:
-    med, q1, q3 = np.quantile(values, [0.5, 0.25, 0.75], method="linear").tolist()
-    iqr = q3 - q1
-    if iqr == 0.0:
-        return np.zeros_like(values)
-    return (values - med) / iqr
+def _cell_indices(records: Sequence[ReplicationRecord]) -> dict[tuple, list[int]]:
+    """The positions of each (scenario, model, estimand) cell's records."""
+    groups: dict[tuple[str, str, EstimandName], list[int]] = {}
+    for idx, rec in enumerate(records):
+        groups.setdefault((rec.scenario_id, rec.model_id, rec.estimand), []).append(idx)
+    return groups
+
+
+def _by_size(cells: Iterable[list]) -> dict[int, list[int]]:
+    """The positions of the cells of each length."""
+    sizes: dict[int, list[int]] = {}
+    for pos, cell in enumerate(cells):
+        sizes.setdefault(len(cell), []).append(pos)
+    return sizes
 
 
 def filter_convergence(records: Sequence[ReplicationRecord]) -> list[ReplicationRecord]:
@@ -252,24 +261,53 @@ def filter_convergence(records: Sequence[ReplicationRecord]) -> list[Replication
     Among converged records, the estimate and the standard error are each
     standardized as (value - median) / IQR; a record is filtered when
     either statistic strictly exceeds FILTER_CUTOFF in absolute value. Zero
-    IQR means no spread to standardize against, so nothing is filtered.
+    IQR means no spread to standardize against, so nothing is filtered. A
+    record comes back as it is unless its flag changes.
     """
-    groups: dict[tuple[str, str, EstimandName], list[int]] = {}
-    for idx, rec in enumerate(records):
-        if rec.converged:
-            key = (rec.scenario_id, rec.model_id, rec.estimand)
-            groups.setdefault(key, []).append(idx)
-    out = [replace(rec, filtered=False) for rec in records]
-    for indices in groups.values():
-        if len(indices) < 2:
-            continue
-        est = np.array([records[i].estimate for i in indices])
-        se = np.array([records[i].se for i in indices])
-        flag = ((np.abs(_robust_z(est)) > FILTER_CUTOFF)
-                | (np.abs(_robust_z(se)) > FILTER_CUTOFF))
-        for i, flagged in zip(indices, flag):
-            if flagged:
-                out[i] = replace(out[i], filtered=True)
+    est = np.array([r.estimate for r in records])
+    se = np.array([r.se for r in records])
+    cells = [used for indices in _cell_indices(records).values()
+             if len(used := [i for i in indices if records[i].converged]) >= 2]
+    flagged = np.zeros(len(records), dtype=bool)
+    for positions in _by_size(cells).values():
+        idx = np.array([cells[pos] for pos in positions])
+        values = np.concatenate((est[idx], se[idx]))
+        med, q1, q3 = np.quantile(values, [0.5, 0.25, 0.75], axis=1, method="linear")[:, :, None]
+        iqr = q3 - q1
+        outlier = ((np.abs((values - med) / np.where(iqr == 0.0, 1.0, iqr)) > FILTER_CUTOFF)
+                   & (iqr != 0.0))
+        flagged[idx[outlier[:len(idx)] | outlier[len(idx):]]] = True
+    return [rec if rec.filtered == flag else replace(rec, filtered=flag)
+            for rec, flag in zip(records, flagged.tolist())]
+
+
+def _performances(cells: Sequence[tuple[Sequence[ReplicationRecord], float]]
+                  ) -> list[PerformanceSummary]:
+    """performance of each (records, truth) in cells, whose records are one
+    cell's with at least two usable."""
+    used = [[r for r in records if r.converged and not r.filtered] for records, _ in cells]
+    out: list[PerformanceSummary] = [None] * len(cells)
+    for positions in _by_size(used).values():
+        est = np.array([[r.estimate for r in used[pos]] for pos in positions])
+        se = np.array([[r.se for r in used[pos]] for pos in positions])
+        truth = np.array([cells[pos][1] for pos in positions])
+        column = truth[:, None]
+        n = est.shape[1]
+        bias = est.mean(axis=1) - truth
+        empirical_se = est.std(ddof=1, axis=1)
+        coverage = ((est - Z95 * se <= column) & (column <= est + Z95 * se)).mean(axis=1)
+        coverage_mcse = np.sqrt(coverage * (1.0 - coverage) / n)
+        sq_err = (est - column) ** 2
+        mse_mcse = sq_err.std(ddof=1, axis=1) / np.sqrt(n)
+        columns = zip(bias.tolist(), (empirical_se / np.sqrt(n)).tolist(), coverage.tolist(),
+                      coverage_mcse.tolist(), sq_err.mean(axis=1).tolist(),
+                      mse_mcse.tolist(), empirical_se.tolist(), se.mean(axis=1).tolist())
+        for pos, values in zip(positions, columns):
+            records = cells[pos][0]
+            first = records[0]
+            out[pos] = PerformanceSummary(
+                first.scenario_id, first.model_id, first.estimand, n, *values,
+                convergence_rate=sum(r.converged for r in records) / len(records))
     return out
 
 
@@ -291,38 +329,13 @@ def performance(
     for rec in records:
         if (rec.scenario_id, rec.model_id, rec.estimand) != (scenario_id, model_id, estimand):
             raise DataError("performance expects records from a single cell and estimand")
-    used = [r for r in records if r.converged and not r.filtered]
-    n = len(used)
+    n = sum(r.converged and not r.filtered for r in records)
     if n < 2:
         raise DataError(
             f"need at least 2 usable records for {scenario_id}/{model_id}/"
             f"{estimand.value}, got {n}"
         )
-    est = np.array([r.estimate for r in used])
-    se = np.array([r.se for r in used])
-    bias = float(est.mean() - truth)
-    bias_mcse = float(est.std(ddof=1) / np.sqrt(n))
-    inside = (est - Z95 * se <= truth) & (truth <= est + Z95 * se)
-    coverage = float(inside.mean())
-    coverage_mcse = float(np.sqrt(coverage * (1.0 - coverage) / n))
-    sq_err = (est - truth) ** 2
-    mse = float(sq_err.mean())
-    mse_mcse = float(sq_err.std(ddof=1) / np.sqrt(n))
-    return PerformanceSummary(
-        scenario_id=scenario_id,
-        model_id=model_id,
-        estimand=estimand,
-        n_used=n,
-        bias=bias,
-        bias_mcse=bias_mcse,
-        coverage=coverage,
-        coverage_mcse=coverage_mcse,
-        mse=mse,
-        mse_mcse=mse_mcse,
-        empirical_se=float(est.std(ddof=1)),
-        mean_model_se=float(se.mean()),
-        convergence_rate=float(np.mean([r.converged for r in records])),
-    )
+    return _performances([(records, truth)])[0]
 
 
 def _truth_for(scenario: Scenario, estimand: EstimandName) -> float:
@@ -343,9 +356,7 @@ def _cells(records: Sequence[ReplicationRecord], scenarios: Mapping[str, Scenari
     shaped law is not a meaningful number. An unknown scenario id raises
     DataError.
     """
-    groups: dict[tuple[str, str, EstimandName], list[ReplicationRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.scenario_id, rec.model_id, rec.estimand), []).append(rec)
+    groups = _cell_indices(records)
     order = {name: pos for pos, name in enumerate(ESTIMAND_ORDER)}
     for key in sorted(groups, key=lambda k: (k[0], k[1], order[k[2]])):
         scenario_id, model_id, estimand = key
@@ -355,7 +366,7 @@ def _cells(records: Sequence[ReplicationRecord], scenarios: Mapping[str, Scenari
         if (estimand is EstimandName.FRAILTY_VAR
                 and model_id.rsplit("_", 1)[-1] != scenario.frailty.family.value):
             continue
-        yield key, scenario, groups[key]
+        yield key, scenario, [records[i] for i in groups[key]]
 
 
 def summarize(
@@ -370,7 +381,7 @@ def summarize(
     converged records raises a warning since heavy filtering signals a
     pathological model/scenario pairing.
     """
-    summaries = []
+    cells = []
     for (scenario_id, model_id, estimand), scenario, cell in _cells(records, scenarios):
         converged = [r for r in cell if r.converged]
         n_filtered = sum(r.filtered for r in converged)
@@ -380,11 +391,10 @@ def summarize(
                 f"{n_filtered}/{len(converged)} converged replications",
                 stacklevel=2,
             )
-        try:
-            summaries.append(performance(cell, _truth_for(scenario, estimand)))
-        except DataError:
-            continue
-    return summaries
+        truth = _truth_for(scenario, estimand)
+        if len(converged) - n_filtered >= 2:
+            cells.append((cell, truth))
+    return _performances(cells)
 
 
 def plot_rows(

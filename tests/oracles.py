@@ -14,17 +14,28 @@ cumulative hazard over the frailty, against which the likelihood's own
 log-scale rows and lle_functional are checked. rule_lle integrates that
 model's LLE on the nodes of lle_functional's time rule, split at the knot
 times of an rp basis (knot_times), and tanh_sinh_lle integrates it by
-tanh_sinh, piece by piece between given break times.
+tanh_sinh, piece by piece between given break times. filter_convergence
+and performance are the harness's outlier rule and cell summary, one cell
+at a time with 1-D numpy calls, against which the harness's stacked cells
+are checked.
 """
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from frailsim.estimands import DEFAULT_GRID, MarginalModel, _time_rule, marginal_survival
+from frailsim.estimands import (
+    DEFAULT_GRID,
+    Z95,
+    MarginalModel,
+    _time_rule,
+    marginal_survival,
+)
 from frailsim.exceptions import DomainError, QuadratureError
 from frailsim.fitting import FitResult, ModelParams, ModelSpec, unpack_params
+from frailsim.harness import FILTER_CUTOFF, PerformanceSummary, ReplicationRecord
 from frailsim.hazards import Exponential, FrailtySpec, Gompertz, Weibull
 from frailsim.simulate import _cluster_keys
 from frailsim.splines import basis_derivative, basis_eval
@@ -260,3 +271,62 @@ def tanh_sinh_lle(
 
     edges = [0.0, *sorted(b for b in breaks if 0.0 < b < horizon), horizon]
     return sum(tanh_sinh(integrand, a, b, tol=tol) for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _robust_z(values: np.ndarray) -> np.ndarray:
+    med, q1, q3 = np.quantile(values, [0.5, 0.25, 0.75], method="linear").tolist()
+    iqr = q3 - q1
+    if iqr == 0.0:
+        return np.zeros_like(values)
+    return (values - med) / iqr
+
+
+def filter_convergence(records: Sequence[ReplicationRecord]) -> list[ReplicationRecord]:
+    """The harness's outlier rule, cell by cell: among each (scenario,
+    model, estimand) cell's converged records, one whose estimate or SE lies
+    more than FILTER_CUTOFF IQRs from the median is filtered, and a cell
+    whose IQR is 0 filters nothing."""
+    groups: dict[tuple, list[int]] = {}
+    for idx, rec in enumerate(records):
+        if rec.converged:
+            groups.setdefault((rec.scenario_id, rec.model_id, rec.estimand), []).append(idx)
+    out = [replace(rec, filtered=False) for rec in records]
+    for indices in groups.values():
+        if len(indices) < 2:
+            continue
+        est = np.array([records[i].estimate for i in indices])
+        se = np.array([records[i].se for i in indices])
+        flag = ((np.abs(_robust_z(est)) > FILTER_CUTOFF)
+                | (np.abs(_robust_z(se)) > FILTER_CUTOFF))
+        for i, flagged in zip(indices, flag):
+            if flagged:
+                out[i] = replace(out[i], filtered=True)
+    return out
+
+
+def performance(records: Sequence[ReplicationRecord], truth: float) -> PerformanceSummary:
+    """Bias, coverage and MSE, each with its MCSE, of one cell's converged
+    and unfiltered records, at least two of them."""
+    used = [r for r in records if r.converged and not r.filtered]
+    n = len(used)
+    assert n >= 2
+    est = np.array([r.estimate for r in used])
+    se = np.array([r.se for r in used])
+    inside = (est - Z95 * se <= truth) & (truth <= est + Z95 * se)
+    coverage = float(inside.mean())
+    sq_err = (est - truth) ** 2
+    return PerformanceSummary(
+        scenario_id=records[0].scenario_id,
+        model_id=records[0].model_id,
+        estimand=records[0].estimand,
+        n_used=n,
+        bias=float(est.mean() - truth),
+        bias_mcse=float(est.std(ddof=1) / np.sqrt(n)),
+        coverage=coverage,
+        coverage_mcse=float(np.sqrt(coverage * (1.0 - coverage) / n)),
+        mse=float(sq_err.mean()),
+        mse_mcse=float(sq_err.std(ddof=1) / np.sqrt(n)),
+        empirical_se=float(est.std(ddof=1)),
+        mean_model_se=float(se.mean()),
+        convergence_rate=float(np.mean([r.converged for r in records])),
+    )

@@ -326,18 +326,23 @@ def test_fit_prints_dash_when_lle_quadrature_fails(demo_dataset, capsys, monkeyp
     assert " - " in row
 
 
-def test_fit_builds_one_lle_grid_per_model(demo_dataset, capsys, monkeypatch):
-    """The LLE and its gradient come from one pass over one grid."""
+def test_fit_builds_one_lle_grid_per_baseline(demo_dataset, capsys, monkeypatch):
+    """The LLE and its gradient come from one pass over one grid, which the
+    fits of a parametric baseline share in a process: a second fit command
+    builds none."""
     original = estimands._grid_prepared
     calls = []
 
-    def counted(result, t, x):
-        calls.append(result.spec.id)
-        return original(result, t, x)
+    def counted(spec, basis, to_raw, t, x):
+        calls.append(spec.id)
+        return original(spec, basis, to_raw, t, x)
 
+    estimands._parametric_lle_grid.cache_clear()
     monkeypatch.setattr(estimands, "_grid_prepared", counted)
-    assert main(["fit", demo_dataset, "--model", "exp_gamma,wei_gamma"]) == 0
+    for _ in range(2):
+        assert main(["fit", demo_dataset, "--model", "exp_gamma,wei_gamma,wei_lognormal"]) == 0
     capsys.readouterr()
+    estimands._parametric_lle_grid.cache_clear()
     assert calls == ["exp_gamma", "wei_gamma"]
 
 

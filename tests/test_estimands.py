@@ -203,6 +203,22 @@ def test_marginal_survival_rejects_a_negative_cumulative_hazard(family):
         marginal_survival(model, np.array([0.5, 2.0]), 0.0)
 
 
+@pytest.mark.parametrize("family", list(FrailtyFamily))
+def test_marginal_survival_rejects_a_nan_time(family):
+    """A NaN time is not a nonnegative one, for every law."""
+    model = MarginalModel.from_scenario(make_scenario("wei", family.value, 0.5, 20, 150))
+    for t in (np.array([0.5, np.nan]), np.nan):
+        with pytest.raises(DomainError, match="nonnegative"):
+            marginal_survival(model, t, 0.0)
+
+
+def test_fitted_marginal_survival_rejects_a_nan_time(fitted):
+    """A fitted model's cumulative hazard reads 0 at a time that is not
+    positive, so a NaN time would pass as survival 1 without the check."""
+    with pytest.raises(DomainError, match="nonnegative"):
+        marginal_survival(MarginalModel.from_fit(fitted), np.array([np.nan, 1.0]), 1.0)
+
+
 @pytest.mark.parametrize("theta,x", [(0.25, 0.0), (0.25, 1.0), (0.75, 0.0)])
 def test_life_expectancy_exponential_gamma_closed_form(theta, x):
     """For an exponential baseline with Gamma frailty the restricted life

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from frailsim import estimands, harness
 from frailsim.estimands import EstimandName, true_estimands
 from frailsim.exceptions import DataError, FitSetupError, NumericError, QuadratureError
-from frailsim.fitting import model_from_id
+from frailsim.fitting import fit, model_from_id, prepare_dataset
 from frailsim.harness import (
     PLOT_HEADER,
     RESULTS_HEADER,
@@ -28,7 +29,9 @@ from frailsim.harness import (
     write_results_csv,
     write_summary_csv,
 )
-from frailsim.simulate import make_scenario
+from frailsim.simulate import generate_dataset, make_scenario
+
+import oracles
 
 
 def _rec(rep, est, se, converged=True, *, sid="s", mid="m",
@@ -333,20 +336,44 @@ def test_run_cell_fit_programming_error_propagates(monkeypatch):
         run_cell([sc], [model_from_id("exp_gamma")], 2, 7, workers=1)
 
 
-def test_run_cell_builds_one_lle_grid_per_fit(monkeypatch):
-    """The LLE and its gradient come from one pass over one grid."""
+def test_run_cell_builds_lle_rows_once_per_baseline_and_per_basis(monkeypatch):
+    """The LLE's rows are built once per (baseline, horizon) in a process
+    for exp, wei and gom, whatever the dataset, and once per (dataset, df)
+    for rp, which both frailty families share; they are read-only, and
+    every LLE and SE equals that of rows built afresh for its fit alone,
+    bit for bit."""
     original = estimands._grid_prepared
     calls = []
 
-    def counted(result, t, x):
-        calls.append(result.spec.id)
-        return original(result, t, x)
+    def counted(spec, basis, to_raw, t, x):
+        calls.append(spec.id)
+        return original(spec, basis, to_raw, t, x)
 
+    estimands._parametric_lle_grid.cache_clear()
     monkeypatch.setattr(estimands, "_grid_prepared", counted)
-    scenarios, specs = _grid()
-    recs = run_cell(scenarios[:1], specs, 2, 7, workers=1)
+    sc = _grid()[0][0]
+    specs = [model_from_id(m) for m in ("exp_gamma", "wei_gamma", "wei_lognormal",
+                                        "rp3_gamma", "rp3_lognormal")]
+    recs = run_cell([sc], specs, 2, 7, workers=1)
     assert all(r.converged for r in recs)
-    assert sorted(calls) == ["exp_gamma"] * 2 + ["wei_gamma"] * 2
+    # rp3 once for each of the two datasets, by whichever family comes first
+    assert sorted(calls) == ["exp_gamma", "rp3_gamma", "rp3_gamma", "wei_gamma"]
+    prep, signed = estimands._parametric_lle_grid("wei", sc.censor_time, estimands.DEFAULT_GRID)
+    assert not (signed.flags.writeable or prep.design.flags.writeable
+                or prep.rows.t.flags.writeable)
+
+    lle = {(r.model_id, r.rep): (r.estimate, r.se)
+           for r in recs if r.estimand is EstimandName.LLE}
+    for rep in range(2):
+        data = prepare_dataset(generate_dataset(sc, derive_seed(7, sc.id, rep)))
+        for spec in specs:
+            result = fit(spec, data)
+            estimands._parametric_lle_grid.cache_clear()
+            fresh = dataclasses.replace(
+                result, lle_rows=None if result.lle_rows is None else {})
+            got = harness.estimate(fresh, sc.censor_time)[EstimandName.LLE]
+            assert (got.estimate, got.se) == lle[(spec.id, rep)]
+    estimands._parametric_lle_grid.cache_clear()
 
 
 def _failing_lle_functional(error):
@@ -547,3 +574,86 @@ def test_summary_and_plot_csv_headers(tmp_path):
     first = dict(zip(SUMMARY_HEADER.split(","), summary_lines[1].split(",")))
     assert first["scenario_id"] == sc.id
     assert first["n_used"] == "4"
+
+
+def _oracle_summaries(records, scenarios):
+    """summarize, cell by cell with oracles.performance: the cells sorted by
+    scenario, model and ESTIMAND_ORDER, FrailtyVar only for the generating
+    family, and only cells with at least two usable records."""
+    cells = {}
+    for rec in records:
+        cells.setdefault((rec.scenario_id, rec.model_id, rec.estimand), []).append(rec)
+    out = []
+    order = harness.ESTIMAND_ORDER
+    for key in sorted(cells, key=lambda k: (k[0], k[1], order.index(k[2]))):
+        scenario_id, model_id, estimand = key
+        scenario = scenarios[scenario_id]
+        if (estimand is EstimandName.FRAILTY_VAR
+                and model_id.rsplit("_", 1)[-1] != scenario.frailty.family.value):
+            continue
+        if sum(r.converged and not r.filtered for r in cells[key]) < 2:
+            continue
+        truth = {EstimandName.LOG_HR: scenario.beta,
+                 EstimandName.LLE: true_estimands(scenario)[1],
+                 EstimandName.FRAILTY_VAR: scenario.frailty.variance}[estimand]
+        out.append(oracles.performance(cells[key], truth))
+    return out
+
+
+def _random_records(rng, scenarios):
+    """Records of random cells: 1-40 reps each, some not converged, so that
+    cells of one size hold different numbers of converged records; values
+    drawn from a few levels (ties, zero IQRs), from Normals with wild
+    outliers in the estimate or the SE alone, or constant; and a preset
+    filtered flag on some."""
+    models = ("exp_gamma", "wei_lognormal", "rp3_gamma")
+    recs = []
+    for scenario in scenarios:
+        for model_id in models:
+            for estimand in harness.ESTIMAND_ORDER:
+                n = int(rng.integers(1, 41))
+                kind = int(rng.integers(0, 3))
+                for rep in range(n):
+                    if rng.random() < 0.15:
+                        est = se = float("nan")
+                        converged = False
+                    else:
+                        converged = True
+                        if kind == 0:
+                            est, se = float(rng.integers(0, 3)), float(rng.integers(1, 3))
+                        elif kind == 1:
+                            est = rng.normal(-0.5, 0.1) * (1e3 if rng.random() < 0.05 else 1.0)
+                            se = abs(rng.normal(0.1, 0.02)) * (1e3 if rng.random() < 0.05 else 1.0)
+                        else:
+                            est, se = 0.3, 0.05
+                    recs.append(ReplicationRecord(scenario.id, model_id, rep, estimand,
+                                                  float(est), float(se), converged,
+                                                  filtered=bool(rng.random() < 0.1)))
+    return [recs[i] for i in rng.permutation(len(recs))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_tail_matches_the_per_cell_oracles(tmp_path, seed):
+    """filter_convergence gives the flags of the per-cell oracle, and
+    summarize, on records filtered or with their preset flags, writes the
+    summary.csv and plot_data.csv of the per-cell oracle byte for byte."""
+    rng = np.random.default_rng(seed)
+    scenarios = {sc.id: sc for sc in (make_scenario("exp", "gamma", 0.25, 20, 150),
+                                      make_scenario("wei", "lognormal", 0.5, 750, 2))}
+    records = _random_records(rng, scenarios.values())
+    filtered = filter_convergence(records)
+    assert filtered == oracles.filter_convergence(records)
+    assert any(r.filtered for r in filtered)
+    for recs in (filtered, records):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = summarize(recs, scenarios)
+        want = _oracle_summaries(recs, scenarios)
+        assert len({s.n_used for s in got}) > 1
+        for name, summaries in (("got", got), ("want", want)):
+            write_summary_csv(summaries, str(tmp_path / f"summary_{name}.csv"))
+            write_plot_csv(plot_rows(summaries, recs, scenarios),
+                           str(tmp_path / f"plot_{name}.csv"))
+        for stem in ("summary", "plot"):
+            assert ((tmp_path / f"{stem}_got.csv").read_bytes()
+                    == (tmp_path / f"{stem}_want.csv").read_bytes())
