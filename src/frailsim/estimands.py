@@ -17,7 +17,10 @@ geometrically in its node count (Davis & Rabinowitz, Methods of Numerical
 Integration, 2nd ed. 1984, sections 2.7 and 4.8). For a fitted model,
 lle_functional evaluates the LLE and its gradient on the optimizer scale in
 one pass over those nodes with the likelihood's own cluster kernels, and
-delta_method_se turns such a gradient into a standard error.
+delta_method_se turns such a gradient into a standard error. Those rows
+are memoized by value, in one bounded cache keyed by the values they are
+built from (_lle_grid): the baseline, an rp fit's knots and to_raw, the
+horizon and n_grid.
 """
 from __future__ import annotations
 
@@ -172,14 +175,22 @@ def _time_rule(horizon: float, breaks, n_grid: int) -> tuple[np.ndarray, np.ndar
     return (horizon * u ** 3).ravel(), (3.0 * horizon * u * u * (half * weights)).ravel()
 
 
-def _lle_grid(spec: ModelSpec, basis: SplineBasis | None, to_raw: np.ndarray,
-              horizon: float, n_grid: int) -> tuple:
+# A dataset fitted with --models all reads 6 entries: exp, wei and gom at
+# its horizon, which every dataset shares, and its rp3, rp5 and rp9 bases,
+# which turn over with each dataset. At 8 the parametric entries outlive the
+# rp ones, and the entries, 13-14 KB (exp, wei, gom) and 44, 72 and 145 KB
+# (rp3, rp5, rp9), stay under 1 MB.
+@functools.lru_cache(maxsize=8)
+def _lle_grid(baseline: str, df: int | None, interior: bytes, boundary: tuple | None,
+              to_raw: bytes, horizon: float, n_grid: int) -> tuple:
     """lle_functional's rows, both arms at each node of _time_rule split at
-    the knot times of basis, with their signed weights; read-only, since
-    fits share them (_lle_rows)."""
+    the knot times of the basis, with their signed weights, built from the
+    values that _lle_grid_of takes from a fit; read-only, since fits share them."""
+    spec = ModelSpec(baseline, FrailtyFamily.GAMMA, df)
+    basis = None if boundary is None else SplineBasis(np.frombuffer(interior), boundary)
     t, w = _time_rule(horizon, _knot_times(basis), n_grid)
-    prep = _grid_prepared(spec, basis, to_raw, np.concatenate((t, t)),
-                          np.repeat([0.0, 1.0], t.size))
+    prep = _grid_prepared(spec, basis, np.frombuffer(to_raw).reshape(spec.n_params, -1),
+                          np.concatenate((t, t)), np.repeat([0.0, 1.0], t.size))
     signed = np.concatenate((-w, w))
     for value in (signed, *vars(prep).values(), *vars(prep.rows).values()):
         if isinstance(value, np.ndarray):
@@ -187,26 +198,15 @@ def _lle_grid(spec: ModelSpec, basis: SplineBasis | None, to_raw: np.ndarray,
     return prep, signed
 
 
-# a study has a few horizons, so a few entries per parametric baseline
-@functools.lru_cache(maxsize=64)
-def _parametric_lle_grid(baseline: str, horizon: float, n_grid: int) -> tuple:
-    spec = ModelSpec(baseline, FrailtyFamily.GAMMA)
-    return _lle_grid(spec, None, np.eye(spec.n_params), horizon, n_grid)
-
-
-def _lle_rows(result: FitResult, horizon: float, n_grid: int) -> tuple:
-    """_lle_grid of a fit. The rows of an exp, wei or gom fit depend on
-    (baseline, horizon, n_grid) alone, and are kept process-wide; those of
-    an rp fit depend on its basis too, and are kept in result.lle_rows,
-    which the fits of both families on one dataset's basis share."""
-    horizon = float(horizon)
-    if result.lle_rows is None:
-        return _parametric_lle_grid(result.spec.baseline, horizon, n_grid)
-    key = (horizon, n_grid)
-    if key not in result.lle_rows:
-        result.lle_rows[key] = _lle_grid(result.spec, result.params.basis, result.to_raw,
-                                         horizon, n_grid)
-    return result.lle_rows[key]
+def _lle_grid_of(result: FitResult, horizon: float, n_grid: int) -> tuple:
+    """_lle_grid of a fit, keyed by the values its rows are a function of:
+    the fits of one parametric baseline share them, and those of both
+    frailty families on one rp basis."""
+    basis = result.params.basis
+    knots = ((b"", None) if basis is None
+             else (basis.interior_knots.tobytes(), tuple(basis.boundary_knots)))
+    return _lle_grid(result.spec.baseline, result.spec.df, *knots, result.to_raw.tobytes(),
+                     float(horizon), n_grid)
 
 
 def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
@@ -299,13 +299,13 @@ def lle_functional(
     dLLE/dvec is (a g_V H) @ d log H for the baseline and beta, and a @ g_u
     for the log variance. Where H overflows, S and its derivatives take
     their limit 0. The rows are built on the first evaluation that needs
-    them, and shared with other fits (_lle_rows).
+    them, and shared with other fits (_lle_grid_of).
     """
     spec = result.spec
 
     def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
         vec = np.asarray(vec, dtype=float)
-        prep, signed = _lle_rows(result, horizon, n_grid)
+        prep, signed = _lle_grid_of(result, horizon, n_grid)
         grad = np.empty(vec.size)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             _, H, _, dlog_H = _log_h_and_H(prep, spec, vec)

@@ -261,8 +261,7 @@ class PreparedDataset:
     integer, which indexes the Gamma kernel's running sums, and d_range 0,
     1, ..., max D. starts, each cluster's first row, is None below a mean
     cluster size of _REDUCEAT_SIZE (_Prepared.cluster_sums). splines keeps
-    the rp basis of each df for the other frailty family (_prepare), with a
-    dict of the LLE rows of its fits (FitResult.lle_rows). anchor
+    the rp basis of each df for the other frailty family (_prepare). anchor
     keeps the dataset's exp_gamma fit, from _starting_point at the default
     max_iter, from which fit starts every other model (_anchor): the first
     fit that needs it makes it.
@@ -358,8 +357,6 @@ class _Prepared:
     and the median condition number of the observed information rose from
     1.3e3 to 1.8e7.
 
-    lle_rows is the FitResult.lle_rows of the model's fits.
-
     to_raw maps an optimizer-scale vector to the raw transformed vector of
     pack_params and unpack_params: the identity but for the rp coefficient
     block [[1, -center T^-1], [0, T^-1]], with T the QR's R / sqrt(n).
@@ -394,7 +391,6 @@ class _Prepared:
     event_design: np.ndarray
     event_logt: float
     event_Bd: np.ndarray | None
-    lle_rows: dict | None = None
 
     @functools.cached_property
     def cells(self) -> np.ndarray:
@@ -418,7 +414,7 @@ class _Prepared:
 
 def _model_rows(spec: ModelSpec, rows: PreparedDataset, basis: SplineBasis | None,
                 to_raw: np.ndarray, B: np.ndarray | None = None,
-                Bd: np.ndarray | None = None, lle_rows: dict | None = None) -> _Prepared:
+                Bd: np.ndarray | None = None) -> _Prepared:
     """The _Prepared of a model on rows, with its constant design and
     event-row sums. For rp, B and Bd are the basis columns and their
     derivatives as (df, n) rows on the optimizer scale; by default those of
@@ -440,14 +436,13 @@ def _model_rows(spec: ModelSpec, rows: PreparedDataset, basis: SplineBasis | Non
         event_design=design[:, rows.d].sum(axis=1),
         event_logt=float(rows.logt[rows.d].sum()),
         event_Bd=None if Bd is None else Bd[:, rows.d],
-        lle_rows=lle_rows,
     )
 
 
 def _spline_basis(rows: PreparedDataset, df: int):
-    """The rp basis of rows at df as (basis, to_raw, B, Bd, lle_rows): knots
-    at the centiles of the event times, the columns orthogonalized by a QR
-    on the sorted rows, and an empty dict for the LLE rows of its fits."""
+    """The rp basis of rows at df as (basis, to_raw, B, Bd): knots at the
+    centiles of the event times, and the columns orthogonalized by a QR on
+    the sorted rows."""
     basis = place_knots(rows.logt[rows.d], df)
     # the QR takes the raw columns as (n, df); the derivatives are
     # mapped as rows
@@ -472,7 +467,7 @@ def _spline_basis(rows: PreparedDataset, df: int):
     to_raw[0, 1:df + 1] = -center @ inverse
     # the fits of both frailty families keep it
     to_raw.setflags(write=False)
-    return basis, to_raw, B, Bd, {}
+    return basis, to_raw, B, Bd
 
 
 def _prepare(spec: ModelSpec, data: ClusteredDataset | PreparedDataset) -> _Prepared:
@@ -901,10 +896,7 @@ class FitResult:
     ``message`` is why the run stopped, one of ``_newton``'s reasons:
     "Newton decrement at most 1e-12*(1+|loglik|)" (converged), "a step
     predicted a gain below half the decrement tolerance", "max_iter (N)
-    steps taken" or "start is infeasible". ``lle_rows`` is None for exp, wei
-    and gom; for rp it holds the LLE rows of the fits on the dataset's basis
-    at its df, which the fits of both frailty families share
-    (``estimands.lle_functional``).
+    steps taken" or "start is infeasible".
     """
 
     spec: ModelSpec
@@ -922,7 +914,6 @@ class FitResult:
     n_obs: int
     message: str
     to_raw: np.ndarray
-    lle_rows: dict | None = field(default=None, repr=False)
 
     @property
     def n_params(self) -> int:
@@ -1212,7 +1203,6 @@ def _run_fit(spec: ModelSpec, prep: _Prepared, start: np.ndarray, max_iter: int)
         n_obs=prep.rows.t.size,
         message=run.message,
         to_raw=prep.to_raw,
-        lle_rows=prep.lle_rows,
     )
 
 

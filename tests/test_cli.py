@@ -337,12 +337,12 @@ def test_fit_builds_one_lle_grid_per_baseline(demo_dataset, capsys, monkeypatch)
         calls.append(spec.id)
         return original(spec, basis, to_raw, t, x)
 
-    estimands._parametric_lle_grid.cache_clear()
+    estimands._lle_grid.cache_clear()
     monkeypatch.setattr(estimands, "_grid_prepared", counted)
     for _ in range(2):
         assert main(["fit", demo_dataset, "--model", "exp_gamma,wei_gamma,wei_lognormal"]) == 0
     capsys.readouterr()
-    estimands._parametric_lle_grid.cache_clear()
+    estimands._lle_grid.cache_clear()
     assert calls == ["exp_gamma", "wei_gamma"]
 
 

@@ -389,6 +389,42 @@ def test_lle_functional_evaluates_at_the_optimum(model_id):
     assert 0.0 < se < 1.0
 
 
+def _lle_and_se(result, horizon):
+    value, grad = lle_functional(result, horizon)(result.trans)
+    return value, delta_method_se(result, grad)
+
+
+def test_rp_lle_rows_follow_the_values_of_the_fit():
+    """An rp fit's LLE rows are those of its own basis and to_raw, whatever
+    the cache holds. A result rebuilt field by field from a fit gives the
+    fit's LLE and SE bit for bit. The same model on the raw spline columns
+    (to_raw the identity, trans and cov_trans mapped by the fit's to_raw)
+    gives them to 1e-12 (measured 1.8e-15) while the fit's rows are cached,
+    and bit for bit
+    what rows built afresh for it give."""
+    sc = make_scenario("ww1", "gamma", 0.5, 20, 50)
+    result = fit(model_from_id("rp3_gamma"), generate_dataset(sc, 11))
+    assert result.converged
+    horizon = sc.censor_time
+    estimands._lle_grid.cache_clear()
+    want = _lle_and_se(result, horizon)
+
+    names = ("spec", "params", "trans", "loglik", "converged", "se_trans", "se_natural",
+             "cov_trans", "grad_inf_norm", "condition_number", "n_evaluations",
+             "n_iterations", "n_obs", "message", "to_raw")
+    rebuilt = fitting.FitResult(**{name: getattr(result, name) for name in names})
+    assert _lle_and_se(rebuilt, horizon) == want
+
+    m = result.to_raw
+    raw = dataclasses.replace(result, to_raw=np.eye(result.n_params), trans=m @ result.trans,
+                              cov_trans=m @ result.cov_trans @ m.T)
+    got = _lle_and_se(raw, horizon)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    estimands._lle_grid.cache_clear()
+    assert _lle_and_se(raw, horizon) == got
+    estimands._lle_grid.cache_clear()
+
+
 def test_marginal_model_from_fit_matches_fitted_survival(fitted):
     model = MarginalModel.from_fit(fitted)
     rate = fitted.params.natural_vector()[0]

@@ -338,10 +338,10 @@ def test_run_cell_fit_programming_error_propagates(monkeypatch):
 
 def test_run_cell_builds_lle_rows_once_per_baseline_and_per_basis(monkeypatch):
     """The LLE's rows are built once per (baseline, horizon) in a process
-    for exp, wei and gom, whatever the dataset, and once per (dataset, df)
-    for rp, which both frailty families share; they are read-only, and
-    every LLE and SE equals that of rows built afresh for its fit alone,
-    bit for bit."""
+    for exp, wei and gom, whatever the dataset, and once per rp basis, which
+    both frailty families share, as does a refit of the same dataset
+    prepared anew; they are read-only, and every LLE and SE equals that of
+    rows built afresh for its fit alone, bit for bit."""
     original = estimands._grid_prepared
     calls = []
 
@@ -349,18 +349,22 @@ def test_run_cell_builds_lle_rows_once_per_baseline_and_per_basis(monkeypatch):
         calls.append(spec.id)
         return original(spec, basis, to_raw, t, x)
 
-    estimands._parametric_lle_grid.cache_clear()
+    estimands._lle_grid.cache_clear()
     monkeypatch.setattr(estimands, "_grid_prepared", counted)
     sc = _grid()[0][0]
     specs = [model_from_id(m) for m in ("exp_gamma", "wei_gamma", "wei_lognormal",
                                         "rp3_gamma", "rp3_lognormal")]
     recs = run_cell([sc], specs, 2, 7, workers=1)
     assert all(r.converged for r in recs)
-    # rp3 once for each of the two datasets, by whichever family comes first
+    # rp3 once for each of the two datasets, for both families
     assert sorted(calls) == ["exp_gamma", "rp3_gamma", "rp3_gamma", "wei_gamma"]
-    prep, signed = estimands._parametric_lle_grid("wei", sc.censor_time, estimands.DEFAULT_GRID)
-    assert not (signed.flags.writeable or prep.design.flags.writeable
-                or prep.rows.t.flags.writeable)
+    data = prepare_dataset(generate_dataset(sc, derive_seed(7, sc.id, 0)))
+    for model in ("wei_gamma", "rp3_gamma"):
+        prep, signed = estimands._lle_grid_of(fit(model_from_id(model), data), sc.censor_time,
+                                              estimands.DEFAULT_GRID)
+        assert not (signed.flags.writeable or prep.design.flags.writeable
+                    or prep.rows.t.flags.writeable)
+    assert len(calls) == 4
 
     lle = {(r.model_id, r.rep): (r.estimate, r.se)
            for r in recs if r.estimand is EstimandName.LLE}
@@ -368,12 +372,10 @@ def test_run_cell_builds_lle_rows_once_per_baseline_and_per_basis(monkeypatch):
         data = prepare_dataset(generate_dataset(sc, derive_seed(7, sc.id, rep)))
         for spec in specs:
             result = fit(spec, data)
-            estimands._parametric_lle_grid.cache_clear()
-            fresh = dataclasses.replace(
-                result, lle_rows=None if result.lle_rows is None else {})
-            got = harness.estimate(fresh, sc.censor_time)[EstimandName.LLE]
+            estimands._lle_grid.cache_clear()
+            got = harness.estimate(result, sc.censor_time)[EstimandName.LLE]
             assert (got.estimate, got.se) == lle[(spec.id, rep)]
-    estimands._parametric_lle_grid.cache_clear()
+    estimands._lle_grid.cache_clear()
 
 
 def _failing_lle_functional(error):
