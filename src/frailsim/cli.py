@@ -42,6 +42,7 @@ from .fitting import (
 )
 from .harness import (
     ReplicationRecord,
+    _repeated,
     derive_seed,
     estimate,
     filter_convergence,
@@ -230,6 +231,8 @@ def _resolve_scenarios(spec_text: str, catalog: dict[str, Scenario]) -> list[Sce
         chosen.append(catalog[sid])
     if not chosen:
         raise ConfigError("no scenarios selected")
+    if (repeated := _repeated(s.id for s in chosen)) is not None:
+        raise ConfigError(f"scenario id {repeated!r} is repeated")
     return chosen
 
 
@@ -246,6 +249,8 @@ def _resolve_models(spec_text: str, gh_nodes: int | None) -> list[ModelSpec]:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         specs.append(spec)
+    if (repeated := _repeated(spec.id for spec in specs)) is not None:
+        raise ConfigError(f"model id {repeated!r} is repeated")
     return specs
 
 

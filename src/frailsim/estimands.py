@@ -19,12 +19,13 @@ lle_functional evaluates the LLE and its gradient on the optimizer scale in
 one pass over those nodes with the likelihood's own cluster kernels, and
 delta_method_se turns such a gradient into a standard error. Those rows
 are memoized by value, in one bounded cache keyed by the values they are
-built from (_lle_grid): the baseline, an rp fit's knots and to_raw, the
-horizon and n_grid.
+built from (_lle_grid): the baseline, an rp fit's knots, to_raw and the
+horizon. They depend on no frailty family.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -32,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError, EstimandError, QuadratureError
-from .fitting import FitResult, ModelSpec, _cluster_terms, _grid_prepared, _log_h_and_H
-from .hazards import FrailtyFamily, FrailtySpec
+from .fitting import FitResult, _cluster_terms, _grid_prepared, _log_h_and_H
+from .hazards import FrailtySpec
 from .quadrature import gh_rule
 # unused here, but bench/tracing.py patches this name on this module
 from .quadrature import adaptive_gh_batch  # noqa: F401
@@ -119,31 +120,28 @@ class MarginalModel:
     gh_nodes: int = 15
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario, gh_nodes: int = TRUTH_GH_NODES) -> MarginalModel:
+    def from_scenario(cls, scenario: Scenario) -> MarginalModel:
         def cumhaz(t: np.ndarray, x: float) -> np.ndarray:
             return scenario.baseline.cumulative_hazard(t) * np.exp(x * scenario.beta)
 
-        return cls(frailty=scenario.frailty, cumulative_hazard=cumhaz, gh_nodes=gh_nodes)
+        return cls(frailty=scenario.frailty, cumulative_hazard=cumhaz, gh_nodes=TRUTH_GH_NODES)
 
     @classmethod
-    def from_fit(cls, result: FitResult, gh_nodes: int | None = None) -> MarginalModel:
+    def from_fit(cls, result: FitResult) -> MarginalModel:
         """The fitted model: H(t, x) from _log_h_and_H on the likelihood's own
         rows at result.trans, the rows lle_functional evaluates, and 0 at t = 0."""
         def cumhaz(t: np.ndarray, x: float) -> np.ndarray:
             positive = t > 0
             out = np.zeros_like(t)
             if positive.any():
-                prep = _grid_prepared(result.spec, result.params.basis, result.to_raw,
+                prep = _grid_prepared(result.spec.baseline, result.params.basis, result.to_raw,
                                       t[positive], np.full(positive.sum(), x))
                 with np.errstate(over="ignore"):
-                    out[positive] = _log_h_and_H(prep, result.spec, result.trans)[1]
+                    out[positive] = _log_h_and_H(prep, result.trans)[1]
             return out
 
-        return cls(
-            frailty=FrailtySpec(result.spec.frailty, result.params.frailty_var),
-            cumulative_hazard=cumhaz,
-            gh_nodes=gh_nodes if gh_nodes is not None else result.spec.gh_nodes,
-        )
+        return cls(frailty=FrailtySpec(result.spec.frailty, result.params.frailty_var),
+                   cumulative_hazard=cumhaz, gh_nodes=result.spec.gh_nodes)
 
 
 def _knot_times(basis: SplineBasis | None) -> np.ndarray:
@@ -161,10 +159,11 @@ def _time_rule(horizon: float, breaks, n_grid: int) -> tuple[np.ndarray, np.ndar
     over u in [0, 1]. Its panels have edges at _PANEL_EDGES and at the cube
     root of every break time b / horizon with 0 < b < horizon, and each
     panel carries n_grid Gauss-Legendre nodes. No node lies on a panel edge,
-    so t = 0 is never a node.
+    so t = 0 is never a node. A horizon that is not positive and finite
+    raises DomainError, and one at which a weight overflows QuadratureError.
     """
-    if not horizon > 0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < np.inf:
+        raise DomainError(f"horizon must be positive and finite, got {horizon}")
     breaks = np.asarray(breaks, dtype=float)
     inside = breaks[(breaks > 0.0) & (breaks < horizon)]
     edges = np.union1d(_PANEL_EDGES, np.cbrt(inside / horizon))
@@ -172,7 +171,11 @@ def _time_rule(horizon: float, breaks, n_grid: int) -> tuple[np.ndarray, np.ndar
                       else np.polynomial.legendre.leggauss(n_grid))
     half = 0.5 * np.diff(edges)[:, None]
     u = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
-    return (horizon * u ** 3).ravel(), (3.0 * horizon * u * u * (half * weights)).ravel()
+    with np.errstate(over="ignore"):
+        weights = (3.0 * horizon * u * u * (half * weights)).ravel()
+    if not np.isfinite(weights).all():
+        raise QuadratureError(f"the time rule's weights overflow at horizon {horizon}")
+    return (horizon * u ** 3).ravel(), weights
 
 
 # A dataset fitted with --models all reads 6 entries: exp, wei and gom at
@@ -181,15 +184,15 @@ def _time_rule(horizon: float, breaks, n_grid: int) -> tuple[np.ndarray, np.ndar
 # rp ones, and the entries, 13-14 KB (exp, wei, gom) and 44, 72 and 145 KB
 # (rp3, rp5, rp9), stay under 1 MB.
 @functools.lru_cache(maxsize=8)
-def _lle_grid(baseline: str, df: int | None, interior: bytes, boundary: tuple | None,
-              to_raw: bytes, horizon: float, n_grid: int) -> tuple:
+def _lle_grid(baseline: str, interior: bytes, boundary: tuple | None, to_raw: bytes,
+              horizon: float) -> tuple:
     """lle_functional's rows, both arms at each node of _time_rule split at
     the knot times of the basis, with their signed weights, built from the
     values that _lle_grid_of takes from a fit; read-only, since fits share them."""
-    spec = ModelSpec(baseline, FrailtyFamily.GAMMA, df)
     basis = None if boundary is None else SplineBasis(np.frombuffer(interior), boundary)
-    t, w = _time_rule(horizon, _knot_times(basis), n_grid)
-    prep = _grid_prepared(spec, basis, np.frombuffer(to_raw).reshape(spec.n_params, -1),
+    t, w = _time_rule(horizon, _knot_times(basis), DEFAULT_GRID)
+    raw = np.frombuffer(to_raw)
+    prep = _grid_prepared(baseline, basis, raw.reshape(math.isqrt(raw.size), -1),
                           np.concatenate((t, t)), np.repeat([0.0, 1.0], t.size))
     signed = np.concatenate((-w, w))
     for value in (signed, *vars(prep).values(), *vars(prep.rows).values()):
@@ -198,15 +201,14 @@ def _lle_grid(baseline: str, df: int | None, interior: bytes, boundary: tuple | 
     return prep, signed
 
 
-def _lle_grid_of(result: FitResult, horizon: float, n_grid: int) -> tuple:
+def _lle_grid_of(result: FitResult, horizon: float) -> tuple:
     """_lle_grid of a fit, keyed by the values its rows are a function of:
     the fits of one parametric baseline share them, and those of both
     frailty families on one rp basis."""
     basis = result.params.basis
     knots = ((b"", None) if basis is None
              else (basis.interior_knots.tobytes(), tuple(basis.boundary_knots)))
-    return _lle_grid(result.spec.baseline, result.spec.df, *knots, result.to_raw.tobytes(),
-                     float(horizon), n_grid)
+    return _lle_grid(result.spec.baseline, *knots, result.to_raw.tobytes(), float(horizon))
 
 
 def marginal_survival(model: MarginalModel, t, x) -> np.ndarray | float:
@@ -284,17 +286,14 @@ def delta_method_se(result: FitResult, gradient: np.ndarray) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
-def lle_functional(
-    result: FitResult,
-    horizon: float,
-    n_grid: int = DEFAULT_GRID,
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+def lle_functional(result: FitResult,
+                   horizon: float) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """vec -> (LLE, its gradient) for the fitted model at optimizer-scale vec.
 
-    Every node of _time_rule, split at the fit's knot times with n_grid
-    nodes per panel, is in each arm a censored cluster of the likelihood:
-    no events and cumulative hazard V = H(t, x). The cluster kernels give
-    log S and its derivatives g_V in V and g_u in log variance, and
+    Every node of _time_rule, split at the fit's knot times, is in each arm
+    a censored cluster as in marginal_survival: D = 0 and cumulative hazard
+    V = H(t, x). The cluster kernels give log S and its derivatives g_V in
+    V and g_u in log variance, and
     _log_h_and_H gives d log H / d vec, so with a = signed weight * S,
     dLLE/dvec is (a g_V H) @ d log H for the baseline and beta, and a @ g_u
     for the log variance. Where H overflows, S and its derivatives take
@@ -305,16 +304,16 @@ def lle_functional(
 
     def evaluate(vec: np.ndarray) -> tuple[float, np.ndarray]:
         vec = np.asarray(vec, dtype=float)
-        prep, signed = _lle_grid_of(result, horizon, n_grid)
+        prep, signed = _lle_grid_of(result, horizon)
         grad = np.empty(vec.size)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            _, H, _, dlog_H = _log_h_and_H(prep, spec, vec)
+            _, H, _, dlog_H = _log_h_and_H(prep, vec)
             # where H overflowed S is 0: the terms there are taken at V = 0
             # and dropped
             live = ~np.isposinf(H)
             log_S, g_V, g_u = _cluster_terms(
-                spec.frailty, prep.rows.events_per_cluster, prep.rows.d_range,
-                np.where(live, H, 0.0), np.exp(vec[-1]), gh_rule(spec.gh_nodes))
+                spec.frailty, 0, _NO_EVENTS, np.where(live, H, 0.0), np.exp(vec[-1]),
+                gh_rule(spec.gh_nodes))
             a = np.where(live, signed * np.exp(log_S), 0.0)
             # 0, not 0 * inf, where S underflowed
             grad[:-1] = dlog_H @ np.where(a != 0.0, a * g_V * H, 0.0)
@@ -335,6 +334,6 @@ def true_estimands(scenario: Scenario) -> tuple[float, float]:
     The LLE side is that of a fitted model's marginal survival at 63 GH
     nodes, integrated by the same time rule.
     """
-    model = MarginalModel.from_scenario(scenario, gh_nodes=TRUTH_GH_NODES)
+    model = MarginalModel.from_scenario(scenario)
     true_lle = lle(model, scenario.censor_time)
     return scenario.beta, true_lle

@@ -89,10 +89,15 @@ _LOG_NORMAL_START_LOG_VAR = float(np.log(10.0))
 # np.add.reduceat over the cluster starts instead of np.bincount
 _REDUCEAT_SIZE = 8
 # elements in one (nodes, block) array of the log-Normal quadrature, 256 KB
-# of doubles: for the five mixture-normal truths of the mc_short benchmark,
-# budgets of 16k to 64k elements took 0.039-0.058 s of CPU (medians of 15
-# rounds), 8k 0.048-0.057 s and 4k 0.070-0.092 s, and 32k the least, on a
-# host with 2 MB of L2 cache per core
+# of doubles, within a 2 MB L2 cache per core. The study's own calls fit in
+# one block: the 3,546 calls of fit --model all (seed 501), the 10 mc_short
+# scenarios at --nsim 2 and the rep-0 grid reach 11,250 elements (750
+# clusters x 15 nodes) at most, and without the blocks and the kept work
+# arrays (_work) calls of those shapes ran as fast or faster (one grid rep
+# at 1 worker: 4.73-5.83 s, against 4.58-5.13 s with them). They are kept
+# for fits of many clusters: without them an order-2 call was 43% slower at
+# 2,000 clusters, 71% at 20,000, and 12% at 100,000, where it also took 3x
+# the memory (2-CPU host)
 _BLOCK_ELEMENTS = 32768
 # each thread's work arrays of _BLOCK_ELEMENTS doubles for _lognormal_clusters
 _work = threading.local()
@@ -338,7 +343,7 @@ def prepare_dataset(data: ClusteredDataset) -> PreparedDataset:
 @dataclass
 class _Prepared:
     """A model's rows on the optimizer scale of its fit: the dataset's rows
-    (rows) and what the baseline adds to them, which do not change across
+    (rows) and what its baseline adds to them, which do not change across
     iterations. Every per-row array of more than one value per row is
     stored as parameter rows over data columns: a C-contiguous (p, n)
     array.
@@ -382,6 +387,7 @@ class _Prepared:
     20 x 150 datasets take reduceat and its 750 x 2 ones bincount.
     """
 
+    baseline: str
     rows: PreparedDataset
     basis: SplineBasis | None
     B: np.ndarray | None
@@ -412,21 +418,22 @@ class _Prepared:
                            ).reshape(-1, rows.n_clusters)
 
 
-def _model_rows(spec: ModelSpec, rows: PreparedDataset, basis: SplineBasis | None,
+def _model_rows(baseline: str, rows: PreparedDataset, basis: SplineBasis | None,
                 to_raw: np.ndarray, B: np.ndarray | None = None,
                 Bd: np.ndarray | None = None) -> _Prepared:
-    """The _Prepared of a model on rows, with its constant design and
+    """The _Prepared of a baseline on rows, with its constant design and
     event-row sums. For rp, B and Bd are the basis columns and their
     derivatives as (df, n) rows on the optimizer scale; by default those of
-    basis at rows.logt, mapped by to_raw."""
+    basis at rows.logt, mapped by to_raw, which is square in the parameters."""
     if basis is not None and B is None:
-        nb = spec.n_baseline_params
+        nb = to_raw.shape[0] - 2
         coefs = to_raw[1:nb, 1:nb].T
         B = coefs @ _columns(basis, rows.logt, derivative=False) + to_raw[0, 1:nb, None]
         Bd = coefs @ _columns(basis, rows.logt, derivative=True)
-    middle = {"exp": (), "wei": (rows.logt,), "gom": (rows.t,), "rp": (B,)}[spec.baseline]
+    middle = {"exp": (), "wei": (rows.logt,), "gom": (rows.t,), "rp": (B,)}[baseline]
     design = np.vstack((np.ones_like(rows.t), *middle, rows.x))
     return _Prepared(
+        baseline=baseline,
         rows=rows,
         basis=basis,
         B=B,
@@ -477,22 +484,22 @@ def _prepare(spec: ModelSpec, data: ClusteredDataset | PreparedDataset) -> _Prep
     alone."""
     rows = data if isinstance(data, PreparedDataset) else prepare_dataset(data)
     if spec.baseline != "rp":
-        return _model_rows(spec, rows, None, np.eye(spec.n_params))
+        return _model_rows(spec.baseline, rows, None, np.eye(spec.n_params))
     if spec.df not in rows.splines:
         rows.splines[spec.df] = _spline_basis(rows, spec.df)
-    return _model_rows(spec, rows, *rows.splines[spec.df])
+    return _model_rows(spec.baseline, rows, *rows.splines[spec.df])
 
 
-def _grid_prepared(spec: ModelSpec, basis: SplineBasis | None, to_raw: np.ndarray,
+def _grid_prepared(baseline: str, basis: SplineBasis | None, to_raw: np.ndarray,
                    t: np.ndarray, x: np.ndarray) -> _Prepared:
     """Rows at positive times t and arms x, each a censored cluster of its
-    own, on the optimizer scale of a fit of spec with basis and to_raw:
-    _log_h_and_H on it at the fit's trans gives H(t, x) and d log H / d
-    trans."""
+    own, on the optimizer scale of a fit of baseline with basis and to_raw,
+    of either frailty family: _log_h_and_H on it at the fit's trans gives
+    H(t, x) and d log H / d trans."""
     n = t.size
     rows = _cluster_rows(t, np.log(t), np.asarray(x, dtype=float),
                          np.zeros(n, dtype=bool), np.arange(n))
-    return _model_rows(spec, rows, basis, to_raw)
+    return _model_rows(baseline, rows, basis, to_raw)
 
 
 def _dlog_expm1_over(v: np.ndarray) -> np.ndarray:
@@ -514,26 +521,26 @@ def _d2log_expm1_over(v: np.ndarray) -> np.ndarray:
                     1.0 / (safe * safe) - 0.25 / np.sinh(0.5 * safe) ** 2)
 
 
-def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
+def _log_h_and_H(prep: _Prepared, vec: np.ndarray):
     """The sum of log h over the event rows, the row-wise conditional
     cumulative hazard H, the sum of d log h over the event rows, and
     d log H as a C-contiguous (nb + 1, n) array, one row per derivative in
-    vec[:nb + 1] (baseline and beta) and one column per data row. Its first
-    row, d log H / d vec[0], is 1 for every baseline.
+    vec[:nb + 1] (prep's baseline and beta) and one column per data row. Its
+    first row, d log H / d vec[0], is 1 for every baseline.
 
     The log h sum may be -inf (flagging a nonpositive RP hazard slope at an
     event) or NaN; H may overflow to inf. Both are handled by the callers.
     d log H may be prep.design itself, which callers must not modify. The
     caller enters np.errstate.
     """
-    nb = spec.n_baseline_params
+    nb = vec.size - 2
     theta = vec[:nb + 1]
     rows = prep.rows
-    if spec.baseline == "exp":
+    if prep.baseline == "exp":
         log_h_sum = prep.event_design @ theta
         H = np.exp(vec[0] + rows.x * vec[nb]) * rows.t
         dlog_h_sum, dlog_H = prep.event_design, prep.design
-    elif spec.baseline == "wei":
+    elif prep.baseline == "wei":
         # log h = log rate + log shape + (shape - 1) log t + x beta
         shape = np.exp(vec[1])
         log_h_sum = (prep.event_design @ [vec[0], shape - 1.0, vec[nb]]
@@ -542,7 +549,7 @@ def _log_h_and_H(prep: _Prepared, spec: ModelSpec, vec: np.ndarray):
         dlog_h_sum = prep.event_design * [1.0, shape, 1.0] + [0.0, prep.event_design[0], 0.0]
         dlog_H = prep.design.copy()
         dlog_H[1] *= shape
-    elif spec.baseline == "gom":
+    elif prep.baseline == "gom":
         log_h_sum = prep.event_design @ theta
         H = np.exp(vec[0] + rows.x * vec[nb]) * rows.t * _expm1_over(vec[1] * rows.t)
         dlog_h_sum = prep.event_design
@@ -595,10 +602,11 @@ def _lognormal_clusters(D, V: np.ndarray, var: float, rule: GHRule, mean: float 
     The quadrature runs on blocks of at most _BLOCK_ELEMENTS // rule.n
     clusters, each (nodes, block) array 256 KB, within one core's L2 cache,
     in work arrays that each thread keeps (_work): one at order 0 and four
-    otherwise, made on first use. Temporaries made per call came free above
-    the C library's trim threshold, which returned them to the kernel, and
-    the next call faulted them in afresh. Each column is computed as on the
-    whole batch, so the block size changes no value.
+    otherwise, made on first use. The study's calls fit in one block; a fit
+    of thousands of clusters gains from both, since temporaries made per
+    call above the C library's trim threshold go back to the kernel and the
+    next call faults them in afresh (_BLOCK_ELEMENTS). Each column is
+    computed as on the whole batch, so the block size changes no value.
     """
     mode, curv = lognormal_laplace(D, V, mean, var)
     dev = mode - mean
@@ -811,7 +819,7 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
     """
     k = vec.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, spec, vec)
+        log_h_sum, H, dlog_h_sum, dlog_H = _log_h_and_H(prep, vec)
         ll = -np.inf
         if np.isfinite(log_h_sum) and np.isfinite(H).all():
             terms = _cluster_terms(spec.frailty, prep.rows.events_per_cluster,
@@ -834,13 +842,13 @@ def _loglik_core(prep: _Prepared, spec: ModelSpec, vec: np.ndarray,
         # dV_i, one column per cluster
         dV = prep.cluster_sums(dlog_H * H)
         block = (dlog_H * w) @ dlog_H.T + (dV * g_VV) @ dV.T
-        nb = spec.n_baseline_params
-        if spec.baseline == "wei":
+        nb = k - 2
+        if prep.baseline == "wei":
             block[1, 1] += np.exp(vec[1]) * (prep.event_design[1] + w @ prep.rows.logt)
-        elif spec.baseline == "gom":
+        elif prep.baseline == "gom":
             t = prep.rows.t
             block[1, 1] += w @ (t**2 * _d2log_expm1_over(vec[1] * t))
-        elif spec.baseline == "rp":
+        elif prep.baseline == "rp":
             q = prep.event_Bd / (vec[1:nb] @ prep.event_Bd)
             block[1:nb, 1:nb] -= q @ q.T
         hess = np.empty((k, k))
@@ -855,7 +863,7 @@ def _marginal_loglik(family: FrailtyFamily, spec: ModelSpec, params: ModelParams
     if spec.frailty is not family:
         raise ValueError(f"spec must have {family.value} frailty")
     # the raw columns on the raw transformed scale: no rank check, no events needed
-    prep = _model_rows(spec, _sorted_rows(data), params.basis, np.eye(spec.n_params))
+    prep = _model_rows(spec.baseline, _sorted_rows(data), params.basis, np.eye(spec.n_params))
     return _loglik_core(prep, spec, pack_params(params))[0]
 
 

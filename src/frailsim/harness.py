@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Iterable, Mapping, Sequence
@@ -181,6 +182,11 @@ def _replicate(task) -> list[list[ReplicationRecord]]:
     return [_fit_records(scenario.id, spec, rep, data, scenario.censor_time) for spec in specs]
 
 
+def _repeated(ids: Iterable[str]) -> str | None:
+    """The first of ids that occurs more than once, or None."""
+    return next((item for item, n in Counter(ids).items() if n > 1), None)
+
+
 def _warm_truths(scenarios: Sequence[Scenario]) -> None:
     # the call _truth_for makes, so that summarize finds each in the cache
     for scenario in scenarios:
@@ -215,10 +221,14 @@ def run_cell(
     The scenarios' true estimands, which summarize needs, are computed
     into true_estimands' cache in the main process: while the pool runs
     the tasks, or after the tasks at one worker, so that a failing truth
-    raises here at every worker count.
+    raises here at every worker count. A scenario id or model id given
+    twice raises ValueError: its records would enter one cell twice.
     """
     if not n_sim >= 1:
         raise ValueError(f"n_sim must be at least 1, got {n_sim}")
+    for kind, items in (("scenario", scenarios), ("model", specs)):
+        if (repeated := _repeated(item.id for item in items)) is not None:
+            raise ValueError(f"{kind} id {repeated!r} is repeated")
     if horizon is not None:
         raise ValueError(f"horizon must be None (each scenario's censor_time), got {horizon}")
     tasks = [(scenario, specs, rep, master_seed)
@@ -462,6 +472,8 @@ def write_results_csv(records: Iterable[ReplicationRecord], path: str) -> None:
 
 
 def read_results_csv(path: str) -> list[ReplicationRecord]:
+    """The records of a results CSV; a malformed line, or one that repeats
+    the (scenario, model, rep, estimand) of an earlier line, is a DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -470,6 +482,7 @@ def read_results_csv(path: str) -> list[ReplicationRecord]:
     if not lines or lines[0] != RESULTS_HEADER:
         raise DataError(f"{path}: expected header {RESULTS_HEADER!r}")
     records = []
+    first_line: dict[tuple, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -489,6 +502,10 @@ def read_results_csv(path: str) -> list[ReplicationRecord]:
             ))
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
+        r = records[-1]
+        first = first_line.setdefault((r.scenario_id, r.model_id, r.rep, r.estimand), lineno)
+        if first != lineno:
+            raise DataError(f"{path}: line {lineno}: repeats the record of line {first}")
     return records
 
 

@@ -142,6 +142,8 @@ def test_scenario_catalog_grid_plus_custom(demo_config):
                  id="frailty_var=inf"),
     pytest.param(CUSTOM_SCENARIO + "scenario.demo.beta = nan", id="beta=nan"),
     pytest.param(CUSTOM_SCENARIO + "scenario.demo.censor_time = inf", id="censor_time=inf"),
+    # a horizon at which the LLE's time rule overflows
+    pytest.param(CUSTOM_SCENARIO + "scenario.demo.censor_time = 1e308", id="censor_time=1e308"),
     pytest.param(CUSTOM_SCENARIO.replace("rate=0.4", "rate=inf"), id="rate=inf"),
     # finite values whose exp(beta) or true estimands cannot be computed
     pytest.param(CUSTOM_SCENARIO + "scenario.demo.beta = 1e300", id="beta=1e300"),
@@ -326,6 +328,16 @@ def test_fit_prints_dash_when_lle_quadrature_fails(demo_dataset, capsys, monkeyp
     assert " - " in row
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_prints_dash_when_the_time_rule_overflows(demo_dataset, capsys):
+    """A finite horizon at which the LLE's time rule overflows is a failed
+    LLE beside the fit's other estimands, not a configuration error."""
+    assert main(["fit", demo_dataset, "--model", "exp_gamma", "--horizon", "1e308"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("exp_gamma"))
+    assert row.split()[6] == "-"
+
+
 def test_fit_builds_one_lle_grid_per_baseline(demo_dataset, capsys, monkeypatch):
     """The LLE and its gradient come from one pass over one grid, which the
     fits of a parametric baseline share in a process: a second fit command
@@ -333,9 +345,9 @@ def test_fit_builds_one_lle_grid_per_baseline(demo_dataset, capsys, monkeypatch)
     original = estimands._grid_prepared
     calls = []
 
-    def counted(spec, basis, to_raw, t, x):
-        calls.append(spec.id)
-        return original(spec, basis, to_raw, t, x)
+    def counted(baseline, basis, to_raw, t, x):
+        calls.append(baseline if basis is None else f"rp{basis.df}")
+        return original(baseline, basis, to_raw, t, x)
 
     estimands._lle_grid.cache_clear()
     monkeypatch.setattr(estimands, "_grid_prepared", counted)
@@ -343,7 +355,7 @@ def test_fit_builds_one_lle_grid_per_baseline(demo_dataset, capsys, monkeypatch)
         assert main(["fit", demo_dataset, "--model", "exp_gamma,wei_gamma,wei_lognormal"]) == 0
     capsys.readouterr()
     estimands._lle_grid.cache_clear()
-    assert calls == ["exp_gamma", "wei_gamma"]
+    assert calls == ["exp", "wei"]
 
 
 MC_CONFIG = CUSTOM_SCENARIO + """\
@@ -404,6 +416,18 @@ def test_mc_config_errors(tmp_path, argv, capsys):
     rc = main(argv + ["--out", str(tmp_path / "x")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenarios,models,repeated", [
+    ("exp_gamma_t025_750x2,exp_gamma_t025_750x2", "exp_gamma", "exp_gamma_t025_750x2"),
+    ("exp_gamma_t025_750x2", "exp_gamma,exp_gamma", "exp_gamma"),
+])
+def test_mc_rejects_a_repeated_id(tmp_path, capsys, scenarios, models, repeated):
+    """A repeated scenario or model id is a configuration error that names
+    the id, not a run whose cells hold each record twice."""
+    assert main(["mc", "--scenarios", scenarios, "--models", models, "--nsim", "1",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"id {repeated!r} is repeated" in capsys.readouterr().err
 
 
 def test_summarize_missing_results(tmp_path, capsys):

@@ -133,8 +133,8 @@ def test_blocked_marginal_survival_equals_the_whole_batch_bit_for_bit(frailty, n
     of the quadrature run once on the whole grid, and a second call in a
     row returns the same values, so the work arrays carry nothing from one
     call to the next."""
-    model = MarginalModel.from_scenario(make_scenario("wei", frailty, 0.75, 20, 150),
-                                        gh_nodes=nodes)
+    model = dataclasses.replace(
+        MarginalModel.from_scenario(make_scenario("wei", frailty, 0.75, 20, 150)), gh_nodes=nodes)
     block = fitting._BLOCK_ELEMENTS // nodes
     n = 3 * block + block // 3
     t = np.random.default_rng(nodes).uniform(0.0, 10.0, n) ** 2
@@ -286,6 +286,19 @@ def test_life_expectancy_rejects_non_finite_survival(family):
     model = MarginalModel(FrailtySpec(family, 0.25), lambda t, x: np.where(t > 1.0, np.nan, t))
     with pytest.raises(QuadratureError):
         life_expectancy(model, 0.0, 5.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("horizon,error", [(np.inf, DomainError), (1e308, QuadratureError)])
+def test_an_infinite_or_overflowing_horizon_raises(fitted, horizon, error):
+    """Over an infinite horizon there is no time rule, and over 1e308 its
+    weights overflow: life_expectancy, lle and lle_functional raise, instead
+    of returning NaN with a warning or an LLE of 0."""
+    model = MarginalModel.from_fit(fitted)
+    for evaluate in (lambda: life_expectancy(model, 0.0, horizon), lambda: lle(model, horizon),
+                     lambda: lle_functional(fitted, horizon)(fitted.trans)):
+        with pytest.raises(error, match="horizon"):
+            evaluate()
 
 
 def test_lle_is_exactly_zero_without_treatment_effect():

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from frailsim import fitting
+from frailsim import estimands, fitting
 from frailsim.estimands import MarginalModel, lle_functional
 from frailsim.exceptions import FitSetupError
 from frailsim.fitting import (
@@ -168,7 +168,7 @@ def test_lognormal_loglik_is_a_float_at_extreme_points(log_var, log_rate):
     prep = fitting._prepare(spec, data)
     vec = np.array([log_rate, 0.0, -0.5, log_var])
     if log_rate < 0:
-        assert not fitting._log_h_and_H(prep, spec, vec)[1].any()
+        assert not fitting._log_h_and_H(prep, vec)[1].any()
     ll, _ = fitting._loglik_core(prep, spec, vec)
     assert isinstance(ll, float)
     assert ll == -np.inf or np.isfinite(ll)
@@ -336,7 +336,7 @@ def test_loglik_on_the_prepared_design_matches_a_column_stack_reference(model_id
             want_ll, want_score, want_dV = _column_stack_loglik(prep, spec, vec)
             assert abs(ll - want_ll) <= 1e-12 * abs(want_ll)
             assert np.max(np.abs(score - want_score)) <= 1e-10 * np.max(np.abs(want_score))
-            _, H, _, dlog_H = fitting._log_h_and_H(prep, spec, vec)
+            _, H, _, dlog_H = fitting._log_h_and_H(prep, vec)
             dV = prep.cluster_sums(dlog_H * H)
             assert np.max(np.abs(dV - want_dV)) <= 1e-12 * np.max(np.abs(want_dV))
         ll, _ = fitting._loglik_core(prep, spec, res.trans)
@@ -901,7 +901,7 @@ def test_a_cluster_whose_cumulative_hazard_underflowed_adds_no_information(model
     spec = model_from_id(model_id)
     prep = fitting._prepare(spec, tiny)
     vec = _study_fit(model_id, (20, 150))[2].trans - [20.0, 0.0, 0.0]
-    assert fitting._log_h_and_H(prep, spec, vec)[1][-1] == 0.0
+    assert fitting._log_h_and_H(prep, vec)[1][-1] == 0.0
     info = _information(prep, spec, vec)
     want = _information(fitting._prepare(spec, data), spec, vec)
     np.testing.assert_allclose(info, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
@@ -1339,7 +1339,7 @@ def test_fitted_params_give_the_hazards_of_the_optimizer_rows(model_id):
     9e-12."""
     prep, spec, res = _study_fit(model_id, (20, 150))
     _, H = conditional_pieces(spec, res.params, prep.rows.t, prep.rows.x)
-    want = fitting._log_h_and_H(prep, spec, res.trans)[1]
+    want = fitting._log_h_and_H(prep, res.trans)[1]
     np.testing.assert_allclose(H, want, rtol=1e-10)
 
 
@@ -1356,6 +1356,28 @@ def test_marginal_model_from_fit_gives_the_hazards_of_the_fitted_params(model_id
         want = np.zeros_like(t)
         want[1:] = conditional_pieces(spec, res.params, t[1:], x)[1]
         np.testing.assert_allclose(model.cumulative_hazard(t, x), want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("model_id", all_model_ids())
+def test_cached_lle_rows_are_the_baselines_whichever_family_built_them(model_id):
+    """The LLE's rows depend on the baseline and not on the frailty family:
+    the fit of the other family to the same dataset keys the same cache
+    entry, and H from _log_h_and_H on its rows at res.trans equals
+    MarginalModel.from_fit(res) at the same nodes, bit for bit, in both
+    arms."""
+    _, spec, res = _study_fit(model_id, (20, 150))
+    family = "lognormal" if spec.frailty is FrailtyFamily.GAMMA else "gamma"
+    other = _study_fit(f"{model_id.split('_')[0]}_{family}", (20, 150))[2]
+    estimands._lle_grid.cache_clear()
+    prep = estimands._lle_grid_of(other, 5.0)[0]
+    assert estimands._lle_grid_of(res, 5.0)[0] is prep
+    H = fitting._log_h_and_H(prep, res.trans)[1]
+    model = MarginalModel.from_fit(res)
+    n = prep.rows.t.size // 2
+    for arm, x in ((slice(None, n), 0.0), (slice(n, None), 1.0)):
+        assert (prep.rows.x[arm] == x).all()
+        assert np.array_equal(H[arm], model.cumulative_hazard(prep.rows.t[arm], x))
+    estimands._lle_grid.cache_clear()
 
 
 @pytest.mark.parametrize("model_id,baseline,want_h,want_H", [

@@ -345,9 +345,9 @@ def test_run_cell_builds_lle_rows_once_per_baseline_and_per_basis(monkeypatch):
     original = estimands._grid_prepared
     calls = []
 
-    def counted(spec, basis, to_raw, t, x):
-        calls.append(spec.id)
-        return original(spec, basis, to_raw, t, x)
+    def counted(baseline, basis, to_raw, t, x):
+        calls.append(baseline if basis is None else f"rp{basis.df}")
+        return original(baseline, basis, to_raw, t, x)
 
     estimands._lle_grid.cache_clear()
     monkeypatch.setattr(estimands, "_grid_prepared", counted)
@@ -357,11 +357,10 @@ def test_run_cell_builds_lle_rows_once_per_baseline_and_per_basis(monkeypatch):
     recs = run_cell([sc], specs, 2, 7, workers=1)
     assert all(r.converged for r in recs)
     # rp3 once for each of the two datasets, for both families
-    assert sorted(calls) == ["exp_gamma", "rp3_gamma", "rp3_gamma", "wei_gamma"]
+    assert sorted(calls) == ["exp", "rp3", "rp3", "wei"]
     data = prepare_dataset(generate_dataset(sc, derive_seed(7, sc.id, 0)))
     for model in ("wei_gamma", "rp3_gamma"):
-        prep, signed = estimands._lle_grid_of(fit(model_from_id(model), data), sc.censor_time,
-                                              estimands.DEFAULT_GRID)
+        prep, signed = estimands._lle_grid_of(fit(model_from_id(model), data), sc.censor_time)
         assert not (signed.flags.writeable or prep.design.flags.writeable
                     or prep.rows.t.flags.writeable)
     assert len(calls) == 4
@@ -410,6 +409,17 @@ def test_run_cell_rejects_empty_run():
     sc = make_scenario("exp", "gamma", 0.25, 5, 2)
     with pytest.raises(ValueError):
         run_cell([sc], [model_from_id("exp_gamma")], 0, 7)
+
+
+def test_run_cell_rejects_a_repeated_id():
+    """A scenario or model given twice would put each of its records into
+    one cell twice, and halve every MCSE."""
+    sc = make_scenario("exp", "gamma", 0.25, 5, 2)
+    spec = model_from_id("exp_gamma")
+    with pytest.raises(ValueError, match=f"scenario id '{sc.id}' is repeated"):
+        run_cell([sc, sc], [spec], 1, 7)
+    with pytest.raises(ValueError, match="model id 'exp_gamma' is repeated"):
+        run_cell([sc], [spec, model_from_id("exp_gamma")], 1, 7)
 
 
 @pytest.mark.parametrize("horizon", [1.0, 5.0])
@@ -556,6 +566,16 @@ def test_read_results_csv_rejects_flags_other_than_0_or_1(tmp_path, flags, messa
     path.write_text(RESULTS_HEADER + "\ns,m,0,LogHR,1.0,0.1,1,0\n"
                     f"s,m,1,LogHR,1.0,0.1,{flags}\n")
     with pytest.raises(DataError, match=f"line 3: {message}"):
+        read_results_csv(str(path))
+
+
+def test_read_results_csv_rejects_a_repeated_record(tmp_path):
+    """A line that repeats the (scenario, model, rep, estimand) of an
+    earlier one is a DataError that names both lines."""
+    path = tmp_path / "results.csv"
+    path.write_text(RESULTS_HEADER + "\ns,m,0,LogHR,1.0,0.1,1,0\ns,m,0,LLE,1.0,0.1,1,0\n"
+                    "s,m,1,LogHR,1.0,0.1,1,0\ns,m,0,LogHR,2.0,0.1,1,0\n")
+    with pytest.raises(DataError, match="line 5: repeats the record of line 2"):
         read_results_csv(str(path))
 
 
